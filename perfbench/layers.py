@@ -8,7 +8,8 @@ are attributed to their innermost span; ``self_s`` is a span's time minus
 its children's. Untraced runs install nothing.
 
 A wrapped attribute that no longer exists (a later refactor renamed it)
-is skipped: its layer then reads 0 and its time shows up as unattributed.
+raises :class:`AttributeError`, so the traced run fails instead of
+reporting a layer that has stopped being measured as taking no time.
 """
 
 from __future__ import annotations
@@ -122,9 +123,12 @@ class Tracer:
     # -- installing wrappers -------------------------------------------------
 
     def _wrap(self, owner: Any, attr: str, name_of: Callable[..., str]) -> None:
-        original = getattr(owner, attr, None)
-        if original is None:
-            return
+        if not hasattr(owner, attr):
+            raise AttributeError(
+                f"cannot trace {getattr(owner, '__name__', owner)}.{attr}: "
+                f"no such attribute"
+            )
+        original = getattr(owner, attr)
         tracer = self
 
         @functools.wraps(original)
@@ -162,17 +166,18 @@ class Tracer:
         self._wrap(AlgorithmAdapter, "solve", solve_name)
 
         arrays = StaticGraph.__dict__.get("arrays")
-        if isinstance(arrays, property):
-            tracer = self
+        if not isinstance(arrays, property):
+            raise AttributeError("cannot trace StaticGraph.arrays: not a property")
+        tracer = self
 
-            def timed_arrays(graph: Any) -> Any:
-                if not tracer.armed or "_arrays_cache" in graph.__dict__:
-                    return arrays.fget(graph)
-                with tracer.span("graphs.arrays"):
-                    return arrays.fget(graph)
+        def timed_arrays(graph: Any) -> Any:
+            if not tracer.armed or "_arrays_cache" in graph.__dict__:
+                return arrays.fget(graph)
+            with tracer.span("graphs.arrays"):
+                return arrays.fget(graph)
 
-            StaticGraph.arrays = property(timed_arrays, doc=arrays.__doc__)
-            self._undo.append((StaticGraph, "arrays", arrays))
+        StaticGraph.arrays = property(timed_arrays, doc=arrays.__doc__)
+        self._undo.append((StaticGraph, "arrays", arrays))
 
     def uninstall(self) -> None:
         """Restore every wrapped attribute."""

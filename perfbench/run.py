@@ -7,11 +7,11 @@ Run from a checkout of the repository; the package is imported from its
 ``BENCHMARK.json`` at the checkout root and described in
 ``perfbench/README.md``.
 
-Each workload runs in fresh interpreters (``workloads.py``): a few that
-only set up, so ``setup_s`` is a median, then one that sets up again,
-checks the program's outputs and measures. Every cache, store and
-artifact lives in a temporary directory under ``.perfbench-tmp/`` in the
-checkout, removed on exit.
+Each workload runs in fresh interpreters (``workloads.py``): one that
+sets up, checks the program's outputs and measures, and four that only
+set up, two before it and two after, so ``setup_s`` is a median of five.
+Every cache, store and artifact lives in a temporary directory under
+``.perfbench-tmp/`` in the checkout, removed on exit.
 
 Output: a ``{"record": ...}`` line with the environment, parameters and
 raw samples, then, as the last line, the result object with the keys
@@ -36,8 +36,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: Fresh interpreters that set up per run; the measuring one is the last.
-SETUP_REPEATS = 3
+#: Fresh interpreters that set up per run, the measuring one included.
+SETUP_REPEATS = 5
 #: Limits on one child process, well inside the 180 s a run may take.
 PROBE_TIMEOUT_S = 30
 MEASURE_SLACK_S = 60
@@ -98,17 +98,25 @@ def main(argv: list[str] | None = None) -> int:
                PYTHONUNBUFFERED="1")
     common = ["--workload", args.workload, "--seed", str(args.seed),
               "--tmp", str(tmp)]
-    try:
-        # A traced run reports no setup_s, so it skips the extra set-ups.
-        setups = [
-            run_child([*common, "--mode", "setup"], env, PROBE_TIMEOUT_S)["setup_s"]
-            for _ in range(0 if args.trace else SETUP_REPEATS - 1)
+
+    def probe() -> float:
+        return run_child([*common, "--mode", "setup"], env, PROBE_TIMEOUT_S)[
+            "setup_s"
         ]
+
+    # A traced run reports no setup_s, so it skips the extra set-ups. The
+    # others run half before and half after the measuring child: the
+    # host's speed wanders over seconds, and a median of set-ups spread
+    # over the whole run is steadier than one of back-to-back set-ups.
+    probes = 0 if args.trace else SETUP_REPEATS - 1
+    try:
+        setups = [probe() for _ in range(probes // 2)]
         result = run_child(
             [*common, "--mode", "measure", "--seconds", str(args.seconds),
              "--trace", str(args.trace)],
             env, args.seconds + MEASURE_SLACK_S,
         )
+        setups += [probe() for _ in range(probes - probes // 2)]
     except ChildFailed as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1
@@ -121,12 +129,15 @@ def main(argv: list[str] | None = None) -> int:
     setups.append(result["setup_s"])
     measured = dict(result["metrics"], setup_s=statistics.median(setups))
     unknown = sorted(set(measured) - {m["name"] for m in declared} - {"setup_s"})
-    if unknown:
-        print(f"perfbench: undeclared metrics {unknown}", file=sys.stderr)
+    missing = sorted({m["name"] for m in declared} - set(measured))
+    if unknown or missing:
+        # A missing layer was renamed or is no longer called; one a
+        # workload never calls is listed in its NOT_MEASURED and reads 0.
+        print(f"perfbench: undeclared metrics {unknown}, "
+              f"unmeasured metrics {missing}", file=sys.stderr)
         return 1
-    # Layers a workload never calls read 0.
     metrics = {
-        m["name"]: {"value": measured.get(m["name"], 0), "unit": m["unit"]}
+        m["name"]: {"value": measured[m["name"]], "unit": m["unit"]}
         for m in declared
     }
     correct = result["failed"] == 0

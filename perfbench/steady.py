@@ -1,16 +1,15 @@
 """Steadiness check: is each end-to-end metric repeatable within its bound?
 
-    python3 perfbench/steady.py --runs 10 [--workloads serve_warm ...] [--sets 2]
+    python3 perfbench/steady.py [--workloads serve_warm ...]
 
-Runs ``run.py`` ``--runs`` times per workload with seeds 1, 2, ... and
-reports for every end-to-end metric the median, the quartiles
-(``statistics.quantiles(values, n=4)``) and the spread: the distance
-between the quartiles as a share of the median. A metric is flagged
-``OVER`` when its spread exceeds its bound in ``BENCHMARK.json``
-(``setup_s`` is exempt: only its median is compared) and ``tight`` when
-it exceeds a third of it. With ``--sets 2`` the whole series runs twice
-and a second median worse than the first by more than the bound is
-flagged ``DRIFT``. Exits 1 when anything is flagged or a run fails.
+Runs ``run.py`` ten times per workload with seeds 1, ..., 10, then the
+same ten runs again. For each set and every end-to-end metric it reports
+the median, the quartiles (``statistics.quantiles(values, n=4)``) and the
+spread: the distance between the quartiles as a share of the median. A
+metric is flagged ``OVER`` when its spread exceeds its bound in
+``BENCHMARK.json`` and ``tight`` when it exceeds a third of it. A second
+median worse than the first by more than the bound is flagged
+``DRIFT``. Exits 1 when anything is flagged or a run fails.
 """
 
 from __future__ import annotations
@@ -24,6 +23,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+
+#: Two sets of ten runs: the spread is taken within a set, the drift
+#: between the two sets' medians.
+SETS = 2
+RUNS = 10
 
 
 def one_run(workload: str, seed: int, seconds: int) -> dict | None:
@@ -51,19 +55,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=1)
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = parser.parse_args(argv)
 
     flagged = False
-    summary = {}
+    summary: dict[str, list[dict]] = {}
     for workload in args.workloads:
         medians: list[dict[str, float]] = []
-        for set_index in range(args.sets):
+        for set_index in range(SETS):
             runs = []
-            for k in range(args.runs):
-                values = one_run(workload, k + 1, args.seconds)
+            for k in range(RUNS):
+                values = one_run(workload, k + 1, spec["run_seconds"])
                 if values is None:
                     print(f"{workload}: run with seed {k + 1} failed")
                     flagged = True
@@ -76,27 +77,27 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {'metric':<14} {'median':>12} {'q1':>12} {'q3':>12} "
                   f"{'spread':>7} {'bound':>6}")
             medians.append({})
+            stats = {}
             for metric in spec["end_to_end"]:
                 name, bound = metric["name"], metric["bound"]
                 values = [run[name] for run in runs]
                 q1, median, q3 = statistics.quantiles(values, n=4)
                 spread = (q3 - q1) / median if median else float("inf")
                 flag = ""
-                if name != "setup_s" and spread > bound:
+                if spread > bound:
                     flag, flagged = "OVER", True
-                elif name != "setup_s" and spread > bound / 3:
+                elif spread > bound / 3:
                     flag = "tight"
                 if len(medians) == 2 and worse_by(
                     medians[0][name], median, metric["better"]
                 ) > bound:
                     flag, flagged = (flag + " DRIFT").strip(), True
                 medians[-1][name] = median
-                summary.setdefault(workload, {})[name] = {
-                    "median": median, "q1": q1, "q3": q3, "spread": spread,
-                    "set": set_index + 1,
-                }
+                stats[name] = {"median": median, "q1": q1, "q3": q3,
+                               "spread": spread}
                 print(f"  {name:<14} {median:>12.5g} {q1:>12.5g} {q3:>12.5g} "
-                      f"{spread:>7.3f} {bound:>6.2f} {flag}")
+                      f"{spread:>7.3f} {bound:>6.2f} {flag}", flush=True)
+            summary.setdefault(workload, []).append(stats)
     print(json.dumps({"steadiness": summary}))
     return 1 if flagged else 0
 

@@ -92,44 +92,99 @@ def row_facts(rows: list[Any]) -> dict[str, Any]:
     }
 
 
+#: Exact-count metric -> its key in an operation's facts.
+ACCOUNTING = {
+    "graphs.edges": "edges",
+    "graphs.max_degree": "max_degree",
+    "theorem13.colors": "colors",
+    "outcome.awake_sum": "awake_sum",
+    "outcome.messages_sum": "messages_sum",
+    "outcome.rounds_sum": "rounds_sum",
+}
+
+#: Per-layer seconds metric -> the span it sums.
+LAYER_SPANS = {
+    "graphs.build_s": "graphs.build",
+    "graphs.arrays_s": "graphs.arrays",
+    "api.validate_s": "api.validate",
+    "theorem13.cluster_s": "theorem13.cluster",
+    "theorem13.validate_s": "theorem13.validate",
+    "theorem9.solve_s": "theorem9.solve",
+    "bm21.solve_s": "bm21.solve",
+    "greedy.solve_s": "greedy.solve",
+    **{
+        f"olocal.check_s.{problem}": f"olocal.check.{problem}"
+        for problem in PROBLEM_SHORT.values()
+    },
+}
+
+
 def accounting_metrics(facts: dict[str, Any]) -> dict[str, float]:
-    """The exact-count per-layer metrics of one operation's facts."""
+    """The exact-count per-layer metrics one operation's facts carry."""
     return {
-        "graphs.edges": facts.get("edges", 0),
-        "graphs.max_degree": facts.get("max_degree", 0),
-        "theorem13.colors": facts.get("colors", 0),
-        "outcome.awake_sum": facts["awake_sum"],
-        "outcome.messages_sum": facts["messages_sum"],
-        "outcome.rounds_sum": facts["rounds_sum"],
+        metric: facts[key] for metric, key in ACCOUNTING.items() if key in facts
     }
 
 
 def generic_layer_metrics(tracer: Tracer, ops: int) -> dict[str, float]:
-    """Per-operation layer seconds shared by the in-process workloads."""
-    per_op = {name: s / ops for name, s in tracer.total_s.items()}
+    """Per-operation layer seconds shared by the in-process workloads.
+
+    Only layers that recorded a span appear: a layer missing here is
+    either one the workload never calls (``Workload.NOT_MEASURED``) or
+    one that has stopped being measured, which ``main`` rejects.
+    """
     metrics = {
-        "graphs.build_s": per_op.get("graphs.build", 0.0),
-        "graphs.arrays_s": per_op.get("graphs.arrays", 0.0),
-        "graphs.build_rss_mb": tracer.rss_mb.get("graphs.build", 0.0),
-        "api.validate_s": per_op.get("api.validate", 0.0),
-        "theorem13.cluster_s": per_op.get("theorem13.cluster", 0.0),
-        "theorem13.cluster_rss_mb": tracer.rss_mb.get("theorem13.cluster", 0.0),
-        "theorem13.validate_s": per_op.get("theorem13.validate", 0.0),
-        "theorem9.solve_s": per_op.get("theorem9.solve", 0.0),
-        "bm21.solve_s": per_op.get("bm21.solve", 0.0),
-        "greedy.solve_s": per_op.get("greedy.solve", 0.0),
-        "algorithms.unattributed_s": sum(
-            tracer.self_s(name)
-            for name in tracer.total_s
-            if name.startswith("algorithms.solve.")
-        )
-        / ops,
+        metric: tracer.total_s[span] / ops
+        for metric, span in LAYER_SPANS.items()
+        if span in tracer.total_s
     }
-    for problem in PROBLEM_SHORT.values():
-        metrics[f"olocal.check_s.{problem}"] = per_op.get(
-            f"olocal.check.{problem}", 0.0
+    for metric, span in (
+        ("graphs.build_rss_mb", "graphs.build"),
+        ("theorem13.cluster_rss_mb", "theorem13.cluster"),
+    ):
+        if span in tracer.rss_mb:
+            metrics[metric] = tracer.rss_mb[span]
+    adapters = [n for n in tracer.total_s if n.startswith("algorithms.solve.")]
+    if adapters:
+        metrics["algorithms.unattributed_s"] = (
+            sum(tracer.self_s(name) for name in adapters) / ops
         )
     return metrics
+
+
+def adapter_metrics(tracer: Tracer, ops: int) -> dict[str, float]:
+    """``algorithms.solve_s.<alg>.<problem>`` per operation, for every
+    adapter call recorded."""
+    prefix = "algorithms.solve."
+    return {
+        "algorithms.solve_s." + name[len(prefix):]: seconds / ops
+        for name, seconds in tracer.total_s.items()
+        if name.startswith(prefix)
+    }
+
+
+#: dense_mix's operations, ``(algorithm, problem)``.
+MIX_OPS = (
+    ("theorem1", "mis"),
+    ("theorem1", "coloring"),
+    ("theorem1", "vertex-cover"),
+    ("theorem9", "mis"),
+    ("baseline", "coloring"),
+    ("greedy", "mis"),
+)
+
+# Per-layer metric groups that whole workloads do not measure.
+MIX_ADAPTERS = frozenset(f"algorithms.solve_s.{a}.{p}" for a, p in MIX_OPS)
+GRID_LAYERS = frozenset({
+    "grid.build_s",
+    *(f"grid.solve_s.{a}" for a in ("theorem1", "theorem9", "baseline", "greedy")),
+    "runner.trial_p50_ms", "runner.trial_p90_ms", "runner.parallel_efficiency",
+})
+SERVE_LAYERS = frozenset({"serve.spec_ms", "serve.http_ms", "runner.cache_load_ms"})
+IN_PROCESS_LAYERS = frozenset({
+    *LAYER_SPANS, *MIX_ADAPTERS, "graphs.build_rss_mb",
+    "theorem13.cluster_rss_mb", "algorithms.unattributed_s",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +196,17 @@ class Workload:
     """Set-up, one timed operation, and the check of its result."""
 
     name = ""
+    #: Per-layer metrics of layers this workload never calls, or cannot
+    #: see from its process; they read 0. Any other declared per-layer
+    #: metric that a traced run does not measure fails the run.
+    NOT_MEASURED: frozenset[str] = frozenset()
 
     def __init__(self, seed: int, tmp: Path, tracer: Tracer | None) -> None:
         self.seed = seed
         self.tmp = tmp
         self.tracer = tracer
         self.setup_layers: dict[str, float] = {}
+        self.setup_rss_mb: dict[str, float] = {}
 
     def params(self) -> dict[str, Any]:
         raise NotImplementedError
@@ -171,6 +231,13 @@ class Workload:
     def teardown(self) -> None:
         pass
 
+    def peak_rss_mb(self) -> float:
+        """Peak RSS of this process plus its largest reaped child (a pool
+        worker), in MB; read after teardown."""
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        return (own + children) / 1024.0
+
     def layer(self, name: str) -> Any:
         """A set-up span when tracing, else a no-op."""
         return self.tracer.span(name) if self.tracer is not None else nullcontext()
@@ -182,6 +249,12 @@ class ScaleE2E(Workload):
     name = "scale_e2e"
     N = 2**17
     DEGREE = 8
+    NOT_MEASURED = (
+        GRID_LAYERS | SERVE_LAYERS
+        | (MIX_ADAPTERS - {"algorithms.solve_s.theorem1.mis"})
+        | {"bm21.solve_s", "greedy.solve_s", "olocal.check_s.coloring",
+           "olocal.check_s.vertex-cover"}
+    )
 
     def params(self) -> dict[str, Any]:
         return {
@@ -217,11 +290,8 @@ class ScaleE2E(Workload):
         return outcome_facts([(result.graph, result.outcome)])
 
     def layer_metrics(self, tracer: Tracer, ops: int) -> dict[str, float]:
-        metrics = generic_layer_metrics(tracer, ops)
-        metrics["algorithms.solve_s.theorem1.mis"] = (
-            tracer.total_s.get("algorithms.solve.theorem1.mis", 0.0) / ops
-        )
-        return metrics
+        return dict(generic_layer_metrics(tracer, ops),
+                    **adapter_metrics(tracer, ops))
 
 
 class DenseMix(Workload):
@@ -230,14 +300,8 @@ class DenseMix(Workload):
     name = "dense_mix"
     N = 2**13
     DEGREE = 32
-    OPS = (
-        ("theorem1", "mis"),
-        ("theorem1", "coloring"),
-        ("theorem1", "vertex-cover"),
-        ("theorem9", "mis"),
-        ("baseline", "coloring"),
-        ("greedy", "mis"),
-    )
+    OPS = MIX_OPS
+    NOT_MEASURED = GRID_LAYERS | SERVE_LAYERS | {"api.validate_s"}
 
     def params(self) -> dict[str, Any]:
         return {
@@ -286,15 +350,11 @@ class DenseMix(Workload):
 
     def layer_metrics(self, tracer: Tracer, ops: int) -> dict[str, float]:
         metrics = generic_layer_metrics(tracer, ops)
-        metrics["graphs.build_s"] = self.setup_layers.get("graphs.build", 0.0)
-        metrics["graphs.arrays_s"] = self.setup_layers.get("graphs.arrays", 0.0)
-        metrics["graphs.build_rss_mb"] = self.setup_layers.get(
-            "graphs.build_rss_mb", 0.0
-        )
-        for a, p in self.OPS:
-            metrics[f"algorithms.solve_s.{a}.{p}"] = (
-                tracer.total_s.get(f"algorithms.solve.{a}.{p}", 0.0) / ops
-            )
+        # The graph is built in set-up, so its layers come from there.
+        metrics["graphs.build_s"] = self.setup_layers["graphs.build"]
+        metrics["graphs.arrays_s"] = self.setup_layers["graphs.arrays"]
+        metrics["graphs.build_rss_mb"] = self.setup_rss_mb["graphs.build"]
+        metrics.update(adapter_metrics(tracer, ops))
         return metrics
 
 
@@ -308,6 +368,10 @@ class GridSweep(Workload):
     ALGORITHMS = ("theorem1", "baseline", "theorem9", "greedy")
     TRIALS = 1
     WORKERS = 2
+    # Default engines are per-node: no arrays, no vectorized validation.
+    NOT_MEASURED = SERVE_LAYERS | MIX_ADAPTERS | {
+        "graphs.arrays_s", "theorem13.validate_s", "olocal.check_s.vertex-cover"
+    }
     #: Operation i sweeps master seed ``seed * CYCLE + i % CYCLE``, so a
     #: run's median spans several grids rather than one grid's luck.
     CYCLE = 8
@@ -422,9 +486,10 @@ class GridSweep(Workload):
                 algorithm = name.split(".")[2]
                 solve[algorithm] = solve.get(algorithm, 0.0) + seconds
         for algorithm in self.ALGORITHMS:
-            metrics[f"grid.solve_s.{algorithm}"] = solve.get(algorithm, 0.0)
+            metrics[f"grid.solve_s.{algorithm}"] = solve[algorithm]
         trials = first["trial_seconds"]
         metrics.update({
+            "grid.build_s": metrics["graphs.build_s"],
             "graphs.edges": sum(r.graph.num_edges for r in results),
             "theorem13.colors": sum(
                 r.outcome.extras.get("clustering_colors", 0) for r in results
@@ -443,6 +508,8 @@ class ServeWarm(Workload):
     """Closed-loop warm ``GET /solve`` against ``repro serve``."""
 
     name = "serve_warm"
+    # The solves ran in the server process during set-up.
+    NOT_MEASURED = IN_PROCESS_LAYERS | GRID_LAYERS | {"theorem13.colors"}
     CELLS = [
         (f, n, p, a)
         for f in ("gnp", "tree")
@@ -578,6 +645,11 @@ class ServeWarm(Workload):
             server.wait()
         self.log.close()
 
+    def peak_rss_mb(self) -> float:
+        """Peak RSS of the server alone, its only child, in MB. This
+        process is the client, whose own peak is mostly the checks."""
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+
 
 WORKLOADS = {w.name: w for w in (ScaleE2E, DenseMix, GridSweep, ServeWarm)}
 
@@ -643,13 +715,6 @@ class Loop:
             raise CheckError(
                 f"{key}: output digest {facts['digest']} != pinned {pinned}"
             )
-
-
-def peak_rss_mb() -> float:
-    """Peak RSS of this process plus its largest reaped child, in MB."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
 
 
 def environment() -> dict[str, Any]:
@@ -741,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--mode", choices=("setup", "measure"), required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, help="measure mode only")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--t0", type=float, required=True,
                         help="time.monotonic() when the parent spawned us")
@@ -756,9 +821,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mode == "measure":
             if tracer is not None:
                 workload.setup_layers = dict(tracer.total_s)
-                workload.setup_layers["graphs.build_rss_mb"] = tracer.rss_mb.get(
-                    "graphs.build", 0.0
-                )
+                workload.setup_rss_mb = dict(tracer.rss_mb)
                 tracer.reset()
             loop = Loop(workload)
             facts = workload.verify()
@@ -770,6 +833,13 @@ def main(argv: list[str] | None = None) -> int:
                 metrics, samples = measure(loop, args.seconds)
             else:
                 metrics = measure_traced(workload, loop, tracer, args.seconds)
+                for name in sorted(workload.NOT_MEASURED):
+                    if name in metrics:
+                        raise CheckError(
+                            f"{name} is measured on {workload.name} "
+                            f"but listed in its NOT_MEASURED"
+                        )
+                    metrics[name] = 0
             out.update(
                 attempted=loop.attempted,
                 failed=loop.failed,
@@ -785,7 +855,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         workload.teardown()
     if args.mode == "measure" and tracer is None:
-        out["metrics"]["peak_rss_mb"] = peak_rss_mb()
+        out["metrics"]["peak_rss_mb"] = workload.peak_rss_mb()
     print(json.dumps(out, default=list))
     return 0
 
