@@ -54,11 +54,6 @@ from repro.registry import UnknownNameError, load_plugins
 if TYPE_CHECKING:
     from repro.runner.executor import SweepResult
 
-#: Scenario params every family accepts via :func:`build_family_graph`
-#: compatibility defaults (forwarded only where the schema declares them).
-_COMPAT_FAMILY_PARAMS = ("p", "degree")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A frozen, picklable description of one solve run.
@@ -149,7 +144,7 @@ class Scenario:
         """
         load_plugins()
         errors: list[str] = []
-        allowed: set[str] = set(_COMPAT_FAMILY_PARAMS)
+        allowed: set[str] = set()
         try:
             allowed |= set(GRAPH_FAMILIES.entry(self.family).params)
         except UnknownNameError as exc:
@@ -371,35 +366,20 @@ def scenarios_from_grid(
 ) -> list[Scenario]:
     """The scenarios a :func:`run_grid` call would execute, in trial order.
 
-    Exposed for callers that want to run or inspect trials individually;
-    per-trial seeds are the same content-addressed derivations the grid
-    runner uses. A non-empty ``engines`` fans each cell out across
-    engines (seeds, and therefore graphs, stay engine-independent).
+    Exposed for callers that want to run or inspect trials individually:
+    each is the scenario of one trial of
+    :func:`repro.runner.trials.sweep_from_grid`, so seeds, canonical
+    algorithm names, and validation errors (``KeyError``) are the grid
+    runner's. A non-empty ``engines`` fans each cell out across engines
+    (seeds, and therefore graphs, stay engine-independent).
     """
-    from repro.runner.specs import derive_seed
+    from repro.runner.trials import sweep_from_grid
 
-    engine_axis: tuple[str | None, ...] = tuple(engines) or (None,)
-    result: list[Scenario] = []
-    for family in families:
-        for n in sizes:
-            for problem in problems:
-                for algorithm in algorithms:
-                    for engine in engine_axis:
-                        for t in range(trials):
-                            result.append(
-                                Scenario(
-                                    family=family,
-                                    n=n,
-                                    seed=derive_seed(
-                                        seed, family, n, problem,
-                                        algorithm, t,
-                                    ),
-                                    problem=problem,
-                                    algorithm=algorithm,
-                                    engine=engine,
-                                )
-                            )
-    return result
+    spec = sweep_from_grid(
+        families, sizes, problems, algorithms,
+        trials_per_config=trials, master_seed=seed, engines=engines,
+    )
+    return [Scenario(**t.kwargs_dict()) for t in spec.trials]
 
 
 def catalog() -> dict[str, Any]:

@@ -31,29 +31,16 @@ import sys
 from repro.api import Scenario, run_scenario
 from repro.core.algorithms import ALGORITHMS, ENGINE_FAULTY, FAULT_PARAMS
 from repro.graphs import StaticGraph
-from repro.graphs.families import GRAPH_FAMILIES
-from repro.graphs.families import build_family_graph as _build_family_graph
+from repro.graphs.families import GRAPH_FAMILIES, build_family_graph
 from repro.olocal import PROBLEMS
 from repro.registry import load_plugins
 from repro.runner.cache import DEFAULT_CACHE_DIR
-
-#: Deprecated shim — alias → canonical problem name. The aliases now
-#: live on the registry entries; import :data:`repro.olocal.PROBLEMS`
-#: and use ``PROBLEMS.resolve(name)`` instead.
-PROBLEM_ALIASES = PROBLEMS.alias_map()
-
-
-def build_family_graph(*args, **kwargs) -> StaticGraph:
-    """Deprecated shim — moved to
-    :func:`repro.graphs.families.build_family_graph` (kept so pre-registry
-    imports from ``repro.cli`` keep working)."""
-    return _build_family_graph(*args, **kwargs)
 
 
 def build_graph(args: argparse.Namespace) -> StaticGraph:
     """Instantiate the requested graph family with the requested ID scheme."""
     try:
-        return _build_family_graph(
+        return build_family_graph(
             args.family, args.n, seed=args.seed, p=args.p,
             degree=args.degree, ids=args.ids,
         )
@@ -63,7 +50,16 @@ def build_graph(args: argparse.Namespace) -> StaticGraph:
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     """The ``solve`` arguments as a :class:`Scenario`."""
-    params: dict[str, object] = {"p": args.p, "degree": args.degree}
+    # --p/--degree reach only the families whose schema declares them;
+    # for the others they have always been no-ops.
+    params: dict[str, object] = {}
+    if args.family in GRAPH_FAMILIES:
+        declared = GRAPH_FAMILIES.entry(args.family).params
+        params = {
+            name: value
+            for name, value in (("p", args.p), ("degree", args.degree))
+            if name in declared
+        }
     if args.b is not None:
         # --b is forwarded only to algorithms that declare it (theorem1,
         # theorem9); for the others it has always been a no-op — keep

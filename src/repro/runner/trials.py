@@ -6,14 +6,13 @@ Two trial kinds:
   (:data:`repro.analysis.experiments.TRIAL_PLANS`); the spec carries the
   plan's id plus the trial kwargs, and the worker resolves the plan *by
   name* in its own process, so nothing but primitives crosses the pipe;
-- **solve** — one seeded ``(graph family, n, problem, algorithm)`` run,
-  with the graph seed derived content-addressed from the sweep's master
-  seed (:func:`repro.runner.specs.derive_seed`). Families, problems,
-  and algorithms all resolve through the scenario registries
-  (:data:`repro.graphs.families.GRAPH_FAMILIES`,
-  :data:`repro.olocal.PROBLEMS`,
-  :data:`repro.core.algorithms.ALGORITHMS`), so registered plugins get
-  grid lanes — and content-addressed cache keys — for free.
+- **solve** — one grid cell: its kwargs are the fields of a
+  :class:`repro.api.Scenario`, executed by :func:`repro.api.run_scenario`
+  (the one way to run a scenario), with the graph seed derived
+  content-addressed from the sweep's master seed
+  (:func:`repro.runner.specs.derive_seed`). Families, problems, and
+  algorithms all resolve through the scenario registries, so registered
+  plugins get grid lanes — and content-addressed cache keys — for free.
 
 Aggregation (:func:`aggregate_sweep`) folds ordered payloads back
 through the plans' aggregators — the same code path the serial
@@ -23,9 +22,12 @@ for any worker count.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.experiments import TRIAL_PLANS, ExperimentResult
+from repro.api import Scenario, run_scenario
+from repro.core.algorithms import ALGORITHMS
 from repro.runner.specs import (
     KIND_EXPERIMENT,
     KIND_SOLVE,
@@ -55,9 +57,11 @@ SOLVE_HEADERS = (
 
 
 def plan_catalog() -> list[tuple[str, str, int]]:
-    """``(experiment id, title, trial count)`` for every registered plan,
-    in registry order — what ``repro sweep --list`` prints. Enumerating
-    trials is cheap (no trial is executed)."""
+    """List ``(experiment id, title, trial count)`` for every plan.
+
+    Registry order — what ``repro sweep --list`` prints. Enumerating
+    trials is cheap (no trial is executed).
+    """
     return [
         (exp_id, plan.title, len(plan.trials()))
         for exp_id, plan in TRIAL_PLANS.items()
@@ -65,8 +69,11 @@ def plan_catalog() -> list[tuple[str, str, int]]:
 
 
 def validate_experiments(experiments: Sequence[str]) -> None:
-    """Reject unknown or duplicated experiment ids (KeyError listing
-    the valid ids) — shared by sweep and report id validation."""
+    """Reject unknown or duplicated experiment ids.
+
+    Raises a ``KeyError`` listing the valid ids; shared by sweep and
+    report id validation.
+    """
     unknown = [e for e in experiments if e not in TRIAL_PLANS]
     if unknown:
         raise KeyError(
@@ -122,11 +129,11 @@ def sweep_from_grid(
 ) -> SweepSpec:
     """Enumerate a seeded (family, n, problem, algorithm) solve grid.
 
-    Families, problems, algorithms — and, when the ``engines`` axis is
-    used, every (algorithm, engine) pair — are validated against the
-    registries up front (like experiment ids in
-    :func:`sweep_from_experiments`), so a typo fails at
-    spec-construction time rather than inside a worker.
+    Every trial's kwargs are :class:`~repro.api.Scenario` field names,
+    and each grid cell is validated as a scenario up front (like
+    experiment ids in :func:`sweep_from_experiments`), so a typo or an
+    unsupported engine raises ``KeyError`` at spec-construction time
+    rather than inside a worker.
 
     A non-empty ``engines`` runs every grid cell once per engine. The
     per-trial seed is engine-*independent* (the same graph under every
@@ -144,36 +151,6 @@ def sweep_from_grid(
     keys byte for byte. The fault axis forces the ``faulty-simulator``
     engine, so combining it with an ``engines`` axis is rejected.
     """
-    from repro.core.algorithms import ALGORITHMS
-    from repro.graphs.families import GRAPH_FAMILIES
-    from repro.olocal import PROBLEMS
-    from repro.registry import load_plugins
-
-    load_plugins()
-    bad = [f for f in families if f not in GRAPH_FAMILIES]
-    if bad:
-        raise KeyError(
-            f"unknown famil{'ies' if len(bad) > 1 else 'y'} {bad}; "
-            f"choose from {sorted(GRAPH_FAMILIES)}"
-        )
-    bad = [p for p in problems if p not in PROBLEMS]
-    if bad:
-        raise KeyError(
-            f"unknown problem(s) {bad}; choose from "
-            f"{sorted(PROBLEMS.alias_map())} or {sorted(PROBLEMS)}"
-        )
-    bad = [a for a in algorithms if a not in ALGORITHMS]
-    if bad:
-        raise KeyError(
-            f"unknown algorithm(s) {bad}; choose from "
-            f"{sorted(ALGORITHMS)} (aliases: {sorted(ALGORITHMS.alias_map())})"
-        )
-    # Canonicalize algorithm names so an alias ("bm21") and its target
-    # ("baseline") derive the same seeds, cache keys, and table rows.
-    # Problem names stay as given: they were (alias-)accepted verbatim
-    # before the registry existed, and canonicalizing them now would
-    # shift every pre-existing trial's derived seed and cache key.
-    algorithms = [ALGORITHMS.resolve(a) for a in algorithms]
     faults_active = fault_drop > 0 or fault_corrupt > 0
     engine_list = list(engines)
     if engine_list and faults_active:
@@ -181,139 +158,87 @@ def sweep_from_grid(
             "the engines axis cannot be combined with fault injection "
             "(faults force the 'faulty-simulator' engine)"
         )
-    for algorithm in algorithms:
-        for engine in engine_list:
-            # UnknownNameError is a KeyError: same failure mode as the
-            # name checks above.
-            ALGORITHMS.get(algorithm).validate_engine(engine)
-    engine_axis: list[str | None] = engine_list or [None]
     immune = tuple(sorted(set(immune_rounds)))
     trials = []
-    for family in families:
-        for n in sizes:
-            for problem in problems:
-                for algorithm in algorithms:
-                    for engine in engine_axis:
-                        for t in range(trials_per_config):
-                            seed = derive_seed(
-                                master_seed, family, n, problem, algorithm, t
-                            )
-                            kwargs = [
-                                ("family", family),
-                                ("n", n),
-                                ("problem", problem),
-                                ("algorithm", algorithm),
-                                ("seed", seed),
-                            ]
-                            label = (
-                                f"{family}/n={n}/{problem}/{algorithm}#{t}"
-                            )
-                            if engine is not None:
-                                kwargs.append(("engine", engine))
-                                label += f"@{engine}"
-                            if faults_active:
-                                kwargs += [
-                                    ("fault_drop", fault_drop),
-                                    ("fault_corrupt", fault_corrupt),
-                                    (
-                                        "fault_seed",
-                                        derive_seed(seed, "fault", fault_seed),
-                                    ),
-                                    ("immune_rounds", immune),
-                                ]
-                                label += (
-                                    f"!d={fault_drop:g},c={fault_corrupt:g}"
-                                )
-                            trials.append(
-                                TrialSpec(
-                                    index=len(trials),
-                                    kind=KIND_SOLVE,
-                                    key=problem,
-                                    label=label,
-                                    kwargs=tuple(kwargs),
-                                    seed=seed,
-                                )
-                            )
+    for family, n, problem, alias, engine in product(
+        families, sizes, problems, algorithms, engine_list or [None]
+    ):
+        errors = Scenario(
+            family=family, n=n, problem=problem, algorithm=alias,
+            engine=engine, fault_drop=fault_drop, fault_corrupt=fault_corrupt,
+        ).validate()
+        if errors:
+            raise KeyError("; ".join(errors))
+        # Canonicalize algorithm names so an alias ("bm21") and its
+        # target ("baseline") derive the same seeds, cache keys, and
+        # table rows. Problem names stay as given: they were
+        # (alias-)accepted verbatim before the registry existed, and
+        # canonicalizing them now would shift every pre-existing
+        # trial's derived seed and cache key.
+        algorithm = ALGORITHMS.resolve(alias)
+        for t in range(trials_per_config):
+            seed = derive_seed(master_seed, family, n, problem, algorithm, t)
+            kwargs = [
+                ("family", family),
+                ("n", n),
+                ("problem", problem),
+                ("algorithm", algorithm),
+                ("seed", seed),
+            ]
+            label = f"{family}/n={n}/{problem}/{algorithm}#{t}"
+            if engine is not None:
+                kwargs.append(("engine", engine))
+                label += f"@{engine}"
+            if faults_active:
+                kwargs += [
+                    ("fault_drop", fault_drop),
+                    ("fault_corrupt", fault_corrupt),
+                    ("fault_seed", derive_seed(seed, "fault", fault_seed)),
+                    ("immune_rounds", immune),
+                ]
+                label += f"!d={fault_drop:g},c={fault_corrupt:g}"
+            trials.append(
+                TrialSpec(
+                    index=len(trials),
+                    kind=KIND_SOLVE,
+                    key=problem,
+                    label=label,
+                    kwargs=tuple(kwargs),
+                    seed=seed,
+                )
+            )
     return SweepSpec(name=name, trials=tuple(trials), master_seed=master_seed)
 
 
 # -- worker-side execution ---------------------------------------------------
 
 
-def solve_trial(
-    family: str,
-    n: int,
-    problem: str,
-    algorithm: str,
-    seed: int,
-    p: float = 0.15,
-    degree: int = 4,
-    engine: str | None = None,
-    fault_drop: float = 0.0,
-    fault_corrupt: float = 0.0,
-    fault_seed: int = 0,
-    immune_rounds: Sequence[int] = (),
-) -> dict[str, Any]:
-    """One seeded solve run, dispatched through the scenario registries;
-    returns a single table row.
+def _solve_payload(scenario: Scenario) -> dict[str, Any]:
+    """Run one grid trial's scenario; its payload is a single GRID row.
 
-    Runs worker-side: plugins are (re)loaded here so spawned workers —
-    which do not inherit the parent's registrations — resolve the same
-    names the parent validated at spec time. An explicit ``engine``
-    (from the sweep's engines axis) is forwarded to the adapter and
-    echoed in an extra trailing row column. Nonzero fault
-    probabilities run on the ``faulty-simulator`` engine; protocols are
-    expected to raise (``ProtocolError``/``ValidationError``) when a
-    fault actually breaks them, which surfaces as a trial failure.
+    An engine set by the sweep's engines axis is echoed in an extra
+    trailing row column. Protocols broken by injected faults raise
+    (``ProtocolError``/``ValidationError``), which surfaces as a trial
+    failure.
     """
-    from repro.core.algorithms import ALGORITHMS, ENGINE_FAULTY
-    from repro.graphs.families import build_family_graph
-    from repro.obs.spans import span
-    from repro.olocal import PROBLEMS
-    from repro.registry import load_plugins
-
-    load_plugins()
-    # Stage spans reuse the scenario.* names from repro.api.run_scenario
-    # so `repro trace` aggregates both entry points into the same rows.
-    with span("scenario.build_graph", family=family, n=n):
-        graph = build_family_graph(family, n, seed=seed, p=p, degree=degree)
-    if fault_drop > 0 or fault_corrupt > 0:
-        from repro.model.faults import FaultPlan
-
-        plan = FaultPlan(
-            drop_probability=fault_drop,
-            corrupt_probability=fault_corrupt,
-            seed=fault_seed if fault_seed else seed,
-            immune_rounds=frozenset(immune_rounds),
-        )
-        with span(
-            "scenario.solve", algorithm=algorithm, engine=ENGINE_FAULTY
-        ):
-            outcome = ALGORITHMS.get(algorithm).solve(
-                graph,
-                PROBLEMS.get(problem),
-                engine=ENGINE_FAULTY,
-                fault_plan=plan,
-            )
-    else:
-        with span("scenario.solve", algorithm=algorithm, engine=engine):
-            outcome = ALGORITHMS.get(algorithm).solve(
-                graph, PROBLEMS.get(problem), engine=engine
-            )
+    result = run_scenario(scenario)
+    if not result.ok:
+        raise KeyError("; ".join(result.errors))
+    graph, outcome = result.graph, result.outcome
     row = (
-        family,
+        scenario.family,
         graph.n,
-        problem,
-        algorithm,
-        seed,
+        scenario.problem,
+        scenario.algorithm,
+        scenario.seed,
         graph.max_degree,
         outcome.awake_complexity,
         round(outcome.average_awake, 2),
         outcome.round_complexity,
         outcome.messages_sent,
     )
-    if engine is not None:
-        row += (engine,)
+    if scenario.engine is not None:
+        row += (scenario.engine,)
     return {"rows": [row]}
 
 
@@ -323,7 +248,7 @@ def execute_trial(spec: TrialSpec) -> Any:
     if spec.kind == KIND_EXPERIMENT:
         return TRIAL_PLANS[spec.key].run(**kwargs)
     if spec.kind == KIND_SOLVE:
-        return solve_trial(**kwargs)
+        return _solve_payload(Scenario(**kwargs))
     raise KeyError(f"unknown trial kind {spec.kind!r} ({spec.label})")
 
 

@@ -54,22 +54,6 @@ class TestBuildGraph:
 class TestDeprecatedShims:
     """Pre-registry imports from repro.cli keep working."""
 
-    def test_build_family_graph_shim(self):
-        from repro.cli import build_family_graph
-
-        graph = build_family_graph("path", 9, seed=1)
-        assert graph.n == 9
-
-    def test_problem_aliases_shim(self):
-        from repro.cli import PROBLEM_ALIASES
-
-        assert PROBLEM_ALIASES == {
-            "coloring": "delta_plus_one_coloring",
-            "mis": "maximal_independent_set",
-            "list-coloring": "degree_plus_one_list_coloring",
-            "vertex-cover": "minimal_vertex_cover",
-        }
-
     def test_graph_families_shim_iterates_names(self):
         from repro.cli import GRAPH_FAMILIES
 

@@ -240,6 +240,8 @@ class TestCountersAndFooter:
         obs = result.observability
         assert obs["counters"]["trial.run"] == len(result.outcomes)
         assert obs["counters"]["sim.run"] >= len(result.outcomes)
+        # Grid trials run through repro.api.run_scenario.
+        assert obs["counters"]["scenario.run"] == len(result.outcomes)
         assert obs["peak_rss_kib"] > 0
         assert obs["retries"]["trials_retried"] == 0
         assert result.resilience_summary() is None

@@ -69,6 +69,8 @@ class TestValidation:
             ({"ids": "weird"}, "unknown id scheme"),
             ({"n": 0}, "n must be >= 1"),
             ({"params": {"zap": 1}}, "unknown scenario param"),
+            ({"family": "path", "params": {"p": 0.2}},
+             "unknown scenario param"),
             ({"algorithm": "theorem1", "engine": "reference"},
              "does not support engine"),
             ({"algorithm": "greedy", "engine": "warp"},
@@ -216,17 +218,21 @@ class TestRunGrid:
     def test_scenarios_from_grid_matches_sweep_seeds(self):
         scenarios = scenarios_from_grid(
             families=("path",), sizes=(8,), problems=("mis",),
-            algorithms=("theorem1", "greedy"), trials=2, seed=9,
+            algorithms=("theorem1", "greedy", "bm21"), trials=2, seed=9,
         )
         spec = sweep_from_grid(
             families=("path",), sizes=(8,), problems=("mis",),
-            algorithms=("theorem1", "greedy"), trials_per_config=2,
+            algorithms=("theorem1", "greedy", "bm21"), trials_per_config=2,
             master_seed=9,
         )
         assert [s.seed for s in scenarios] == [t.seed for t in spec.trials]
         assert [s.algorithm for s in scenarios] == [
             t.kwargs_dict()["algorithm"] for t in spec.trials
         ]
+        with pytest.raises(KeyError, match="unknown family"):
+            scenarios_from_grid(
+                families=("typo",), sizes=(8,), problems=("mis",)
+            )
 
 
 class TestCatalog:

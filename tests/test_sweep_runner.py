@@ -153,7 +153,7 @@ class TestSpecs:
         ]
 
     def test_grid_family_registry_matches_builder(self):
-        from repro.cli import GRAPH_FAMILIES, build_family_graph
+        from repro.graphs.families import GRAPH_FAMILIES, build_family_graph
 
         for family in GRAPH_FAMILIES:
             assert build_family_graph(family, 12, seed=1).n >= 4

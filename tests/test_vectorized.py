@@ -234,6 +234,17 @@ class TestEngineAxis:
                 algorithms=["theorem1"], engines=["reference"],
             )
 
+    def test_fault_axis_rejects_fault_incapable_algorithm(self):
+        from repro.runner import sweep_from_grid
+
+        with pytest.raises(
+            KeyError, match="does not support engine 'faulty-simulator'"
+        ):
+            sweep_from_grid(
+                families=["gnp"], sizes=[16], problems=["mis"],
+                algorithms=["greedy"], fault_drop=0.1,
+            )
+
     def test_engines_axis_rejects_fault_axis(self):
         from repro.runner import sweep_from_grid
 
