@@ -18,7 +18,7 @@ sequentially dependent (E2, E3, E4, E11) are single-trial plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.analysis import bounds
@@ -876,12 +876,14 @@ def experiment_e12(n: int = 40, seed: int = 23) -> ExperimentResult:
 def _single_plan(
     exp_id: str, fn: Callable[[], ExperimentResult], title: str = ""
 ) -> ExperimentPlan:
-    """A one-trial plan for experiments with sequentially dependent phases."""
+    """A one-trial plan for experiments with sequentially dependent
+    phases; the payload is the result's fields, plain JSON like every
+    other trial payload."""
     return ExperimentPlan(
         exp_id=exp_id,
         trials=lambda: [(exp_id, {})],
-        run=fn,
-        aggregate=lambda payloads: payloads[0],
+        run=lambda: asdict(fn()),
+        aggregate=lambda payloads: ExperimentResult(**payloads[0]),
         title=title,
     )
 

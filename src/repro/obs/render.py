@@ -233,25 +233,24 @@ def render_stats(path: str | Path, payload: dict[str, Any]) -> str:
 # -- repro stats --bench ------------------------------------------------------
 
 
+def bench_row(line: str) -> dict[str, Any] | None:
+    """One ``BENCH_history.jsonl`` row, or None for a blank, torn, or
+    undated line — the one acceptance rule for the file and the store."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return None
+    return row if isinstance(row, dict) and "date" in row else None
+
+
 def load_bench_history(path: str | Path) -> list[dict[str, Any]]:
     """Parse ``BENCH_history.jsonl`` rows (bad lines skipped, like a
     journal tail)."""
-    rows: list[dict[str, Any]] = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(row, dict) and "date" in row:
-                    rows.append(row)
+            return [row for row in map(bench_row, handle) if row is not None]
     except OSError:
         return []
-    return rows
 
 
 def render_bench_history(path: str | Path) -> str:

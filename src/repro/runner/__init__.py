@@ -12,6 +12,8 @@ Layers (each in its own module, importable independently):
   on-disk store of trial results, keyed by SHA-256 of the trial's
   identity (kind, key, kwargs, derived seed) plus a code-version salt,
   so repeated sweeps and report regenerations skip heavy recomputation;
+  it also defines the one trial record (canonical JSON, payload
+  checksummed, never unpickled) that cache files and journal lines use;
 - :mod:`repro.runner.executor` — ``run_sweep``: serial with
   ``workers=1`` (the bit-identical reference path) or sharded across a
   ``multiprocessing`` pool, with ordered result aggregation,

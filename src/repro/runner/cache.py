@@ -17,25 +17,28 @@ files), so
   changes), so a stale cache can never smuggle results produced by old
   code into a new run.
 
-Storage is one pickle file per trial under ``<cache_dir>/<key[:2]>/
-<key>.pkl`` (the two-hex-char fan-out keeps directories small), written
+Storage is one JSON record per trial under ``<cache_dir>/<key[:2]>/
+<key>.json`` (the two-hex-char fan-out keeps directories small), written
 atomically (temp file + ``os.replace``), so a concurrent or killed
 writer can never leave a half-written record where a reader expects a
-whole one. Reads are fail-open: a missing, corrupt, or wrong-format
-file is a **miss** (the bad file is dropped and the trial recomputed),
-never an error.
+whole one. The record (:func:`encode_record`, shared with the sweep
+journal) is JSON with a payload checksum, so reading one executes
+nothing; payloads must be plain JSON (tuples read back as lists).
+Reads are fail-open: a missing, corrupt, or wrong-format file is a
+**miss** (the bad file is dropped and the trial recomputed), never an
+error.
 
-Only trials whose kwargs are built from primitives (str/int/float/
-bool/None, nested in tuples or lists) are cacheable: an object kwarg's
-``repr`` may embed a memory address, which could alias two different
-trials across runs. Uncacheable trials simply execute every time.
+Only trials whose kwargs are plain JSON values are cacheable: an
+object kwarg's ``repr`` may embed a memory address, which could alias
+two different trials across runs. Uncacheable trials simply execute
+every time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -49,25 +52,29 @@ from repro.runner.specs import TrialSpec
 #: ``--cache-dir``); listed in .gitignore.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: On-disk record layout version — bump when the record dict changes
-#: shape; old records then read as misses.
-CACHE_FORMAT = 1
+#: Trial record layout version — bump when the record changes shape;
+#: old records then read as misses (cache) or stop a resume (journal).
+CACHE_FORMAT = 2
 
 _PRIMITIVES = (str, int, float, bool, type(None))
 
 
-def _has_stable_repr(value: Any) -> bool:
-    if isinstance(value, _PRIMITIVES):
-        return True
+def _is_plain_json(value: Any) -> bool:
+    # Exact types: an IntEnum or numpy scalar would not read back as
+    # what was stored, and JSON would stringify an int dict key.
     if isinstance(value, (tuple, list)):
-        return all(_has_stable_repr(item) for item in value)
-    return False
+        return all(_is_plain_json(item) for item in value)
+    if isinstance(value, dict):
+        return all(
+            type(key) is str and _is_plain_json(item) for key, item in value.items()
+        )
+    return type(value) in _PRIMITIVES
 
 
 def is_cacheable(spec: TrialSpec) -> bool:
     """Whether the spec's identity can be hashed reliably (all kwargs
-    primitive, so their ``repr`` is stable across processes)."""
-    return all(_has_stable_repr(value) for _name, value in spec.kwargs)
+    plain JSON values, so their ``repr`` is stable across processes)."""
+    return all(_is_plain_json(value) for _name, value in spec.kwargs)
 
 
 @lru_cache(maxsize=1)
@@ -106,10 +113,58 @@ def trial_cache_key(spec: TrialSpec, salt: str) -> str | None:
 
 @dataclass(frozen=True)
 class CachedTrial:
-    """A cache hit: the stored payload plus the original compute time."""
+    """A decoded trial record: the stored payload plus the original
+    compute time; ``digest`` is the trial identity of a journal line."""
 
     payload: Any
     seconds: float
+    digest: str | None = None
+
+
+def _checksum(payload: Any) -> str:
+    # Payload key order is kept (aggregators render dicts in insertion
+    # order, and json.loads preserves it), so re-encoding is exact.
+    text = json.dumps(payload, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def encode_record(label: str, seconds: float, payload: Any, **fields: Any) -> str:
+    """One trial record as a line of canonical JSON: ``{format, label,
+    seconds, sha, payload}`` in that order with compact separators,
+    ``sha`` a truncated SHA-256 of the payload's JSON. ``fields`` (a
+    journal line's ``digest`` and ``index``) lead the record. Raises
+    ``TypeError`` if the payload is not plain JSON."""
+    if not _is_plain_json(payload):
+        raise TypeError(f"trial payload of {label!r} is not plain JSON")
+    record = {
+        **fields,
+        "format": CACHE_FORMAT,
+        "label": label,
+        "seconds": seconds,
+        "sha": _checksum(payload),
+        "payload": payload,
+    }
+    return json.dumps(record, separators=(",", ":"))
+
+
+def decode_record(text: str | bytes) -> CachedTrial | None:
+    """The trial in one :func:`encode_record` line, or None unless it is
+    a whole current-format record whose payload matches its checksum.
+    Parses JSON only — nothing is executed — and never raises."""
+    try:
+        record = json.loads(text)  # ValueError also covers bad UTF-8
+        if (
+            record["format"] == CACHE_FORMAT
+            and type(record["seconds"]) in (int, float)
+            and isinstance(record.get("digest", ""), str)
+            and record["sha"] == _checksum(record["payload"])
+        ):
+            return CachedTrial(
+                record["payload"], float(record["seconds"]), record.get("digest")
+            )
+    except (ValueError, TypeError, KeyError):
+        pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -158,7 +213,7 @@ class TrialCache:
         return None if key is None else self._path(key)
 
     def _path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.pkl"
+        return self.cache_dir / key[:2] / f"{key}.json"
 
     def load(self, spec: TrialSpec) -> CachedTrial | None:
         """The stored result for this trial identity, or None (miss).
@@ -182,28 +237,17 @@ class TrialCache:
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
-                record = pickle.load(handle)
+                data = handle.read()
         except OSError:
             # Missing, or transiently unreadable (permissions, flaky
             # mount): a miss, but the file may be fine — keep it.
             return None
-        except Exception:
-            # Corrupt, truncated, or unpicklable in this interpreter:
-            # drop the bad file and recompute.
+        found = decode_record(data)
+        if found is None:
+            # Corrupt, truncated, or another format: drop the bad file
+            # and recompute.
             self._discard(path)
-            return None
-        if (
-            not isinstance(record, dict)
-            or record.get("format") != CACHE_FORMAT
-            or "payload" not in record
-            or not isinstance(record.get("seconds", 0.0), (int, float))
-        ):
-            self._discard(path)
-            return None
-        return CachedTrial(
-            payload=record["payload"],
-            seconds=float(record.get("seconds", 0.0)),
-        )
+        return found
 
     def store(self, spec: TrialSpec, payload: Any, seconds: float) -> bool:
         """Persist one trial result; returns False (and leaves no
@@ -211,20 +255,18 @@ class TrialCache:
         key = self.key(spec)
         if key is None:
             return False
+        try:
+            record = encode_record(spec.label, seconds, payload)
+        except (TypeError, ValueError):
+            return False
         path = self._path(key)
-        record = {
-            "format": CACHE_FORMAT,
-            "label": spec.label,
-            "seconds": seconds,
-            "payload": payload,
-        }
         scratch = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(scratch, "wb") as handle:
-                pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            with open(scratch, "w", encoding="utf-8") as handle:
+                handle.write(record)
             os.replace(scratch, path)
-        except Exception:
+        except OSError:
             self._discard(scratch)
             return False
         counters.add("cache.store")

@@ -15,12 +15,13 @@ This module supplies the three pieces the executor composes:
   a retriable exception instead of stalling the sweep forever;
 - :class:`SweepJournal` — an append-only checkpoint of completed
   :class:`~repro.runner.executor.TrialOutcome`\\ s (``SWEEP_*.journal``
-  next to the artifacts). One JSON line per trial, identity-addressed
-  (a digest of kind/key/kwargs/seed, like the trial cache but without
-  positional index or label) and checksummed; reads are **fail-open on
-  a corrupt tail** exactly like :mod:`repro.runner.cache` — a torn
-  last line after a crash costs one trial, never the journal. The
-  parent process is the only writer, so plain appends are safe.
+  next to the artifacts). One line per trial: the trial cache's JSON
+  record (:func:`repro.runner.cache.encode_record`, payload checksummed)
+  plus the trial's identity digest (kind/key/kwargs/seed, like the cache
+  key but without the code salt) and sweep index. Reads parse JSON
+  only and are **fail-open on a corrupt tail** — a torn last line after
+  a crash costs one trial, never the journal. The parent process is the
+  only writer, so plain appends are safe.
 - :class:`TrialFailure` / :class:`FailureReport` — what ``--keep-going``
   collects instead of aborting: per-trial failure records carrying the
   remote traceback, embedded in the ``SweepResult`` and the artifact.
@@ -31,28 +32,32 @@ This module supplies the three pieces the executor composes:
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import pickle
 import random
 import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.obs import counters
 from repro.obs.spans import event
+from repro.runner.cache import (
+    CachedTrial,
+    code_version_salt,
+    decode_record,
+    encode_record,
+)
 from repro.runner.specs import TrialSpec
 
 if TYPE_CHECKING:
     from repro.runner.executor import TrialOutcome
 
-#: On-disk journal line format — bump when the record shape changes;
+#: Journal header format — bump when the header or line layout changes;
 #: old journals then read as empty (resume recomputes, never misreads).
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 
 class TrialTimeoutError(RuntimeError):
@@ -241,31 +246,53 @@ class FailureReport:
 # -- checkpoint journal ------------------------------------------------------
 
 
+def read_journal(
+    lines: Sequence[str],
+) -> tuple[dict[str, Any], list[CachedTrial]] | None:
+    """Parse a journal's lines: its header and its entries, or None if
+    line 1 is not a current-format journal header. Entries stop at the
+    first line that is not a whole record, so a corrupt tail (torn
+    write, truncation) fails open and keeps the valid prefix. The one
+    journal reader, shared by resume and the result store."""
+    try:
+        header = json.loads(lines[0])
+        kind, version = header["kind"], header["format"]
+    except (IndexError, ValueError, TypeError, KeyError):
+        return None
+    if (kind, version) != ("sweep-journal", JOURNAL_FORMAT):
+        return None
+    entries = []
+    for line in lines[1:]:
+        record = decode_record(line)
+        if record is None or record.digest is None:
+            break
+        entries.append(record)
+    return header, entries
+
+
 @dataclass
 class SweepJournal:
     """Append-only checkpoint of completed trial outcomes.
 
     Line 1 is a header (format version, sweep name, code salt); every
-    further line is one completed trial — identity digest, timing, and
-    the pickled payload (base64) guarded by a checksum. ``resume=True``
-    loads whatever valid prefix exists and appends from there;
-    otherwise the file is started fresh. A header whose salt does not
-    match the current code version is stale: its entries are discarded
-    (results from old code never resume into a new run), mirroring the
-    trial cache's code-version invalidation.
+    further line is one completed trial's record (see
+    :func:`read_journal`). ``resume=True`` loads whatever valid
+    prefix exists and appends from there; otherwise the file is started
+    fresh. A header whose salt does not match the current code version
+    is stale: its entries are discarded (results from old code never
+    resume into a new run), mirroring the trial cache's code-version
+    invalidation.
     """
 
     path: Path
     resume: bool = False
     salt: str | None = None
-    _entries: dict[str, dict[str, Any]] = field(default_factory=dict, repr=False)
+    _entries: dict[str, CachedTrial] = field(default_factory=dict, repr=False)
     _loaded: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         self.path = Path(self.path)
         if self.salt is None:
-            from repro.runner.cache import code_version_salt
-
             self.salt = code_version_salt()
 
     # -- reading
@@ -285,8 +312,8 @@ class SweepJournal:
                 continue
             found[trial.index] = TrialOutcome(
                 spec=trial,
-                payload=record["payload"],
-                seconds=record["seconds"],
+                payload=record.payload,
+                seconds=record.seconds,
                 worker=0,
                 resumed=True,
             )
@@ -303,55 +330,12 @@ class SweepJournal:
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
-        except OSError:
+        except (OSError, ValueError):
             return
-        if not lines:
-            return
-        header = self._decode_header(lines[0])
-        if header is None or header.get("salt") != self.salt:
-            # Alien file or stale code version: nothing to resume.
-            return
-        for line in lines[1:]:
-            record = self._decode_entry(line)
-            if record is None:
-                # Corrupt tail (torn write, truncation): fail open —
-                # keep the valid prefix, recompute the rest.
-                break
-            self._entries[record["digest"]] = record
-
-    @staticmethod
-    def _decode_header(line: str) -> dict[str, Any] | None:
-        try:
-            header = json.loads(line)
-        except ValueError:
-            return None
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != JOURNAL_FORMAT
-            or header.get("kind") != "sweep-journal"
-        ):
-            return None
-        return header
-
-    @staticmethod
-    def _decode_entry(line: str) -> dict[str, Any] | None:
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                return None
-            data = record["data"]
-            digest = record["digest"]
-            checksum = record["sha"]
-            if hashlib.sha256(data.encode("ascii")).hexdigest()[:16] != checksum:
-                return None
-            payload = pickle.loads(base64.b64decode(data))
-        except Exception:
-            return None
-        return {
-            "digest": digest,
-            "seconds": float(record.get("seconds", 0.0)),
-            "payload": payload,
-        }
+        journal = read_journal(lines)
+        # An alien file or a stale code version has nothing to resume.
+        if journal is not None and journal[0].get("salt") == self.salt:
+            self._entries = {record.digest: record for record in journal[1]}
 
     # -- writing
 
@@ -382,34 +366,27 @@ class SweepJournal:
         degrades to "no checkpoint", never to a failed sweep). The
         record is written in a single ``write`` call so a crashed run
         leaves at most one torn tail line, which reads fail-open."""
-        digest = trial_digest(outcome.spec)
+        spec = outcome.spec
+        digest = trial_digest(spec)
         if digest in self._entries:
             return True
         try:
-            data = base64.b64encode(
-                pickle.dumps(outcome.payload, protocol=pickle.HIGHEST_PROTOCOL)
-            ).decode("ascii")
-        except Exception:
+            line = encode_record(
+                spec.label,
+                outcome.seconds,
+                outcome.payload,
+                digest=digest,
+                index=spec.index,
+            )
+        except (TypeError, ValueError):
             return False
-        record = {
-            "digest": digest,
-            "index": outcome.spec.index,
-            "label": outcome.spec.label,
-            "seconds": outcome.seconds,
-            "sha": hashlib.sha256(data.encode("ascii")).hexdigest()[:16],
-            "data": data,
-        }
         try:
             with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record) + "\n")
+                handle.write(line + "\n")
                 handle.flush()
         except OSError:
             return False
-        self._entries[digest] = {
-            "digest": digest,
-            "seconds": outcome.seconds,
-            "payload": outcome.payload,
-        }
+        self._entries[digest] = CachedTrial(outcome.payload, outcome.seconds)
         counters.add("journal.append")
         return True
 
@@ -422,6 +399,7 @@ __all__ = [
     "TrialFailure",
     "TrialTimeoutError",
     "backoff_seed",
+    "read_journal",
     "trial_deadline",
     "trial_digest",
 ]

@@ -42,9 +42,10 @@ file — never a reformatted copy.
 **exact** :class:`~repro.runner.specs.TrialSpec` a grid sweep would
 build (same kwargs order, same content-addressed seed derivation), so
 its cache key matches entries warmed by any previous sweep or report
-run. A warm hit answers from one pickle read; a miss computes in-process
-and warms the cache for next time — unless the service is ``readonly``,
-in which case misses are refused (409) and nothing is ever written.
+run. A warm hit answers from one JSON record read (nothing in it is
+executed); a miss computes in-process and warms the cache for next
+time — unless the service is ``readonly``, in which case misses are
+refused (409) and nothing is ever written.
 
 Sweep submission is async: ``POST /sweeps`` enqueues a grid for a
 single background worker thread (one sweep at a time — ``run_sweep``
@@ -504,6 +505,9 @@ def _make_handler(service: ReproService) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve"
+        # Headers and body go out in two writes; with Nagle on, a
+        # kept-alive client waits out its delayed ACK (~40 ms) on each.
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
             pass  # request logging goes through obs spans, not stderr

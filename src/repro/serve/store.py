@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.obs import counters
+from repro.obs.render import bench_row
 
 #: Bump when the sqlite schema changes shape; old stores are then
 #: refused with a clear error (re-ingest into a fresh store).
@@ -232,36 +233,24 @@ class ResultStore:
         self._db = sqlite3.connect(self.path, check_same_thread=False)
         self._db.row_factory = sqlite3.Row
         with self._lock:
-            if readonly:
-                self._check_schema()
-            else:
-                self._db.executescript(_SCHEMA)
-                row = self._db.execute(
-                    "SELECT value FROM meta WHERE key = 'schema_version'"
-                ).fetchone()
-                if row is None:
+            try:
+                if not readonly:
+                    self._db.executescript(_SCHEMA)
                     self._db.execute(
-                        "INSERT INTO meta (key, value) VALUES (?, ?)",
+                        "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                         ("schema_version", str(SCHEMA_VERSION)),
                     )
                     self._db.commit()
-                elif int(row["value"]) != SCHEMA_VERSION:
-                    raise StoreError(
-                        f"store {self.path!r} has schema version "
-                        f"{row['value']}, this code expects {SCHEMA_VERSION}; "
-                        f"re-ingest into a fresh store"
-                    )
-
-    def _check_schema(self) -> None:
-        try:
-            row = self._db.execute(
-                "SELECT value FROM meta WHERE key = 'schema_version'"
-            ).fetchone()
-        except sqlite3.DatabaseError as exc:
-            raise StoreError(f"{self.path!r} is not a result store") from exc
-        if row is None or int(row["value"]) != SCHEMA_VERSION:
+                row = self._db.execute(
+                    "SELECT value FROM meta WHERE key = 'schema_version'"
+                ).fetchone()
+            except sqlite3.DatabaseError as exc:
+                raise StoreError(f"{self.path!r} is not a result store") from exc
+        if row is None or row["value"] != str(SCHEMA_VERSION):
             raise StoreError(
-                f"store {self.path!r} missing or mismatched schema version"
+                f"store {self.path!r} has schema version "
+                f"{row and row['value']}, this code expects {SCHEMA_VERSION}; "
+                f"re-ingest into a fresh store"
             )
 
     def close(self) -> None:
@@ -314,7 +303,6 @@ class ResultStore:
     def _classify_and_ingest(
         self, path: Path, data: bytes, digest: str
     ) -> IngestResult:
-        text = None
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
@@ -328,16 +316,13 @@ class ResultStore:
         if isinstance(payload, dict) and "sweep" in payload and "tables" in payload:
             return self._ingest_sweep(path, payload, digest, len(data))
         # Line-oriented formats: journal (typed header) or bench history.
+        from repro.runner.resilience import read_journal
+
         lines = text.splitlines()
-        first: Any = None
-        if lines:
-            try:
-                first = json.loads(lines[0])
-            except ValueError:
-                first = None
-        if isinstance(first, dict) and first.get("kind") == "sweep-journal":
-            return self._ingest_journal(path, first, lines, digest, len(data))
-        if any(_bench_row(line) is not None for line in lines):
+        journal = read_journal(lines)
+        if journal is not None:
+            return self._ingest_journal(path, *journal, digest, len(data))
+        if any(bench_row(line) is not None for line in lines):
             return self._ingest_bench(path, lines, digest, len(data))
         if isinstance(payload, dict):
             detail = "json without sweep/tables keys"
@@ -432,16 +417,10 @@ class ResultStore:
         )
 
     def _ingest_journal(
-        self, path: Path, header: dict[str, Any], lines: list[str],
+        self, path: Path, header: dict[str, Any], records: list[Any],
         digest: str, size: int,
     ) -> IngestResult:
-        from repro.runner.resilience import SweepJournal
-
-        entries = 0
-        for line in lines[1:]:
-            if SweepJournal._decode_entry(line) is None:
-                break  # corrupt tail: count the valid prefix, fail open
-            entries += 1
+        entries = len(records)  # the valid prefix: a corrupt tail fails open
         name = str(header.get("sweep", path.stem))
         with self._lock:
             self._register_artifact(digest, KIND_JOURNAL, name, path, size)
@@ -460,7 +439,7 @@ class ResultStore:
     def _ingest_bench(
         self, path: Path, lines: list[str], digest: str, size: int
     ) -> IngestResult:
-        rows = [row for row in map(_bench_row, lines) if row is not None]
+        rows = [row for row in map(bench_row, lines) if row is not None]
         with self._lock:
             self._register_artifact(
                 digest, KIND_BENCH, path.name, path, size
@@ -639,18 +618,3 @@ class ResultStore:
                 "ORDER BY line_no", (source["digest"],)
             ).fetchall()
         return [json.loads(row["content"]) for row in rows]
-
-
-def _bench_row(line: str) -> dict[str, Any] | None:
-    """Parse one bench-history line (same acceptance as
-    :func:`repro.obs.render.load_bench_history`)."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        row = json.loads(line)
-    except ValueError:
-        return None
-    if isinstance(row, dict) and "date" in row:
-        return row
-    return None

@@ -77,6 +77,32 @@ def test_cli_is_a_leaf_layer():
     assert not offenders, f"modules importing repro.cli: {offenders}"
 
 
+def test_no_module_imports_pickle_or_base64():
+    """Persisted results are read as JSON, never unpickled: no module in
+    the package imports ``pickle`` (or ``base64``, which only ever
+    carried pickles through text formats)."""
+    import ast
+    import pathlib
+
+    package_root = pathlib.Path(repro.__file__).resolve().parent
+    offenders = []
+    for source in sorted(package_root.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders.extend(
+                f"{source.relative_to(package_root)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("pickle", "base64")
+            )
+    assert not offenders, f"modules importing pickle/base64: {offenders}"
+
+
 def test_registries_are_the_single_source_of_names():
     """The package exports the three scenario registries, and they are
     Registry instances (not the plain dicts they replaced)."""

@@ -410,13 +410,15 @@ class TestJournal:
         journal = SweepJournal(tmp_path / "nope.journal", resume=True)
         assert journal.load_outcomes(_spec().trials) == {}
 
-    def test_unpicklable_payload_degrades_to_no_checkpoint(self, tmp_path):
-        journal = SweepJournal(tmp_path / "SWEEP_t.journal")
+    def test_non_json_payload_degrades_to_no_checkpoint(self, tmp_path):
+        path = tmp_path / "SWEEP_t.journal"
+        journal = SweepJournal(path)
         journal.begin("t", 1)
         outcome = TrialOutcome(
-            spec=_trial(), payload=lambda: None, seconds=0.1, worker=1
+            spec=_trial(), payload={"rows": {1, 2}}, seconds=0.1, worker=1
         )
         assert journal.append(outcome) is False
+        assert len(path.read_text().splitlines()) == 1  # header only
 
     def test_fresh_journal_truncates_previous_run(self, tmp_path):
         path = tmp_path / "SWEEP_t.journal"

@@ -7,7 +7,9 @@ tables byte-identical to the artifact's deterministic view, and
 /provenance resolving the full scenario → trial → artifact chain.
 """
 
+import http.client
 import json
+import statistics
 import time
 import urllib.error
 import urllib.request
@@ -95,6 +97,27 @@ class TestCatalog:
         assert status == 200
         assert health["status"] == "ok"
         assert health["store"]["sweeps"] == 1
+
+
+class TestKeepAlive:
+    def test_kept_alive_requests_do_not_stall(self, served):
+        """Requests on one kept-alive connection answer as fast as fresh
+        ones: the reply's header and body writes must not wait out the
+        client's delayed ACK (Nagle), ~40 ms per request."""
+        port = int(served["client"].base.rsplit(":", 1)[1])
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        timings = []
+        try:
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                timings.append((time.perf_counter() - started) * 1000.0)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(timings) < 20.0, timings
 
 
 class TestSolve:

@@ -8,15 +8,17 @@ Covers the promises the cache subsystem makes:
   every key;
 - **hit/miss/invalidation** — cold runs miss and store, warm runs hit,
   changed specs or seeds miss again;
-- **corruption tolerance** — a truncated, garbage, or wrong-format
-  cache file is a miss (recompute), never a crash;
+- **corruption tolerance** — a truncated, garbage, wrong-format, or
+  checksum-mismatched cache file is a miss (recompute), never a crash;
+- **plain-JSON records** — payloads read back JSON-normalised (tuples
+  as lists); a payload that is not plain JSON is never stored;
 - **report byte-identity** — EXPERIMENTS.md bytes are the same for
   workers 1/2 and for cache disabled/cold/warm.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 
 import pytest
 
@@ -33,6 +35,8 @@ from repro.runner.artifacts import deterministic_view
 from repro.runner.cache import (
     CACHE_FORMAT,
     code_version_salt,
+    decode_record,
+    encode_record,
     is_cacheable,
     trial_cache_key,
 )
@@ -55,6 +59,18 @@ def _spec(**overrides) -> TrialSpec:
     )
     base.update(overrides)
     return TrialSpec(**base)
+
+
+def _as_json(payload):
+    """What a payload reads back as: tuples become lists."""
+    return json.loads(json.dumps(payload))
+
+
+def _rewrite(path, **changes):
+    """Edit one field of a stored record in place, keeping the rest."""
+    record = json.loads(path.read_text())
+    record.update(changes)
+    path.write_text(json.dumps(record))
 
 
 # -- identity keying ---------------------------------------------------------
@@ -122,7 +138,7 @@ class TestStoreLoad:
         assert cache.store(_spec(), payload, seconds=1.25)
         found = cache.load(_spec())
         assert found is not None
-        assert found.payload == payload
+        assert found.payload == _as_json(payload)
         assert found.seconds == 1.25
 
     def test_uncacheable_store_refused(self, tmp_path):
@@ -130,47 +146,62 @@ class TestStoreLoad:
         spec = _spec(kwargs=(("problem", object()),))
         assert not cache.store(spec, {"rows": []}, seconds=0.0)
         assert cache.load(spec) is None
-        assert list(tmp_path.rglob("*.pkl")) == []
+        assert list(tmp_path.rglob("*.json")) == []
 
     def test_garbage_file_is_a_miss_and_dropped(self, tmp_path):
         cache = TrialCache(tmp_path, salt="t")
         cache.store(_spec(), {"rows": []}, seconds=0.0)
-        (path,) = tmp_path.rglob("*.pkl")
-        path.write_bytes(b"not a pickle at all")
+        (path,) = tmp_path.rglob("*.json")
+        path.write_bytes(b"not a json record at all")
         assert cache.load(_spec()) is None
         assert not path.exists()
         # Recompute + store works again afterwards.
         assert cache.store(_spec(), {"rows": [(1,)]}, seconds=0.0)
-        assert cache.load(_spec()).payload == {"rows": [(1,)]}
+        assert cache.load(_spec()).payload == {"rows": [[1]]}
 
-    def test_truncated_pickle_is_a_miss(self, tmp_path):
+    def test_truncated_record_is_a_miss(self, tmp_path):
         cache = TrialCache(tmp_path, salt="t")
         cache.store(_spec(), {"rows": [(1, 2, 3)]}, seconds=0.0)
-        (path,) = tmp_path.rglob("*.pkl")
+        (path,) = tmp_path.rglob("*.json")
         path.write_bytes(path.read_bytes()[:10])
         assert cache.load(_spec()) is None
 
     def test_wrong_format_version_is_a_miss(self, tmp_path):
         cache = TrialCache(tmp_path, salt="t")
         cache.store(_spec(), {"rows": []}, seconds=0.0)
-        (path,) = tmp_path.rglob("*.pkl")
-        record = {"format": CACHE_FORMAT + 1, "payload": {"rows": []}}
-        path.write_bytes(pickle.dumps(record))
+        (path,) = tmp_path.rglob("*.json")
+        _rewrite(path, format=CACHE_FORMAT + 1)
         assert cache.load(_spec()) is None
 
     def test_non_dict_record_is_a_miss(self, tmp_path):
         cache = TrialCache(tmp_path, salt="t")
         cache.store(_spec(), {"rows": []}, seconds=0.0)
-        (path,) = tmp_path.rglob("*.pkl")
-        path.write_bytes(pickle.dumps(["not", "a", "record"]))
+        (path,) = tmp_path.rglob("*.json")
+        path.write_text(json.dumps(["not", "a", "record"]))
         assert cache.load(_spec()) is None
 
     def test_non_numeric_seconds_is_a_miss(self, tmp_path):
         cache = TrialCache(tmp_path, salt="t")
         cache.store(_spec(), {"rows": []}, seconds=0.0)
-        (path,) = tmp_path.rglob("*.pkl")
-        record = {"format": CACHE_FORMAT, "payload": {"rows": []}, "seconds": "3.4s"}
-        path.write_bytes(pickle.dumps(record))
+        (path,) = tmp_path.rglob("*.json")
+        _rewrite(path, seconds="3.4s")
+        assert cache.load(_spec()) is None
+
+    def test_checksum_mismatch_is_a_miss_and_dropped(self, tmp_path):
+        cache = TrialCache(tmp_path, salt="t")
+        cache.store(_spec(), {"rows": [[1, "a"]]}, seconds=0.0)
+        (path,) = tmp_path.rglob("*.json")
+        _rewrite(path, payload={"rows": [[2, "a"]]})  # sha left stale
+        assert cache.load(_spec()) is None
+        assert not path.exists()
+
+    def test_non_json_payload_is_not_stored(self, tmp_path):
+        cache = TrialCache(tmp_path, salt="t")
+        # A set, an int-keyed dict (JSON would turn the key into "1"),
+        # and an object: none reads back as what was stored.
+        for payload in ({"rows": {1, 2}}, {1: "a"}, {"rows": [object()]}):
+            assert not cache.store(_spec(), payload, seconds=0.0)
+        assert list(tmp_path.rglob("*")) == []
         assert cache.load(_spec()) is None
 
     def test_transient_read_error_is_a_miss_without_discard(self, tmp_path):
@@ -188,6 +219,38 @@ class TestStoreLoad:
         cache = TrialCache(blocked / "cache", salt="t")
         assert not cache.store(_spec(), {"rows": []}, seconds=0.0)
         assert cache.load(_spec()) is None
+
+
+class TestRecord:
+    def test_encode_decode_roundtrip(self):
+        payload = {"rows": [(1, "Δ", 2.5, None, True)], "n": 8}
+        line = encode_record("E5[a]", 1.5, payload, digest="d" * 32, index=3)
+        assert "\n" not in line
+        found = decode_record(line)
+        assert found.payload == _as_json(payload)
+        assert (found.seconds, found.digest) == (1.5, "d" * 32)
+        assert json.loads(line)["label"] == "E5[a]"
+        assert json.loads(line)["index"] == 3
+
+    def test_encoding_is_canonical(self):
+        # Same payload, same bytes; a cache record has no digest/index.
+        a = encode_record("x", 0.0, {"rows": [(1, 2)]})
+        assert a == encode_record("x", 0.0, {"rows": [[1, 2]]})
+        assert a.startswith('{"format":')
+        assert decode_record(a).digest is None
+
+    def test_payload_key_order_is_kept(self):
+        # Aggregators render dicts (findings) in insertion order.
+        payload = {"zeta": 1, "alpha": 2}
+        found = decode_record(encode_record("x", 0.0, payload))
+        assert list(found.payload) == ["zeta", "alpha"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "null", "[]", "{}", b"\xff\xfe", '{"format": 2, "payload": 1}'],
+    )
+    def test_malformed_text_decodes_to_none(self, text):
+        assert decode_record(text) is None
 
 
 # -- sweeps with a cache -----------------------------------------------------
@@ -273,7 +336,7 @@ class TestSweepCaching:
         spec = sweep_from_experiments(CHEAP)
         cache = TrialCache(tmp_path)
         reference = run_sweep(spec, workers=1, cache=cache)
-        victim = sorted(tmp_path.rglob("*.pkl"))[0]
+        victim = sorted(tmp_path.rglob("*.json"))[0]
         victim.write_bytes(b"\x80corrupt")
         result = run_sweep(spec, workers=1, cache=cache)
         assert result.cache_stats.hits == len(spec.trials) - 1
