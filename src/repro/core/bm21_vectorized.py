@@ -10,6 +10,9 @@ work replaced by whole-frontier numpy operations:
   x = 0, 1, ... and retires the frontier of nodes whose value differs
   from every neighbor's (a segment-any over the CSR gather); identical
   to :func:`repro.core.linial._reduce_one` picking the first safe x.
+  The step is the clustering pipeline's
+  :func:`~repro.core.clustering_vectorized._linial_step_pairs`, with
+  the graph's adjacency as the one conflict CSR.
 - **Lemma 11 phase** — nodes decide in increasing color order. On the
   simulator, a node of color c accumulates payloads at its receiving
   rounds r<(c) and decides at φ(c); by the Lemma 10 meeting-point
@@ -38,15 +41,10 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.core.bm21 import BaselineResult
+from repro.core.clustering_vectorized import _linial_step_pairs
 from repro.core.linial import final_palette, reduction_schedule
 from repro.core.mapping import ColorScheduleMapping
-from repro.errors import ProtocolError, ReproError
-from repro.graphs.arrays import (
-    ragged_gather,
-    require_numpy,
-    segment_any,
-    sorted_unique,
-)
+from repro.graphs.arrays import require_numpy
 from repro.graphs.graph import StaticGraph
 from repro.model.metrics import SimulationMetrics
 from repro.model.simulator import SimulationResult
@@ -55,57 +53,6 @@ from repro.obs import counters
 from repro.obs.spans import span
 from repro.olocal.problem import OLocalProblem
 from repro.types import NodeId
-
-
-def _linial_step_vectorized(graph: StaticGraph, colors: Any, d: int, q: int) -> Any:
-    """One Linial reduction step over all nodes at once.
-
-    For each node, the new color is ``x·q + p(x)`` for the *first*
-    x ∈ F_q where its degree-d color polynomial differs from every
-    neighbor's — the exact rule of
-    :func:`repro.core.linial._reduce_one`, with the per-x safety check
-    batched over the still-undecided frontier.
-    """
-    np = require_numpy()
-    ga = graph.arrays
-    width = d + 1
-    digits = np.empty((ga.n, width), dtype=np.int64)
-    rest = colors.copy()
-    for j in range(width):
-        digits[:, j] = rest % q
-        rest //= q
-    if rest.any():
-        bad = int(ga.ids[np.flatnonzero(rest)[0]])
-        raise ReproError(
-            f"node {bad}: color does not fit in {width} base-{q} digits"
-        )
-
-    values = np.zeros(ga.n, dtype=np.int64)
-    new_colors = np.empty(ga.n, dtype=np.int64)
-    undecided = np.arange(ga.n, dtype=np.int64)
-    for x in range(q):
-        if not undecided.size:
-            return new_colors
-        nbrs, counts = ragged_gather(ga.offsets, ga.flat, undecided)
-        # Evaluate only the rows this iteration reads (frontier ∪ its
-        # neighborhood); stale entries elsewhere are never consulted.
-        needed = sorted_unique(np.concatenate((undecided, nbrs)))
-        acc = np.zeros(len(needed), dtype=np.int64)
-        for j in range(width - 1, -1, -1):
-            acc = (acc * x + digits[needed, j]) % q
-        values[needed] = acc
-        clash = values[nbrs] == np.repeat(values[undecided], counts)
-        conflicted = segment_any(clash, counts)
-        safe = undecided[~conflicted]
-        new_colors[safe] = x * q + values[safe]
-        undecided = undecided[conflicted]
-    if undecided.size:
-        me = int(ga.ids[undecided[0]])
-        raise ProtocolError(
-            f"node {me}: no safe evaluation point in F_{q} — the input "
-            f"coloring was not proper or the degree bound was violated"
-        )
-    return new_colors
 
 
 def solve_with_baseline_vectorized(
@@ -139,7 +86,9 @@ def solve_with_baseline_vectorized(
     colors = ga.ids - 1  # IDs are a proper coloring with palette id_space
     with span("bm21.linial", n=ga.n, steps=steps):
         for d, q in schedule:
-            colors = _linial_step_vectorized(graph, colors, d, q)
+            colors = _linial_step_pairs(
+                np, colors, ga.ids, [(ga.offsets, ga.flat)], d, q
+            )
     colors = colors + 1  # the Lemma 11 calendar is 1-based
 
     # Decide color classes in increasing color order — each class is an

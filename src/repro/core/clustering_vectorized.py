@@ -104,11 +104,15 @@ def _linial_step_pairs(
 ) -> Any:
     """One Linial reduction step over explicit conflict-pair CSRs.
 
-    The generic twin of
-    :func:`repro.core.bm21_vectorized._linial_step_vectorized`: conflicts
-    come from one or more CSR pair lists instead of the graph adjacency,
-    so the same kernel serves the distance-2 prologue (direct ∪ relayed
-    pairs) and the distance-1 coloring of an induced subgraph.
+    For each vertex, the new color is ``x·q + p(x)`` for the *first*
+    x ∈ F_q where its degree-d color polynomial differs from every
+    conflict partner's — the exact rule of
+    :func:`repro.core.linial._reduce_one`, with the per-x safety check
+    batched over the still-undecided frontier. Conflicts come from one
+    or more CSR pair lists, so the same kernel serves the distance-2
+    prologue (direct ∪ relayed pairs), the distance-1 coloring of an
+    induced subgraph, and the BM21 baseline (the graph adjacency, in
+    :mod:`repro.core.bm21_vectorized`).
 
     Args:
         np: the numpy module.

@@ -34,10 +34,6 @@ except ImportError:  # pragma: no cover - exercised only without numpy
 if TYPE_CHECKING:
     from repro.graphs.graph import _GraphIndex
 
-#: True when numpy is importable (the vectorized engine's availability).
-HAS_NUMPY = np is not None
-
-
 def require_numpy() -> Any:
     """Return the numpy module or fail loudly with install guidance."""
     if np is None:  # pragma: no cover - exercised only without numpy

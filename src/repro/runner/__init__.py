@@ -3,17 +3,20 @@
 Layers (each in its own module, importable independently):
 
 - :mod:`repro.runner.specs` — ``TrialSpec``/``SweepSpec``: picklable,
-  order-indexed descriptions of seeded trials, plus the deterministic
-  per-trial seed derivation;
+  order-indexed descriptions of seeded trials, the deterministic
+  per-trial seed derivation, and ``TrialSpec.digest`` — the one trial
+  identity (kind, key, kwargs, derived seed) that the cache key, the
+  journal, the retry backoff and the result store's trial ids all use;
 - :mod:`repro.runner.trials` — spec constructors (E-series experiment
-  sweeps and seeded ``(family, n, problem, seed)`` solve grids) and the
-  worker-side trial execution/aggregation against the experiment plans;
+  sweeps, seeded ``(family, n, problem, seed)`` solve grids, and one
+  grid cell's trial without enumerating the grid) and the worker-side
+  trial execution/aggregation against the experiment plans;
 - :mod:`repro.runner.cache` — ``TrialCache``: a content-addressed
-  on-disk store of trial results, keyed by SHA-256 of the trial's
-  identity (kind, key, kwargs, derived seed) plus a code-version salt,
-  so repeated sweeps and report regenerations skip heavy recomputation;
-  it also defines the one trial record (canonical JSON, payload
-  checksummed, never unpickled) that cache files and journal lines use;
+  on-disk store of trial results, keyed by SHA-256 of the trial digest
+  plus a code-version salt, so repeated sweeps and report
+  regenerations skip heavy recomputation; it also defines the one
+  trial record (canonical JSON, payload checksummed, never unpickled)
+  that cache files and journal lines use;
 - :mod:`repro.runner.executor` — ``run_sweep``: serial with
   ``workers=1`` (the bit-identical reference path) or sharded across a
   ``multiprocessing`` pool, with ordered result aggregation,
@@ -27,7 +30,8 @@ Layers (each in its own module, importable independently):
   point, so the resilience layer is itself tested by fault injection;
 - :mod:`repro.runner.artifacts` — ``SWEEP_*.json`` artifact output with
   a deterministic ``tables`` section (identical for any worker count,
-  cache state, retry schedule, or resume point).
+  cache state, retry schedule, or resume point) and a record of every
+  trial (its digest and kwargs), which the result store reads as is.
 
 The CLI entry points are ``python -m repro sweep`` and ``python -m
 repro report`` (see :mod:`repro.cli`).
@@ -49,7 +53,6 @@ from repro.runner.resilience import (
     SweepJournal,
     TrialFailure,
     TrialTimeoutError,
-    trial_digest,
 )
 from repro.runner.specs import SweepSpec, TrialSpec, derive_seed
 from repro.runner.trials import (
@@ -87,6 +90,5 @@ __all__ = [
     "sweep_from_experiments",
     "sweep_from_grid",
     "trial_cache_key",
-    "trial_digest",
     "write_sweep_artifact",
 ]

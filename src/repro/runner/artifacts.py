@@ -2,10 +2,14 @@
 
 The artifact has two layers:
 
-- a **deterministic** layer — the sweep's identity (spec, seeds) and
-  the aggregated ``tables`` (rendered markdown plus findings), which is
-  byte-identical for any worker count; the determinism tests compare
-  exactly this layer across worker counts;
+- a **deterministic** layer — the sweep's identity and the aggregated
+  ``tables`` (rendered markdown plus findings), which is byte-identical
+  for any worker count; the determinism tests compare exactly this
+  layer across worker counts. The identity records every trial as
+  :meth:`~repro.runner.specs.TrialSpec.describe` gives it: index,
+  kind, key, label, seed, the trial ``digest`` and its ``kwargs``
+  (``null`` unless plain JSON), so a reader such as the result store
+  knows what each trial ran without parsing its label;
 - a **provenance** layer — per-trial wall times, worker pids, cache
   hit/miss accounting, pool restarts, the worker count and total wall
   clock, which is expected to vary run to run and is kept in separate

@@ -2,10 +2,10 @@
 
 A sweep's unit of work — one :class:`~repro.runner.specs.TrialSpec` —
 is deterministic given its *identity*: the trial kind, the plan or
-problem key, the kwargs, and the derived seed. The cache keys each
-stored result by the SHA-256 of exactly that identity plus a
-**code-version salt** (a digest of the ``repro`` package's source
-files), so
+problem key, the kwargs, and the derived seed, hashed once as
+:attr:`~repro.runner.specs.TrialSpec.digest`. The cache keys each
+stored result by the SHA-256 of that digest plus a **code-version
+salt** (a digest of the ``repro`` package's source files), so
 
 - repeating a sweep, or regenerating EXPERIMENTS.md, skips every trial
   already computed — including heavy reference trials such as E8a at
@@ -46,7 +46,7 @@ from typing import Any
 
 from repro.obs import counters
 from repro.obs.spans import event
-from repro.runner.specs import TrialSpec
+from repro.runner.specs import TrialSpec, is_plain_json
 
 #: Default cache directory, relative to the working directory (see
 #: ``--cache-dir``); listed in .gitignore.
@@ -56,25 +56,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: old records then read as misses (cache) or stop a resume (journal).
 CACHE_FORMAT = 2
 
-_PRIMITIVES = (str, int, float, bool, type(None))
-
-
-def _is_plain_json(value: Any) -> bool:
-    # Exact types: an IntEnum or numpy scalar would not read back as
-    # what was stored, and JSON would stringify an int dict key.
-    if isinstance(value, (tuple, list)):
-        return all(_is_plain_json(item) for item in value)
-    if isinstance(value, dict):
-        return all(
-            type(key) is str and _is_plain_json(item) for key, item in value.items()
-        )
-    return type(value) in _PRIMITIVES
-
 
 def is_cacheable(spec: TrialSpec) -> bool:
     """Whether the spec's identity can be hashed reliably (all kwargs
     plain JSON values, so their ``repr`` is stable across processes)."""
-    return all(_is_plain_json(value) for _name, value in spec.kwargs)
+    return is_plain_json(spec.kwargs)
 
 
 @lru_cache(maxsize=1)
@@ -100,14 +86,10 @@ def code_version_salt() -> str:
 
 
 def trial_cache_key(spec: TrialSpec, salt: str) -> str | None:
-    """SHA-256 key of (salt, trial identity), or None if uncacheable.
-
-    The identity is (kind, key, kwargs, seed) — everything that
-    determines the payload, and nothing (index, label) that does not.
-    """
+    """SHA-256 key of (salt, ``spec.digest``), or None if uncacheable."""
     if not is_cacheable(spec):
         return None
-    material = repr((salt, spec.kind, spec.key, spec.kwargs, spec.seed))
+    material = repr((salt, spec.digest))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -134,7 +116,7 @@ def encode_record(label: str, seconds: float, payload: Any, **fields: Any) -> st
     ``sha`` a truncated SHA-256 of the payload's JSON. ``fields`` (a
     journal line's ``digest`` and ``index``) lead the record. Raises
     ``TypeError`` if the payload is not plain JSON."""
-    if not _is_plain_json(payload):
+    if not is_plain_json(payload):
         raise TypeError(f"trial payload of {label!r} is not plain JSON")
     record = {
         **fields,

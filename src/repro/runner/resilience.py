@@ -17,8 +17,8 @@ This module supplies the three pieces the executor composes:
   :class:`~repro.runner.executor.TrialOutcome`\\ s (``SWEEP_*.journal``
   next to the artifacts). One line per trial: the trial cache's JSON
   record (:func:`repro.runner.cache.encode_record`, payload checksummed)
-  plus the trial's identity digest (kind/key/kwargs/seed, like the cache
-  key but without the code salt) and sweep index. Reads parse JSON
+  plus the trial's :attr:`~repro.runner.specs.TrialSpec.digest` (the
+  cache key's identity, without the code salt) and sweep index. Reads parse JSON
   only and are **fail-open on a corrupt tail** — a torn last line after
   a crash costs one trial, never the journal. The parent process is the
   only writer, so plain appends are safe.
@@ -32,7 +32,6 @@ This module supplies the three pieces the executor composes:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import signal
@@ -64,19 +63,11 @@ class TrialTimeoutError(RuntimeError):
     """A trial exceeded its per-trial wall-clock budget (retriable)."""
 
 
-def trial_digest(spec: TrialSpec) -> str:
-    """Identity digest of a trial: kind/key/kwargs/seed, nothing
-    positional — the journal analogue of the cache key (no code salt;
-    the journal header carries the salt once for the whole file)."""
-    material = repr((spec.kind, spec.key, spec.kwargs, spec.seed))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:32]
-
-
 def backoff_seed(spec: TrialSpec) -> int:
-    """Deterministic per-trial jitter seed, content-addressed off the
-    same identity as :func:`trial_digest` (grid trials fold in their
-    derived seed; experiment trials their kind/key/kwargs)."""
-    return int(trial_digest(spec)[:15], 16)
+    """Deterministic per-trial jitter seed, content-addressed off
+    :attr:`~repro.runner.specs.TrialSpec.digest` (grid trials fold in
+    their derived seed; experiment trials their kind/key/kwargs)."""
+    return int(spec.digest[:15], 16)
 
 
 @dataclass(frozen=True)
@@ -307,7 +298,7 @@ class SweepJournal:
         self._ensure_loaded()
         found: dict[int, TrialOutcome] = {}
         for trial in trials:
-            record = self._entries.get(trial_digest(trial))
+            record = self._entries.get(trial.digest)
             if record is None:
                 continue
             found[trial.index] = TrialOutcome(
@@ -367,7 +358,7 @@ class SweepJournal:
         record is written in a single ``write`` call so a crashed run
         leaves at most one torn tail line, which reads fail-open."""
         spec = outcome.spec
-        digest = trial_digest(spec)
+        digest = spec.digest
         if digest in self._entries:
             return True
         try:
@@ -401,5 +392,4 @@ __all__ = [
     "backoff_seed",
     "read_journal",
     "trial_deadline",
-    "trial_digest",
 ]

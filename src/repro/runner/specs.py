@@ -11,7 +11,9 @@ that is what makes the aggregate independent of the worker count.
 Seed derivation is content-addressed: :func:`derive_seed` hashes the
 master seed together with the trial's identifying coordinates, so adding
 or reordering trials never shifts the seeds of the others (a counter
-would).
+would). A trial's identity is content-addressed the same way:
+:attr:`TrialSpec.digest` is the one trial digest the journal, the retry
+backoff, the trial cache key and the result store all use.
 """
 
 from __future__ import annotations
@@ -23,6 +25,22 @@ from typing import Any
 #: Trial kinds understood by :mod:`repro.runner.trials`.
 KIND_EXPERIMENT = "experiment"
 KIND_SOLVE = "solve"
+
+_PRIMITIVES = (str, int, float, bool, type(None))
+
+
+def is_plain_json(value: Any) -> bool:
+    """Whether ``value`` round-trips through JSON as itself (tuples
+    read back as lists)."""
+    # Exact types: an IntEnum or numpy scalar would not read back as
+    # what was stored, and JSON would stringify an int dict key.
+    if isinstance(value, (tuple, list)):
+        return all(is_plain_json(item) for item in value)
+    if isinstance(value, dict):
+        return all(
+            type(key) is str and is_plain_json(item) for key, item in value.items()
+        )
+    return type(value) in _PRIMITIVES
 
 
 def derive_seed(master_seed: int, *coordinates: Any) -> int:
@@ -64,14 +82,25 @@ class TrialSpec:
     def kwargs_dict(self) -> dict[str, Any]:
         return dict(self.kwargs)
 
+    @property
+    def digest(self) -> str:
+        """The trial's identity: a truncated SHA-256 of (kind, key,
+        kwargs, seed) — everything that determines the payload, and
+        nothing positional (index, label)."""
+        material = repr((self.kind, self.key, self.kwargs, self.seed))
+        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:32]
+
     def describe(self) -> dict[str, Any]:
-        """JSON-able identity (no payloads, no timings)."""
+        """JSON-able record of what the trial ran (no payloads, no
+        timings); ``kwargs`` is None unless every value is plain JSON."""
         return {
             "index": self.index,
             "kind": self.kind,
             "key": self.key,
             "label": self.label,
             "seed": self.seed,
+            "digest": self.digest,
+            "kwargs": self.kwargs_dict() if is_plain_json(self.kwargs) else None,
         }
 
 

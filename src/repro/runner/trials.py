@@ -158,56 +158,114 @@ def sweep_from_grid(
             "the engines axis cannot be combined with fault injection "
             "(faults force the 'faulty-simulator' engine)"
         )
-    immune = tuple(sorted(set(immune_rounds)))
+    faults = None
+    if faults_active:
+        faults = (fault_drop, fault_corrupt, fault_seed,
+                  tuple(sorted(set(immune_rounds))))
     trials = []
     for family, n, problem, alias, engine in product(
         families, sizes, problems, algorithms, engine_list or [None]
     ):
-        errors = Scenario(
-            family=family, n=n, problem=problem, algorithm=alias,
-            engine=engine, fault_drop=fault_drop, fault_corrupt=fault_corrupt,
-        ).validate()
-        if errors:
-            raise KeyError("; ".join(errors))
-        # Canonicalize algorithm names so an alias ("bm21") and its
-        # target ("baseline") derive the same seeds, cache keys, and
-        # table rows. Problem names stay as given: they were
-        # (alias-)accepted verbatim before the registry existed, and
-        # canonicalizing them now would shift every pre-existing
-        # trial's derived seed and cache key.
-        algorithm = ALGORITHMS.resolve(alias)
+        algorithm = _cell_algorithm(
+            family, n, problem, alias, engine, fault_drop, fault_corrupt
+        )
         for t in range(trials_per_config):
-            seed = derive_seed(master_seed, family, n, problem, algorithm, t)
-            kwargs = [
-                ("family", family),
-                ("n", n),
-                ("problem", problem),
-                ("algorithm", algorithm),
-                ("seed", seed),
-            ]
-            label = f"{family}/n={n}/{problem}/{algorithm}#{t}"
-            if engine is not None:
-                kwargs.append(("engine", engine))
-                label += f"@{engine}"
-            if faults_active:
-                kwargs += [
-                    ("fault_drop", fault_drop),
-                    ("fault_corrupt", fault_corrupt),
-                    ("fault_seed", derive_seed(seed, "fault", fault_seed)),
-                    ("immune_rounds", immune),
-                ]
-                label += f"!d={fault_drop:g},c={fault_corrupt:g}"
-            trials.append(
-                TrialSpec(
-                    index=len(trials),
-                    kind=KIND_SOLVE,
-                    key=problem,
-                    label=label,
-                    kwargs=tuple(kwargs),
-                    seed=seed,
-                )
-            )
+            trials.append(_cell_trial(
+                len(trials), family, n, problem, algorithm, t, master_seed,
+                engine, faults,
+            ))
     return SweepSpec(name=name, trials=tuple(trials), master_seed=master_seed)
+
+
+def grid_trial(
+    family: str,
+    n: int,
+    problem: str,
+    algorithm: str,
+    t: int = 0,
+    master_seed: int = 0,
+    engine: str | None = None,
+) -> TrialSpec:
+    """Trial ``t`` of the one-cell grid of a scenario, built directly.
+
+    Equal to ``sweep_from_grid((family,), (n,), (problem,),
+    (algorithm,), trials_per_config=t + 1, master_seed=master_seed,
+    engines=(engine,) if engine else ()).trials[t]`` — same validation,
+    kwargs order, derived seed and so trial digest — without
+    enumerating the ``t`` trials before it.
+    """
+    canonical = _cell_algorithm(family, n, problem, algorithm, engine)
+    return _cell_trial(t, family, n, problem, canonical, t, master_seed, engine)
+
+
+def _cell_algorithm(
+    family: str,
+    n: int,
+    problem: str,
+    alias: str,
+    engine: str | None,
+    fault_drop: float = 0.0,
+    fault_corrupt: float = 0.0,
+) -> str:
+    """Validate one grid cell as a scenario; its canonical algorithm name.
+
+    Canonicalize algorithm names so an alias ("bm21") and its target
+    ("baseline") derive the same seeds, cache keys, and table rows.
+    Problem names stay as given: they were (alias-)accepted verbatim
+    before the registry existed, and canonicalizing them now would
+    shift every pre-existing trial's derived seed and cache key.
+    """
+    errors = Scenario(
+        family=family, n=n, problem=problem, algorithm=alias,
+        engine=engine, fault_drop=fault_drop, fault_corrupt=fault_corrupt,
+    ).validate()
+    if errors:
+        raise KeyError("; ".join(errors))
+    return ALGORITHMS.resolve(alias)
+
+
+def _cell_trial(
+    index: int,
+    family: str,
+    n: int,
+    problem: str,
+    algorithm: str,
+    t: int,
+    master_seed: int,
+    engine: str | None,
+    faults: tuple[float, float, int, tuple[int, ...]] | None = None,
+) -> TrialSpec:
+    """Trial ``t`` of one validated grid cell; ``faults`` is (drop,
+    corrupt, fault seed, immune rounds) when the fault axis is active."""
+    seed = derive_seed(master_seed, family, n, problem, algorithm, t)
+    kwargs = [
+        ("family", family),
+        ("n", n),
+        ("problem", problem),
+        ("algorithm", algorithm),
+        ("seed", seed),
+    ]
+    label = f"{family}/n={n}/{problem}/{algorithm}#{t}"
+    if engine is not None:
+        kwargs.append(("engine", engine))
+        label += f"@{engine}"
+    if faults is not None:
+        drop, corrupt, fault_seed, immune = faults
+        kwargs += [
+            ("fault_drop", drop),
+            ("fault_corrupt", corrupt),
+            ("fault_seed", derive_seed(seed, "fault", fault_seed)),
+            ("immune_rounds", immune),
+        ]
+        label += f"!d={drop:g},c={corrupt:g}"
+    return TrialSpec(
+        index=index,
+        kind=KIND_SOLVE,
+        key=problem,
+        label=label,
+        kwargs=tuple(kwargs),
+        seed=seed,
+    )
 
 
 # -- worker-side execution ---------------------------------------------------

@@ -27,8 +27,6 @@ from repro.serve.store import (
     StoreError,
     canonical_json,
     file_digest,
-    parse_solve_label,
-    served_trial_id,
 )
 
 __all__ = [
@@ -39,9 +37,7 @@ __all__ = [
     "StoreError",
     "canonical_json",
     "file_digest",
-    "parse_solve_label",
     "provenance",
-    "served_trial_id",
     "solve_spec",
     "sweep_dag",
 ]

@@ -5,11 +5,12 @@ inputs that produced it. :func:`provenance` reconstructs that chain for
 one trial from the ingested tables alone — no re-reading the original
 files — and renders it as plain JSON:
 
-- ``scenario`` nodes: the grid coordinates (family, n, problem,
-  algorithm, trial, engine/faults when present) parsed from the trial's
-  label, plus the derived per-trial seed;
+- ``scenario`` nodes: a solve trial's scenario, exactly the kwargs the
+  artifact records for it (family, n, problem, algorithm, the derived
+  seed, and engine/fault parameters when present);
 - ``trial`` nodes: the ingested trial row (index, kind, key, label,
-  seconds, worker, cached/resumed flags);
+  seconds, worker, cached/resumed flags), identified by the trial's
+  digest;
 - ``artifact`` nodes: the content-addressed file the trial was ingested
   from (digest, path, kind), plus any journals that checkpointed the
   same sweep;
@@ -29,12 +30,71 @@ from typing import Any
 from repro.serve.store import ResultStore
 
 
-def _node(nodes: list[dict[str, Any]], seen: set[str], node_id: str,
-          kind: str, **attrs: Any) -> str:
-    if node_id not in seen:
-        seen.add(node_id)
-        nodes.append({"id": node_id, "kind": kind, **attrs})
-    return node_id
+class _Dag:
+    """Nodes and edges under construction; a node id is added once."""
+
+    def __init__(self) -> None:
+        self.nodes: list[dict[str, Any]] = []
+        self.edges: list[dict[str, str]] = []
+        self._seen: set[str] = set()
+
+    def node(self, node_id: str, kind: str, **attrs: Any) -> str:
+        if node_id not in self._seen:
+            self._seen.add(node_id)
+            self.nodes.append({"id": node_id, "kind": kind, **attrs})
+        return node_id
+
+    def edge(self, src: str, dst: str) -> None:
+        self.edges.append({"from": src, "to": dst})
+
+    def rooted(self, root: str) -> dict[str, Any]:
+        return {"root": root, "nodes": self.nodes, "edges": self.edges}
+
+
+def _add_trial(dag: _Dag, trial: dict[str, Any]) -> str:
+    """A trial node, fed by its scenario node when it has one."""
+    trial_id = dag.node(
+        trial["trial_id"], "trial",
+        index=trial["idx"], kind_of_trial=trial["kind"], key=trial["key"],
+        label=trial["label"], seed=trial["seed"], seconds=trial["seconds"],
+        worker=trial["worker"], cached=trial["cached"],
+        resumed=trial["resumed"],
+    )
+    if trial["scenario"] is not None:
+        scenario_id = dag.node(
+            f"scenario:{trial_id}", "scenario", **trial["scenario"]
+        )
+        dag.edge(scenario_id, trial_id)
+    return trial_id
+
+
+def _add_artifact(dag: _Dag, sweep: dict[str, Any]) -> str:
+    digest = sweep["artifact_digest"]
+    return dag.node(
+        f"artifact:{digest}", "artifact", digest=digest, path=sweep["path"],
+        sweep=sweep["name"], master_seed=sweep["master_seed"],
+        num_trials=sweep["num_trials"], partial=bool(sweep["partial"]),
+    )
+
+
+def _add_journals_and_tables(
+    dag: _Dag, store: ResultStore, sweep: dict[str, Any], artifact_id: str
+) -> None:
+    """The journals checkpointing the sweep and its output tables."""
+    for journal in store.journals_for(sweep["name"]):
+        journal_id = dag.node(
+            f"artifact:{journal['artifact_digest']}", "artifact",
+            digest=journal["artifact_digest"],
+            journal_of=journal["sweep_name"], entries=journal["entries"],
+            salt=journal["salt"],
+        )
+        dag.edge(journal_id, artifact_id)
+    for table in sweep["tables"]:
+        table_id = dag.node(
+            f"table:{sweep['artifact_digest']}:{table['exp_id']}", "output",
+            exp_id=table["exp_id"], title=table["title"],
+        )
+        dag.edge(artifact_id, table_id)
 
 
 def provenance(store: ResultStore, trial_ref: str) -> dict[str, Any] | None:
@@ -42,8 +102,9 @@ def provenance(store: ResultStore, trial_ref: str) -> dict[str, Any] | None:
 
     Args:
         store: the result store to resolve against.
-        trial_ref: a trial id (:func:`repro.serve.store.served_trial_id`)
-            or an exact trial label.
+        trial_ref: a trial id (the trial's recorded
+            :attr:`~repro.runner.specs.TrialSpec.digest`) or an exact
+            trial label.
 
     Returns:
         ``{"root": trial_id, "nodes": [...], "edges": [...]}`` with
@@ -53,56 +114,14 @@ def provenance(store: ResultStore, trial_ref: str) -> dict[str, Any] | None:
     trial = store.trial(trial_ref)
     if trial is None:
         return None
-    nodes: list[dict[str, Any]] = []
-    edges: list[dict[str, str]] = []
-    seen: set[str] = set()
-
-    trial_id = _node(
-        nodes, seen, trial["trial_id"], "trial",
-        index=trial["idx"], kind_of_trial=trial["kind"], key=trial["key"],
-        label=trial["label"], seed=trial["seed"], seconds=trial["seconds"],
-        worker=trial["worker"], cached=trial["cached"],
-        resumed=trial["resumed"],
-    )
-
-    if trial["scenario"] is not None:
-        scenario_id = _node(
-            nodes, seen, f"scenario:{trial['label']}", "scenario",
-            **trial["scenario"],
-        )
-        edges.append({"from": scenario_id, "to": trial_id})
-
-    digest = trial["artifact_digest"]
-    sweep = store.sweep(digest)
-    artifact_attrs: dict[str, Any] = {"digest": digest}
-    if sweep is not None:
-        artifact_attrs.update(
-            path=sweep["path"], sweep=sweep["name"],
-            master_seed=sweep["master_seed"], num_trials=sweep["num_trials"],
-            partial=bool(sweep["partial"]),
-        )
-    artifact_id = _node(
-        nodes, seen, f"artifact:{digest}", "artifact", **artifact_attrs
-    )
-    edges.append({"from": trial_id, "to": artifact_id})
-
-    if sweep is not None:
-        for journal in store.journals_for(sweep["name"]):
-            journal_id = _node(
-                nodes, seen, f"artifact:{journal['artifact_digest']}",
-                "artifact", digest=journal["artifact_digest"],
-                journal_of=journal["sweep_name"], entries=journal["entries"],
-                salt=journal["salt"],
-            )
-            edges.append({"from": journal_id, "to": artifact_id})
-        for table in sweep["tables"]:
-            table_id = _node(
-                nodes, seen, f"table:{digest}:{table['exp_id']}", "output",
-                exp_id=table["exp_id"], title=table["title"],
-            )
-            edges.append({"from": artifact_id, "to": table_id})
-
-    return {"root": trial_id, "nodes": nodes, "edges": edges}
+    # Trials are ingested together with their sweep row.
+    sweep = store.sweep(trial["artifact_digest"])
+    dag = _Dag()
+    trial_id = _add_trial(dag, trial)
+    artifact_id = _add_artifact(dag, sweep)
+    dag.edge(trial_id, artifact_id)
+    _add_journals_and_tables(dag, store, sweep, artifact_id)
+    return dag.rooted(trial_id)
 
 
 def sweep_dag(store: ResultStore, digest: str) -> dict[str, Any] | None:
@@ -115,44 +134,9 @@ def sweep_dag(store: ResultStore, digest: str) -> dict[str, Any] | None:
     sweep = store.sweep(digest)
     if sweep is None:
         return None
-    nodes: list[dict[str, Any]] = []
-    edges: list[dict[str, str]] = []
-    seen: set[str] = set()
-
-    artifact_id = _node(
-        nodes, seen, f"artifact:{digest}", "artifact", digest=digest,
-        path=sweep["path"], sweep=sweep["name"],
-        master_seed=sweep["master_seed"], num_trials=sweep["num_trials"],
-        partial=bool(sweep["partial"]),
-    )
+    dag = _Dag()
+    artifact_id = _add_artifact(dag, sweep)
     for trial in store.trials_of(digest):
-        trial_id = _node(
-            nodes, seen, trial["trial_id"], "trial",
-            index=trial["idx"], kind_of_trial=trial["kind"],
-            key=trial["key"], label=trial["label"], seed=trial["seed"],
-            seconds=trial["seconds"], cached=trial["cached"],
-            resumed=trial["resumed"],
-        )
-        if trial["scenario"] is not None:
-            scenario_id = _node(
-                nodes, seen, f"scenario:{trial['label']}", "scenario",
-                **trial["scenario"],
-            )
-            edges.append({"from": scenario_id, "to": trial_id})
-        edges.append({"from": trial_id, "to": artifact_id})
-    for journal in store.journals_for(sweep["name"]):
-        journal_id = _node(
-            nodes, seen, f"artifact:{journal['artifact_digest']}", "artifact",
-            digest=journal["artifact_digest"],
-            journal_of=journal["sweep_name"], entries=journal["entries"],
-            salt=journal["salt"],
-        )
-        edges.append({"from": journal_id, "to": artifact_id})
-    for table in sweep["tables"]:
-        table_id = _node(
-            nodes, seen, f"table:{digest}:{table['exp_id']}", "output",
-            exp_id=table["exp_id"], title=table["title"],
-        )
-        edges.append({"from": artifact_id, "to": table_id})
-
-    return {"root": artifact_id, "nodes": nodes, "edges": edges}
+        dag.edge(_add_trial(dag, trial), artifact_id)
+    _add_journals_and_tables(dag, store, sweep, artifact_id)
+    return dag.rooted(artifact_id)

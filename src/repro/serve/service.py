@@ -40,18 +40,20 @@ file — never a reformatted copy.
 
 ``GET /solve`` is the serving hot path. The query is compiled to the
 **exact** :class:`~repro.runner.specs.TrialSpec` a grid sweep would
-build (same kwargs order, same content-addressed seed derivation), so
-its cache key matches entries warmed by any previous sweep or report
-run. A warm hit answers from one JSON record read (nothing in it is
-executed); a miss computes in-process and warms the cache for next
-time — unless the service is ``readonly``, in which case misses are
-refused (409) and nothing is ever written.
+build (:func:`~repro.runner.trials.grid_trial`: same kwargs order, same
+content-addressed seed derivation), so its cache key matches entries
+warmed by any previous sweep or report run. A warm hit answers from one
+JSON record read (nothing in it is executed); a miss computes
+in-process and warms the cache for next time — unless the service is
+``readonly``, in which case misses are refused (409) and nothing is
+ever written.
 
-Sweep submission is async: ``POST /sweeps`` enqueues a grid for a
-single background worker thread (one sweep at a time — ``run_sweep``
-itself shards across processes), returns a job id, and ``GET
-/jobs/<id>`` polls it. A finished job's artifact is written to disk and
-auto-ingested, so its tables are immediately queryable.
+Sweep submission is async: ``POST /sweeps`` validates the grid into a
+sweep spec and enqueues that spec for a single background worker
+thread (one sweep at a time — ``run_sweep`` itself shards across
+processes), returns a job id, and ``GET /jobs/<id>`` polls it. A
+finished job's artifact is written to disk and auto-ingested, so its
+tables are immediately queryable.
 
 Every request is traced (``serve.request`` spans) and counted
 (``serve.request``, ``serve.solve.hit`` / ``.miss`` counters) through
@@ -74,7 +76,14 @@ from repro import api
 from repro.obs import counters
 from repro.obs.spans import span
 from repro.runner.cache import DEFAULT_CACHE_DIR, TrialCache
-from repro.runner.trials import SOLVE_HEADERS, execute_trial, sweep_from_grid
+from repro.runner.executor import run_sweep
+from repro.runner.specs import SweepSpec
+from repro.runner.trials import (
+    aggregate_sweep,
+    execute_trial,
+    grid_trial,
+    sweep_from_grid,
+)
 from repro.serve.dag import provenance, sweep_dag
 from repro.serve.store import ResultStore, StoreError
 
@@ -99,39 +108,34 @@ def solve_spec(
 ):
     """The exact grid :class:`~repro.runner.specs.TrialSpec` of one query.
 
-    Built *by* :func:`~repro.runner.trials.sweep_from_grid` (a
-    one-cell grid, taking its last trial), so the kwargs order, the
-    content-addressed per-trial seed, and therefore the trial cache key
-    are guaranteed to match the spec any sweep of this scenario
-    produces — the warm-cache contract. Unknown names raise the grid's
-    ``KeyError`` listing the valid registry names.
+    Built by :func:`~repro.runner.trials.grid_trial`, the cell builder
+    :func:`~repro.runner.trials.sweep_from_grid` uses, so the kwargs
+    order, the content-addressed per-trial seed, and therefore the
+    trial cache key match the spec any sweep of this scenario produces
+    — the warm-cache contract — at a cost independent of ``trial``.
+    Unknown names raise the grid's ``KeyError`` listing the valid
+    registry names.
     """
     if trial < 0:
         raise ServiceError(400, f"trial must be >= 0, got {trial}")
-    spec = sweep_from_grid(
-        families=(family,),
-        sizes=(n,),
-        problems=(problem,),
-        algorithms=(algorithm,),
-        trials_per_config=trial + 1,
-        master_seed=seed,
-        engines=(engine,) if engine else (),
-    )
-    return spec.trials[-1]
+    return grid_trial(family, n, problem, algorithm, trial, seed, engine or None)
 
 
 class SweepJob:
-    """One submitted sweep: request, lifecycle state, and result."""
+    """One submitted sweep: request, validated spec, lifecycle state,
+    and result."""
 
-    def __init__(self, job_id: str, request: dict[str, Any]) -> None:
+    def __init__(
+        self, job_id: str, request: dict[str, Any], spec: SweepSpec
+    ) -> None:
         self.job_id = job_id
         self.request = request
+        self.spec = spec
         self.status = "queued"
         self.submitted_at = time.time()
         self.error: str | None = None
         self.artifact_path: str | None = None
         self.artifact_digest: str | None = None
-        self.num_trials: int | None = None
         self.wall_seconds: float | None = None
 
     def describe(self) -> dict[str, Any]:
@@ -143,7 +147,7 @@ class SweepJob:
             "error": self.error,
             "artifact": self.artifact_path,
             "digest": self.artifact_digest,
-            "num_trials": self.num_trials,
+            "num_trials": len(self.spec.trials),
             "wall_seconds": self.wall_seconds,
         }
 
@@ -240,24 +244,14 @@ class ReproService:
 
         request = job.request
         with span("serve.sweep", job=job.job_id, sweep=request["name"]):
-            result = api.run_grid(
-                families=request["families"],
-                sizes=request["sizes"],
-                problems=request["problems"],
-                algorithms=request["algorithms"],
-                trials=request["trials"],
-                seed=request["seed"],
-                workers=request["workers"],
-                engines=request["engines"],
-                cache=self.cache,
-                name=request["name"],
+            result = run_sweep(
+                job.spec, workers=request["workers"], cache=self.cache
             )
             path = write_sweep_artifact(result, self.artifact_dir)
             ingested = self.store.ingest_path(path)
         with self._jobs_lock:
             job.artifact_path = str(path)
             job.artifact_digest = ingested.digest
-            job.num_trials = len(result.spec.trials)
             job.wall_seconds = result.wall_seconds
         counters.add("serve.sweep.completed")
 
@@ -314,9 +308,7 @@ class ReproService:
                 seconds = time.perf_counter() - compute_started
             self.cache.store(spec, payload, seconds)
             was_cached = False
-        headers = list(SOLVE_HEADERS)
-        if any(len(row) > len(headers) for row in payload["rows"]):
-            headers.append("engine")
+        table = aggregate_sweep((spec,), (payload,))["GRID"]
         return {
             "label": spec.label,
             "seed": spec.seed,
@@ -324,8 +316,8 @@ class ReproService:
             "cached": was_cached,
             "compute_seconds": seconds,
             "elapsed_ms": (time.perf_counter() - started) * 1000.0,
-            "headers": headers,
-            "rows": payload["rows"],
+            "headers": table.headers,
+            "rows": table.rows,
         }
 
     def _resolve_digest(self, ref: str) -> str:
@@ -446,7 +438,7 @@ class ReproService:
         except KeyError as exc:
             raise ServiceError(400, str(exc.args[0])) from exc
         with self._jobs_lock:
-            job = SweepJob(f"job-{next(self._job_ids)}", request)
+            job = SweepJob(f"job-{next(self._job_ids)}", request, spec)
             self._jobs[job.job_id] = job
         self._queue.put(job)
         counters.add("serve.sweep.submitted")

@@ -3,12 +3,14 @@
 Every number this repo produces already lives in a flat file —
 ``SWEEP_*.json`` artifacts, ``SWEEP_*.journal`` checkpoints,
 ``BENCH_history.jsonl`` trend rows. :class:`ResultStore` ingests those
-files into queryable sqlite tables keyed by the **same content-addressed
-digests** the trial cache uses (SHA-256 of the bytes for files, the
-:func:`repro.runner.resilience.trial_digest` identity convention for
-trials), so a number served over HTTP is traceable back to the exact
-artifact — and through it, the exact scenario and seed — that produced
-it.
+files into queryable sqlite tables keyed by **content-addressed
+digests** (SHA-256 of the bytes for files; for trials, the
+:attr:`~repro.runner.specs.TrialSpec.digest` the artifact records — the
+identity the trial cache and the journal key on), so a number served
+over HTTP is traceable back to the exact artifact — and through it, the
+exact scenario and seed — that produced it. A solve trial's scenario is
+the kwargs the artifact records for it; nothing is parsed out of a
+label.
 
 Two invariants, both inherited from the runner subsystem:
 
@@ -134,53 +136,6 @@ def canonical_json(value: Any) -> str:
 def file_digest(data: bytes) -> str:
     """Content address of an ingested file: SHA-256 of its bytes."""
     return hashlib.sha256(data).hexdigest()
-
-
-def served_trial_id(artifact_digest: str, index: int, label: str,
-                    seed: int | None) -> str:
-    """The stable id of one ingested trial row.
-
-    Artifacts carry a trial's position, label, and seed but not its
-    kwargs, so the runner's kwargs-based
-    :func:`~repro.runner.resilience.trial_digest` cannot be recomputed
-    here; this digest addresses the trial *as ingested* — scoped to its
-    artifact, stable across re-ingests of identical bytes.
-    """
-    material = repr((artifact_digest, index, label, seed))
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-
-
-def parse_solve_label(label: str) -> dict[str, Any] | None:
-    """Scenario coordinates of a grid solve trial, parsed from its label.
-
-    Grid labels are generated by
-    :func:`repro.runner.trials.sweep_from_grid` as
-    ``family/n=N/problem/algorithm#t[@engine][!d=..,c=..]``; anything
-    that does not match reads as ``None`` (no scenario node in the DAG,
-    never an ingest failure).
-    """
-    import re
-
-    match = re.fullmatch(
-        r"(?P<family>[^/]+)/n=(?P<n>\d+)/(?P<problem>[^/]+)/"
-        r"(?P<algorithm>[^/#@!]+)#(?P<trial>\d+)"
-        r"(?:@(?P<engine>[^!]+))?(?:!(?P<faults>.*))?",
-        label,
-    )
-    if match is None:
-        return None
-    parsed: dict[str, Any] = {
-        "family": match["family"],
-        "n": int(match["n"]),
-        "problem": match["problem"],
-        "algorithm": match["algorithm"],
-        "trial": int(match["trial"]),
-    }
-    if match["engine"]:
-        parsed["engine"] = match["engine"]
-    if match["faults"]:
-        parsed["faults"] = match["faults"]
-    return parsed
 
 
 @dataclass(frozen=True)
@@ -354,6 +309,14 @@ class ResultStore:
                 path=str(path), status="skipped",
                 detail="artifact missing trials/tables lists",
             )
+        if not all(
+            isinstance(t, dict) and isinstance(t.get("digest"), str)
+            for t in trials
+        ):
+            return IngestResult(
+                path=str(path), status="skipped",
+                detail="artifact trials carry no digest",
+            )
         timing = payload.get("timing") or {}
         timing_by_label = {
             t.get("label"): t for t in (timing.get("trials") or [])
@@ -375,28 +338,22 @@ class ResultStore:
                 ),
             )
             for trial in trials:
-                if not isinstance(trial, dict):
-                    continue
-                index = int(trial.get("index", 0))
                 label = str(trial.get("label", ""))
-                seed = trial.get("seed")
                 provenance = timing_by_label.get(label) or {}
                 scenario = None
-                if trial.get("kind") == "solve":
-                    parsed = parse_solve_label(label)
-                    if parsed is not None:
-                        parsed["seed"] = seed
-                        scenario = json.dumps(parsed, sort_keys=True)
+                if trial.get("kind") == "solve" and isinstance(
+                    trial.get("kwargs"), dict
+                ):
+                    scenario = json.dumps(trial["kwargs"])
                 self._db.execute(
                     "INSERT OR REPLACE INTO trials (trial_id, "
                     "artifact_digest, idx, kind, key, label, seed, seconds, "
                     "worker, cached, resumed, scenario) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
-                        served_trial_id(digest, index, label, seed),
-                        digest, index,
+                        trial["digest"], digest, int(trial.get("index", 0)),
                         str(trial.get("kind", "")), str(trial.get("key", "")),
-                        label, seed, provenance.get("seconds"),
+                        label, trial.get("seed"), provenance.get("seconds"),
                         provenance.get("worker"),
                         int(bool(provenance.get("cached"))),
                         int(bool(provenance.get("resumed"))),

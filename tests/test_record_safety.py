@@ -17,7 +17,7 @@ import pytest
 
 from repro.runner import SweepJournal, TrialCache, sweep_from_experiments
 from repro.runner.cache import CACHE_FORMAT, code_version_salt
-from repro.runner.resilience import JOURNAL_FORMAT, trial_digest
+from repro.runner.resilience import JOURNAL_FORMAT
 from repro.serve import ReproService, ResultStore
 from repro.serve.service import solve_spec
 
@@ -50,7 +50,7 @@ def crafted_journal(tmp_path, sentinel):
         "num_trials": 1, "salt": code_version_salt(),
     }
     entry = {
-        "digest": trial_digest(TRIAL), "index": TRIAL.index,
+        "digest": TRIAL.digest, "index": TRIAL.index,
         "label": TRIAL.label, "seconds": 0.1,
         "sha": hashlib.sha256(data.encode("ascii")).hexdigest()[:16],
         "data": data,

@@ -38,7 +38,6 @@ from repro.runner import (
     TrialTimeoutError,
     run_sweep,
     sweep_from_experiments,
-    trial_digest,
 )
 from repro.runner.chaos import CHAOS_ENV, chaos_from_env
 from repro.runner.executor import TrialOutcome, pool_start_method
@@ -137,11 +136,11 @@ class TestTrialDigest:
         # journal (like the cache) must match on content, not position.
         a = _trial(index=0, label="path/n=8#0")
         b = _trial(index=5, label="renamed")
-        assert trial_digest(a) == trial_digest(b)
+        assert a.digest == b.digest
         assert backoff_seed(a) == backoff_seed(b)
 
     def test_identity_fields_included(self):
-        assert trial_digest(_trial(seed=1)) != trial_digest(_trial(seed=2))
+        assert _trial(seed=1).digest != _trial(seed=2).digest
 
 
 # -- per-trial deadline ------------------------------------------------------

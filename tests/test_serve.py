@@ -6,19 +6,26 @@ stats --store` CLI surfaces.
 """
 
 import json
+import time
 
 import pytest
 
 from repro import api
 from repro.cli import main
-from repro.runner import SweepJournal, TrialCache, run_sweep, sweep_from_grid
+from repro.runner import (
+    SweepJournal,
+    TrialCache,
+    run_sweep,
+    sweep_from_experiments,
+    sweep_from_grid,
+)
 from repro.runner.artifacts import deterministic_view, write_sweep_artifact
 from repro.serve import (
     ResultStore,
     StoreError,
     canonical_json,
-    parse_solve_label,
     provenance,
+    solve_spec,
     sweep_dag,
 )
 
@@ -184,22 +191,108 @@ class TestQueries:
             ResultStore(path, readonly=True)
 
 
-class TestSolveLabelParsing:
-    def test_plain_grid_label(self):
-        parsed = parse_solve_label("gnp/n=64/mis/theorem1#3")
-        assert parsed == {
-            "family": "gnp", "n": 64, "problem": "mis",
-            "algorithm": "theorem1", "trial": 3,
+def _ingested(store, tmp_path, spec):
+    """Run ``spec`` (keep-going), write its artifact, ingest it; the
+    artifact's recorded trials and the ingested trial rows."""
+    result = run_sweep(spec, keep_going=True)
+    path = write_sweep_artifact(result, tmp_path)
+    assert store.ingest_path(path).status == "ingested"
+    recorded = json.loads(path.read_text())["sweep"]["trials"]
+    digest = store.resolve_sweep(spec.name)
+    return recorded, store.trials_of(digest)
+
+
+class TestTrialRecords:
+    """The store reads the trials the artifact records; no label is
+    parsed."""
+
+    def test_trial_ids_are_trial_digests(self, store, sweep_artifact):
+        spec = sweep_from_grid(
+            families=("path",), sizes=(12, 16), problems=("mis",),
+            algorithms=("greedy",), trials_per_config=2, master_seed=5,
+            name="stored",
+        )
+        store.ingest_path(sweep_artifact)
+        trials = store.trials_of(store.resolve_sweep("stored"))
+        assert [t["trial_id"] for t in trials] == [t.digest for t in spec.trials]
+        journal = (sweep_artifact.parent / "SWEEP_stored.journal").read_text()
+        journaled = {
+            json.loads(line)["index"]: json.loads(line)["digest"]
+            for line in journal.splitlines()[1:]
         }
+        assert journaled == {t.index: t.digest for t in spec.trials}
 
-    def test_engine_and_fault_suffixes(self):
-        parsed = parse_solve_label("path/n=16/mis/greedy#0@vectorized")
-        assert parsed["engine"] == "vectorized"
-        parsed = parse_solve_label("path/n=16/mis/greedy#0!d=0.1,c=0")
-        assert parsed["faults"] == "d=0.1,c=0"
+    def test_engine_axis_trial_provenance(self, store, tmp_path):
+        spec = sweep_from_grid(
+            families=("path",), sizes=(8,), problems=("mis",),
+            algorithms=("greedy",), engines=("simulator", "vectorized"),
+            name="engines",
+        )
+        recorded, trials = _ingested(store, tmp_path, spec)
+        for record, trial in zip(recorded, trials):
+            node = _scenario_node(provenance(store, trial["trial_id"]))
+            assert node == record["kwargs"]
+        assert [_scenario_node(provenance(store, t["trial_id"]))["engine"]
+                for t in trials] == ["simulator", "vectorized"]
 
-    def test_non_grid_label_is_none(self):
-        assert parse_solve_label("E9[n=512]") is None
+    def test_fault_axis_trial_provenance(self, store, tmp_path):
+        spec = sweep_from_grid(
+            families=("path",), sizes=(10,), problems=("mis",),
+            algorithms=("theorem1",), fault_drop=0.05, immune_rounds=(3, 1),
+            name="faults",
+        )
+        recorded, (trial,) = _ingested(store, tmp_path, spec)
+        node = _scenario_node(provenance(store, trial["trial_id"]))
+        assert node == recorded[0]["kwargs"]
+        assert node["fault_drop"] == 0.05
+        assert node["immune_rounds"] == [1, 3]
+        assert node["seed"] == trial["seed"] == spec.trials[0].seed
+
+    def test_experiment_trials_have_no_scenario(self, store, tmp_path):
+        recorded, trials = _ingested(
+            store, tmp_path, sweep_from_experiments(["E2"], name="e2")
+        )
+        assert all(r["kwargs"] is not None for r in recorded)
+        assert [t["trial_id"] for t in trials] == [r["digest"] for r in recorded]
+        assert all(t["scenario"] is None for t in trials)
+
+    def test_artifact_without_trial_digests_is_skipped(
+        self, store, sweep_artifact, tmp_path
+    ):
+        payload = json.loads(sweep_artifact.read_text())
+        for trial in payload["sweep"]["trials"]:
+            del trial["digest"]
+        old = tmp_path / "SWEEP_old.json"
+        old.write_text(json.dumps(payload))
+        result = store.ingest_path(old)
+        assert result.status == "skipped"
+        assert "digest" in result.detail
+        assert store.counts()["trials"] == 0
+
+
+class TestSolveSpec:
+    def test_equals_the_grid_trial(self):
+        grid = sweep_from_grid(
+            families=("gnp",), sizes=(24,), problems=("mis",),
+            algorithms=("bm21",), trials_per_config=4, master_seed=9,
+            engines=("vectorized",),
+        )
+        spec = solve_spec("gnp", 24, "mis", "bm21", trial=3, seed=9,
+                          engine="vectorized")
+        assert spec == grid.trials[3]
+        assert spec.digest == grid.trials[3].digest
+
+    def test_large_trial_is_not_enumerated(self):
+        started = time.perf_counter()
+        spec = solve_spec("path", 16, "mis", "greedy", trial=10**6)
+        assert time.perf_counter() - started < 1.0
+        assert spec.index == 10**6
+        assert spec.label == f"path/n=16/mis/greedy#{10**6}"
+
+
+def _scenario_node(dag):
+    node = next(n for n in dag["nodes"] if n["kind"] == "scenario")
+    return {k: v for k, v in node.items() if k not in ("id", "kind")}
 
 
 class TestProvenanceDag:
@@ -333,6 +426,6 @@ def test_run_grid_then_ingest_round_trips_scenarios(tmp_path):
     (trial,) = store.trials_of(digest)
     assert trial["scenario"] == {
         "family": "path", "n": 10, "problem": "mis",
-        "algorithm": "greedy", "trial": 0, "seed": trial["seed"],
+        "algorithm": "greedy", "seed": trial["seed"],
     }
     store.close()
