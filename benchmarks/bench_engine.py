@@ -328,16 +328,6 @@ def bench_delivery(n, reps, results):
     }
 
 
-def fast_gnp(n, avg_degree, seed):
-    """Sparse G(n, d/n) via networkx's O(n + m) sampler; the shipped
-    ``gnp`` family walks all n² pairs, infeasible past ~10^4 nodes."""
-    import networkx as nx
-
-    return StaticGraph.from_networkx(
-        nx.fast_gnp_random_graph(n, avg_degree / n, seed=seed)
-    )
-
-
 def bench_vectorized(n, reps, results):
     """The vectorized engine vs the per-node engines, bit-identical
     first, timed second. n = 2^17 runs a single rep: the *per-node*
@@ -348,7 +338,9 @@ def bench_vectorized(n, reps, results):
     from repro.model.vectorized import greedy_by_id_vectorized
     from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
 
-    g = gnp(n, 8.0 / n, seed=1) if n <= 10_000 else fast_gnp(n, 8, seed=1)
+    # the binomial sampler walks all n² pairs: fine up to ~10^4 nodes, and
+    # it keeps the committed n = 1024 / 4096 graphs
+    g = gnp(n, 8.0 / n, seed=1, method="binomial" if n <= 10_000 else "fast")
     # Small n: min-of-3 even in --quick, or the one-time numpy/first-call
     # cost dominates the tiny kernels and quick-mode speedups collapse
     # far below the committed full-run baseline the CI check compares to.
@@ -399,7 +391,7 @@ def bench_vectorized_mega(results, n=1_000_000):
     from repro.model.vectorized import greedy_by_id_vectorized
     from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
 
-    g = fast_gnp(n, 8, seed=1)
+    g = gnp(n, 8 / n, seed=1, method="fast")
 
     problem = MaximalIndependentSet()
     inputs = problem.make_inputs(g)
@@ -490,7 +482,7 @@ def bench_vectorized_clustered_mega(results):
 
     problem = MaximalIndependentSet()
     for n, avg_degree in ((1 << 17, 8), (1_000_000, 4)):
-        g = fast_gnp(n, avg_degree, seed=1)
+        g = gnp(n, avg_degree / n, seed=1, method="fast")
         res, t = timed(lambda: solve_vectorized(g, problem, validate=False), 2)
         node_rounds = res.simulation.metrics.total_awake
         results[f"vectorized_theorem1_mega/gnp/n={n}"] = {

@@ -7,6 +7,10 @@ the "up" CSR restricted to larger-ID neighbors). It is built lazily and
 cached on the owning :class:`~repro.graphs.graph.StaticGraph`, exactly
 like the index itself, so graphs that never meet the vectorized engine
 never pay for it — and :mod:`repro.graphs.graph` never imports numpy.
+Array-native samplers go the other way: they build the columns first
+(:func:`csr_from_edges`, checked by :meth:`GraphArrays.from_csr`) and
+hand them to :meth:`StaticGraph.from_arrays
+<repro.graphs.graph.StaticGraph.from_arrays>`.
 
 The module degrades gracefully: importing it without numpy installed
 works; *using* it raises :class:`~repro.errors.SimulationError` with an
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import SimulationError
+from repro.errors import GraphError, SimulationError
 
 try:  # gated: numpy is required by the vectorized engine only
     import numpy as np
@@ -72,6 +76,72 @@ class GraphArrays:
             flat=np.asarray(index.flat_slots, dtype=np.int64),
             degrees=np.asarray(index.degrees, dtype=np.int64),
         )
+
+    @classmethod
+    def from_csr(
+        cls, ids: Any, offsets: Any, flat: Any, id_space: int
+    ) -> "GraphArrays":
+        """Check int64 CSR columns and wrap them (degrees derived).
+
+        Raises :class:`~repro.errors.GraphError` unless the columns form
+        a simple undirected graph: IDs unique, ascending and in
+        ``[1, id_space]``; ``offsets`` delimiting ``flat`` row by row;
+        every neighbor slot in range, not a self-loop, unique and
+        ascending within its row; every edge present in both directions.
+        """
+        require_numpy()
+        ids, offsets, flat = (
+            np.ascontiguousarray(a, dtype=np.int64) for a in (ids, offsets, flat)
+        )
+        n = ids.size
+        if (
+            ids.ndim != 1 or flat.ndim != 1 or offsets.shape != (n + 1,)
+            or offsets[0] != 0 or offsets[-1] != flat.size
+            or (offsets[1:] < offsets[:-1]).any()
+        ):
+            raise GraphError(
+                f"CSR offsets do not match flat: {n} node IDs need "
+                f"{n + 1} non-decreasing offsets from 0 to {flat.size}"
+            )
+        steps = np.diff(offsets)
+        bad = np.flatnonzero(ids[1:] <= ids[:-1])
+        if bad.size:
+            i = int(bad[0])
+            raise GraphError(
+                f"node IDs must be unique and ascending, got {ids[i]} "
+                f"then {ids[i + 1]}"
+            )
+        if n and (ids[0] < 1 or ids[-1] > id_space):
+            raise GraphError(
+                f"node IDs must lie in [1, {id_space}], "
+                f"got range [{ids[0]}, {ids[-1]}]"
+            )
+        sources = np.repeat(np.arange(n, dtype=np.int64), steps)
+        bad = np.flatnonzero((flat < 0) | (flat >= n))
+        if bad.size:
+            j = int(bad[0])
+            raise GraphError(
+                f"edge ({ids[sources[j]]}, slot {flat[j]}) dangles: "
+                f"slot {flat[j]} missing"
+            )
+        bad = np.flatnonzero(flat == sources)
+        if bad.size:
+            raise GraphError(f"self-loop at node {ids[sources[bad[0]]]}")
+        keys = sources * n + flat
+        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+        if bad.size:
+            raise GraphError(
+                f"neighbors of node {ids[sources[bad[0] + 1]]} must be "
+                f"unique and ascending"
+            )
+        reverse = np.sort(flat * n + sources)
+        if not np.array_equal(reverse, keys):
+            pos = np.minimum(np.searchsorted(reverse, keys), len(keys) - 1)
+            j = int(np.flatnonzero(reverse[pos] != keys)[0])
+            raise GraphError(
+                f"edge ({ids[sources[j]]}, {ids[flat[j]]}) is not symmetric"
+            )
+        return cls(ids=ids, offsets=offsets, flat=flat, degrees=steps)
 
     @property
     def n(self) -> int:
@@ -162,3 +232,48 @@ def ragged_gather(offsets: Any, flat: Any, slots: Any) -> tuple[Any, Any]:
     shifted = np.cumsum(counts) - counts  # output start of each segment
     idx = np.repeat(starts - shifted, counts) + np.arange(total, dtype=np.int64)
     return flat[idx], counts
+
+
+# -- building CSR from edge arrays --------------------------------------------
+
+
+def component_minima(n: int, a: Any, b: Any) -> Any:
+    """The smallest slot of each connected component, ascending.
+
+    The graph is ``n`` slots plus undirected edges ``(a[i], b[i])``.
+    Min-label hooking with pointer jumping: every slot holds a label
+    naming some slot of its own component, no larger than itself. Each
+    round hooks, across every edge, the larger of the two endpoints'
+    root labels onto the smaller, then follows ``label[label]`` until
+    every label is a root. Once no edge joins two roots, each component
+    has one root — its minimum, the one slot labelled with itself.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        root_a, root_b = label[a], label[b]
+        hooked = label.copy()
+        np.minimum.at(hooked, root_a, root_b)
+        np.minimum.at(hooked, root_b, root_a)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked = jumped
+            jumped = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return np.flatnonzero(label == np.arange(n, dtype=np.int64))
+        label = hooked
+
+
+def csr_from_edges(n: int, a: Any, b: Any) -> tuple[Any, Any]:
+    """Symmetric CSR ``(offsets, flat)`` of undirected edges over slots.
+
+    Each edge ``(a[i], b[i])`` lands in both rows; rows come out sorted
+    ascending, the order :class:`GraphArrays` keeps. Edges must be
+    distinct and loop-free (one sort of the 2E directed ``src·n + dst``
+    keys; no deduplication).
+    """
+    keys = np.concatenate((a * n + b, b * n + a))
+    keys.sort()
+    sources, flat = np.divmod(keys, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    return offsets, flat

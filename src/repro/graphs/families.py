@@ -181,8 +181,10 @@ def _build_tree(n: int, seed: int, ids: IdAssignment | None) -> StaticGraph:
         "p": "edge probability (default 0.15)",
         "method": (
             "sampler: 'binomial' (default, walks all n² pairs) or 'fast' "
-            "(O(n + m) geometric skipping for mega-scale n; draws a "
-            "different graph for the same seed than 'binomial')"
+            "(O(n + m) geometric skipping for mega-scale n, straight into "
+            "CSR arrays; needs numpy; draws the same graph as networkx's "
+            "fast_gnp_random_graph plus the connectivity patch, which "
+            "differs from 'binomial' for the same seed)"
         ),
     },
 )

@@ -8,12 +8,14 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import random
 
 import networkx as nx
 
 from repro.errors import GraphError
 from repro.graphs.graph import StaticGraph
+from repro.obs.spans import span
 from repro.util.idspace import IdAssignment
 
 
@@ -97,10 +99,14 @@ def gnp(
     along a deterministic spanning chain.
 
     ``method`` selects the sampler: ``"binomial"`` (the default) walks
-    all n² pairs via :func:`nx.gnp_random_graph`; ``"fast"`` uses
-    :func:`nx.fast_gnp_random_graph`, which runs in O(n + m) expected
-    time and is the only practical choice at n ≈ 10^5–10^6. The two
-    samplers draw different graphs for the same seed — ``method="fast"``
+    all n² pairs via :func:`nx.gnp_random_graph`; ``"fast"`` is the
+    Batagelj–Brandes geometric-skip walk in O(n + m) expected time, the
+    only practical choice at n ≈ 10^5–10^6. ``"fast"`` needs numpy: it
+    samples straight into int64 CSR arrays and draws, bit for bit, the
+    graph networkx's :func:`nx.fast_gnp_random_graph` plus the same
+    connectivity patch would give (for ``p`` outside ``(0, 1)`` it falls
+    back to the binomial sampler, as networkx does). The two samplers
+    draw different graphs for the same seed — ``method="fast"``
     deliberately breaks seed compatibility with the default in exchange
     for scale.
     """
@@ -109,12 +115,90 @@ def gnp(
         method in ("binomial", "fast"),
         f"gnp method must be 'binomial' or 'fast', got {method!r}",
     )
-    if method == "fast":
-        g = nx.fast_gnp_random_graph(n, p, seed=seed)
-    else:
-        g = nx.gnp_random_graph(n, p, seed=seed)
+    if method == "fast" and 0.0 < p < 1.0:
+        return _fast_gnp(n, p, seed, ids)
+    g = nx.gnp_random_graph(n, p, seed=seed)
     _connect(g, seed)
     return StaticGraph.from_networkx(g, ids)
+
+
+def _fast_gnp(
+    n: int, p: float, seed: int, ids: IdAssignment | None
+) -> StaticGraph:
+    """The array-native ``gnp(method="fast")``: skip walk, component
+    chain, ID relabelling, CSR."""
+    from repro.graphs.arrays import component_minima, csr_from_edges, require_numpy
+
+    np = require_numpy()
+    with span("graphs.sample", n=n):
+        higher, lower = _skip_walk_pairs(np, n, p, seed)
+        minima = component_minima(n, higher, lower)
+        higher = np.concatenate((higher, minima[1:]))
+        lower = np.concatenate((lower, minima[:-1]))
+    with span("graphs.index", n=n):
+        if ids is None:
+            node_ids, space = np.arange(1, n + 1, dtype=np.int64), max(n, 1)
+        else:
+            _require(
+                ids.n == n, f"ID assignment has {ids.n} ids for {n} nodes"
+            )
+            by_node = np.asarray(ids.ids, dtype=np.int64)
+            order = np.argsort(by_node, kind="stable")
+            slot = np.empty(n, dtype=np.int64)
+            slot[order] = np.arange(n, dtype=np.int64)
+            node_ids, space = by_node[order], ids.space
+            higher, lower = slot[higher], slot[lower]
+        offsets, flat = csr_from_edges(n, higher, lower)
+        return StaticGraph.from_arrays(node_ids, offsets, flat, space)
+
+
+def _skip_walk_pairs(np, n: int, p: float, seed: int, batch: int = 0):
+    """The edges of :func:`nx.fast_gnp_random_graph` as arrays ``(v, w)``,
+    ``w < v``, in the order networkx adds them.
+
+    The walk visits the pairs ``(1, 0), (2, 0), (2, 1), (3, 0), ...`` by
+    linear index ``v(v-1)/2 + w`` and jumps ``1 + int(log(1 - r) /
+    log(1 - p))`` each step, ``r`` drawn by ``random.Random(seed)``. A
+    numpy ``RandomState`` seeded with that generator's Mersenne Twister
+    state yields the same doubles; the logs go through :func:`math.log`,
+    as networkx's do (``np.log`` may differ in the last ulp and so move
+    an edge). Draws come ``batch`` at a time; the default is enough for
+    the whole walk with overwhelming probability.
+    """
+    total = n * (n - 1) // 2
+    log_q = math.log(1.0 - p)
+    if log_q == 0.0:  # 1 - p rounds to 1: no pair is ever chosen
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    state = random.Random(seed).getstate()[1]
+    stream = np.random.RandomState()
+    stream.set_state(("MT19937", np.asarray(state[:-1], np.uint32), state[-1]))
+    if batch <= 0:
+        mean = p * total  # edges are Binomial(total, p): mean + 6 sd + slack
+        batch = int(mean + 6.0 * math.sqrt(mean)) + 64
+    chunks, last = [], -1
+    while True:
+        rest = (1.0 - stream.random_sample(batch)).tolist()
+        jumps = np.fromiter(map(math.log, rest), np.float64, batch) / log_q
+        np.minimum(jumps, float(total), out=jumps)  # any jump past the end ends it
+        index = np.cumsum(jumps.astype(np.int64) + 1) + last
+        inside = int(np.searchsorted(index, total))
+        chunks.append(index[:inside])
+        if inside < batch:
+            break
+        last = int(index[-1])
+    return _unrank_pairs(np, np.concatenate(chunks))
+
+
+def _unrank_pairs(np, index):
+    """Invert ``index = v(v-1)/2 + w`` (``0 <= w < v``) to ``(v, w)``."""
+    v = ((1.0 + np.sqrt(1.0 + 8.0 * index)) / 2.0).astype(np.int64)
+    while True:  # the float root is off by at most a few: correct it
+        low = v * (v - 1) // 2 > index
+        high = v * (v + 1) // 2 <= index
+        if not (low.any() or high.any()):
+            return v, index - v * (v - 1) // 2
+        v += high.astype(np.int64) - low.astype(np.int64)
 
 
 def random_regular(

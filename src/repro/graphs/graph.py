@@ -13,6 +13,7 @@ instance. The index layout is documented in PERFORMANCE.md.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -73,6 +74,26 @@ class _GraphIndex:
         self.degrees = degrees
         self.max_degree = max(degrees, default=0)
         self.num_edges = total // 2
+
+    @classmethod
+    def _from_columns(
+        cls,
+        nodes: list[NodeId],
+        offsets: list[int],
+        flat_slots: list[int],
+        degrees: list[int],
+    ) -> "_GraphIndex":
+        """Wrap CSR columns that are already in index layout (no walk)."""
+        self = object.__new__(cls)
+        self.nodes = tuple(nodes)
+        self.node_set = frozenset(nodes)
+        self.slot_of = dict(zip(nodes, range(len(nodes))))
+        self.offsets = offsets
+        self.flat_slots = flat_slots
+        self.degrees = degrees
+        self.max_degree = max(degrees, default=0)
+        self.num_edges = len(flat_slots) // 2
+        return self
 
 
 def _validate_adjacency(
@@ -142,15 +163,18 @@ class StaticGraph:
         """The numpy CSR mirror of the index (vectorized-engine fast path).
 
         Built lazily on first access and cached like the index itself;
-        see :class:`repro.graphs.arrays.GraphArrays`. Raises
+        see :class:`repro.graphs.arrays.GraphArrays`. A graph built by
+        :meth:`from_arrays` adopts the columns it was built from. Raises
         :class:`~repro.errors.SimulationError` when numpy is missing —
         every non-vectorized engine works without it.
         """
         arrays = self.__dict__.get("_arrays_cache")
         if arrays is None:
-            from repro.graphs.arrays import GraphArrays
+            arrays = self.__dict__.get("_source_arrays")
+            if arrays is None:
+                from repro.graphs.arrays import GraphArrays
 
-            arrays = GraphArrays.from_index(self._index)
+                arrays = GraphArrays.from_index(self._index)
             object.__setattr__(self, "_arrays_cache", arrays)
         return arrays
 
@@ -178,6 +202,47 @@ class StaticGraph:
                 )
         graph = StaticGraph._trusted(frozen, space)
         graph._index  # symmetric by construction; index built eagerly
+        return graph
+
+    @staticmethod
+    def from_arrays(ids, offsets, flat, id_space: int) -> "StaticGraph":
+        """Build a graph from int64 CSR columns, in one pass.
+
+        ``ids`` are the node IDs, ascending (slot ``i`` holds ``ids[i]``);
+        ``flat[offsets[i]:offsets[i + 1]]`` are slot i's neighbor slots,
+        ascending — the :class:`~repro.graphs.arrays.GraphArrays` layout.
+        The columns are checked with numpy (see
+        :meth:`GraphArrays.from_csr
+        <repro.graphs.arrays.GraphArrays.from_csr>`, which raises
+        :class:`GraphError`) and kept on the graph, which adopts them as
+        its ``arrays`` on first access instead of mirroring the index;
+        the index and the adjacency dict are built in bulk from them.
+        """
+        from repro.graphs.arrays import GraphArrays
+
+        arrays = GraphArrays.from_csr(ids, offsets, flat, id_space)
+        nodes = arrays.ids.tolist()
+        bounds = arrays.offsets.tolist()
+        neighbor_ids = arrays.ids[arrays.flat].tolist()
+        # n acyclic tuples: the cyclic collector would only re-scan them
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            adjacency = dict(
+                zip(
+                    nodes,
+                    [tuple(neighbor_ids[a:b]) for a, b in zip(bounds, bounds[1:])],
+                )
+            )
+        finally:
+            if collecting:
+                gc.enable()
+        graph = StaticGraph._trusted(adjacency, id_space)
+        index = _GraphIndex._from_columns(
+            nodes, bounds, arrays.flat.tolist(), arrays.degrees.tolist()
+        )
+        object.__setattr__(graph, "_index_cache", index)
+        object.__setattr__(graph, "_source_arrays", arrays)
         return graph
 
     @staticmethod

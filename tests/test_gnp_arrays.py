@@ -1,0 +1,244 @@
+"""The array-native ``gnp(method="fast")`` sampler and ``StaticGraph.from_arrays``.
+
+The sampler must draw, bit for bit, the graph networkx's
+``fast_gnp_random_graph`` plus the component-chain patch gave: the oracle
+below is the skip walk and the chain in plain Python, and every graph is
+compared column by column against the oracle's index mirror. The failure
+modes of ``from_arrays`` use ``from_edges``' error vocabulary.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from repro.errors import GraphError
+from repro.graphs import gnp
+from repro.graphs.arrays import GraphArrays, component_minima
+from repro.graphs.generators import _connect, _skip_walk_pairs
+from repro.graphs.graph import StaticGraph
+from repro.util.idspace import identity_ids, permuted_ids, polynomial_ids
+
+COLUMNS = ("ids", "offsets", "flat", "degrees")
+
+
+def reference_fast_gnp(n, p, seed, ids):
+    """Pure-Python oracle: the Batagelj–Brandes walk plus the chain that
+    links each component's minimum node to the next one's."""
+    if p <= 0 or p >= 1:  # networkx hands these to its binomial sampler
+        edges = [(v, w) for v in range(n) for w in range(v)] if p >= 1 else []
+    else:
+        rng, log_q, edges = random.Random(seed), math.log(1.0 - p), []
+        v, w = 1, -1
+        while v < n:
+            w += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            while w >= v and v < n:
+                w, v = w - v, v + 1
+            if v < n:
+                edges.append((v, w))
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for v, w in edges:
+        a, b = find(v), find(w)
+        root[max(a, b)] = min(a, b)
+    minima = sorted({find(x) for x in range(n)})
+    edges += zip(minima[1:], minima[:-1])
+    assignment = ids if ids is not None else identity_ids(n)
+    label = assignment.ids
+    return StaticGraph.from_edges(
+        [(label[v], label[w]) for v, w in edges],
+        nodes=label,
+        id_space=assignment.space,
+    )
+
+
+def id_assignment(scheme, n, seed):
+    if scheme == "identity":
+        return None
+    if scheme == "permuted":
+        return permuted_ids(n, seed=seed)
+    return polynomial_ids(n, exponent=2, seed=seed)
+
+
+def assert_same_graph(graph, ref):
+    assert graph.adjacency == ref.adjacency
+    assert graph.id_space == ref.id_space
+    expected = GraphArrays.from_index(ref._index)
+    for column in COLUMNS:
+        got = getattr(graph.arrays, column)
+        assert got.dtype == np.int64, column
+        assert np.array_equal(got, getattr(expected, column)), column
+    assert graph.nodes == ref.nodes
+    assert graph.max_degree == ref.max_degree
+    assert graph.num_edges == ref.num_edges
+
+
+# Expected edges p·n(n-1)/2 bound the grid: the dense corners (n = 5000
+# at p >= 0.3, n = 1000 at p >= 0.9) would cost the pure-Python oracle
+# millions of edges per case without exercising anything new, and the
+# two cells past ``ONE_SEED_EDGES`` (n = 1000 at p = 0.3, n = 5000 at
+# p = 0.01) run at seed 0 only, which keeps the file to a few seconds.
+EDGE_BUDGET = 160_000
+ONE_SEED_EDGES = 20_000
+
+GRID = [
+    (n, p, seed, scheme)
+    for n, p in itertools.product(
+        (1, 2, 3, 10, 100, 1000, 5000), (0.0, 1e-4, 0.01, 0.3, 0.9, 1.0)
+    )
+    if p * n * (n - 1) / 2 <= EDGE_BUDGET
+    for seed in range(1 if p * n * (n - 1) / 2 > ONE_SEED_EDGES else 5)
+    for scheme in ("identity", "permuted", "poly2")
+]
+
+
+class TestSameGraphs:
+    @pytest.mark.parametrize("n,p,seed,scheme", GRID)
+    def test_matches_reference_walk(self, n, p, seed, scheme):
+        graph = gnp(n, p, seed=seed, ids=id_assignment(scheme, n, seed),
+                    method="fast")
+        ref = reference_fast_gnp(n, p, seed, id_assignment(scheme, n, seed))
+        assert_same_graph(graph, ref)
+        assert graph.is_connected()
+
+    @pytest.mark.parametrize("scheme", ["identity", "permuted"])
+    def test_matches_networkx_fast_gnp_and_patch(self, scheme):
+        n, p, seed = 3000, 2.5 / 3000, 7  # sparse: dozens of components
+        g = nx.fast_gnp_random_graph(n, p, seed=seed)
+        assert nx.number_connected_components(g) > 10
+        _connect(g, seed)
+        ids = id_assignment(scheme, n, seed)
+        ref = StaticGraph.from_networkx(g, ids)
+        assert_same_graph(gnp(n, p, seed=seed, ids=ids, method="fast"), ref)
+
+    def test_batches_continue_one_random_stream(self):
+        n, p = 400, 0.02
+        whole = _skip_walk_pairs(np, n, p, seed=3)
+        for batch in (1, 7, 64):
+            pieces = _skip_walk_pairs(np, n, p, seed=3, batch=batch)
+            for a, b in zip(whole, pieces):
+                assert np.array_equal(a, b)
+
+    def test_p_below_float_resolution_draws_no_edges(self):
+        # 1 - p rounds to 1: the walk never lands, the chain is a path.
+        graph = gnp(6, 1e-17, seed=0, method="fast")
+        assert sorted(graph.edges()) == [(i, i + 1) for i in range(1, 6)]
+
+    def test_mismatched_id_assignment_is_rejected(self):
+        with pytest.raises(GraphError, match="4 ids for 5 nodes"):
+            gnp(5, 0.5, ids=identity_ids(4), method="fast")
+
+    def test_graph_is_trusted_and_consistent(self):
+        graph = gnp(300, 0.02, seed=1, ids=permuted_ids(300, 1), method="fast")
+        # the bulk-built index and dict agree with a from-scratch build
+        again = StaticGraph(dict(graph.adjacency), id_space=graph.id_space)
+        assert_same_graph(graph, again)
+        assert graph._index.slot_of == again._index.slot_of
+        assert graph._index.node_set == again._index.node_set
+
+
+class TestComponentMinima:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_networkx_components(self, seed):
+        # long paths under shuffled labels are the slow case for label
+        # propagation; isolated slots and a few extra edges ride along
+        rng = random.Random(seed)
+        n = 300
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = [(order[i], order[i + 1]) for i in range(n - 1) if i % 97]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(5)]
+        edges = [(a, b) for a, b in edges if a != b]
+        a = np.array([e[0] for e in edges], dtype=np.int64)
+        b = np.array([e[1] for e in edges], dtype=np.int64)
+        g = nx.empty_graph(n)
+        g.add_edges_from(edges)
+        expected = sorted(min(c) for c in nx.connected_components(g))
+        assert component_minima(n, a, b).tolist() == expected
+
+    def test_no_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert component_minima(4, empty, empty).tolist() == [0, 1, 2, 3]
+
+
+class TestFromArraysFailures:
+    # The triangle 1-2-3 plus the pendant edge 3-4, as valid CSR columns.
+    IDS = [1, 2, 3, 4]
+    OFFSETS = [0, 2, 4, 7, 8]
+    FLAT = [1, 2, 0, 2, 0, 1, 3, 2]
+
+    def build(self, ids=None, offsets=None, flat=None, id_space=4):
+        return StaticGraph.from_arrays(
+            np.array(self.IDS if ids is None else ids),
+            np.array(self.OFFSETS if offsets is None else offsets),
+            np.array(self.FLAT if flat is None else flat),
+            id_space,
+        )
+
+    def test_valid_columns_build(self):
+        graph = self.build()
+        assert graph.adjacency == {1: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)}
+        assert graph.num_edges == 4 and graph.max_degree == 3
+
+    def test_empty_graph(self):
+        graph = StaticGraph.from_arrays(
+            np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int64), 1
+        )
+        assert graph.n == 0 and graph.num_edges == 0
+
+    def test_self_loop(self):
+        with pytest.raises(GraphError, match="self-loop at node 4"):
+            self.build(offsets=[0, 2, 4, 7, 9], flat=[1, 2, 0, 2, 0, 1, 3, 2, 3])
+
+    def test_id_out_of_range(self):
+        with pytest.raises(GraphError, match=r"must lie in \[1, 4\], got range \[1, 5\]"):
+            self.build(ids=[1, 2, 3, 5])
+        with pytest.raises(GraphError, match=r"must lie in \[1, 4\]"):
+            self.build(ids=[0, 1, 2, 3])
+
+    def test_duplicate_ids(self):
+        with pytest.raises(GraphError, match="unique and ascending, got 2 then 2"):
+            self.build(ids=[1, 2, 2, 4])
+
+    def test_unsorted_ids(self):
+        with pytest.raises(GraphError, match="unique and ascending, got 3 then 2"):
+            self.build(ids=[1, 3, 2, 4])
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            [0, 2, 4, 7],  # one row short
+            [0, 2, 4, 7, 9],  # past the end of flat
+            [0, 2, 4, 7, 7],  # stops short of the end of flat
+            [1, 2, 4, 7, 8],  # does not start at 0
+            [0, 4, 2, 7, 8],  # decreasing
+        ],
+    )
+    def test_offsets_not_matching_flat(self, offsets):
+        with pytest.raises(GraphError, match="CSR offsets do not match flat"):
+            self.build(offsets=offsets)
+
+    def test_dangling_slot(self):
+        with pytest.raises(GraphError, match="edge \\(4, slot 9\\) dangles"):
+            self.build(flat=[1, 2, 0, 2, 0, 1, 3, 9])
+
+    def test_unsorted_or_repeated_neighbors(self):
+        with pytest.raises(GraphError, match="neighbors of node 1 must be unique"):
+            self.build(flat=[2, 1, 0, 2, 0, 1, 3, 2])
+        with pytest.raises(GraphError, match="neighbors of node 3 must be unique"):
+            self.build(flat=[1, 2, 0, 2, 0, 1, 1, 2])
+
+    def test_asymmetric_edge(self):
+        # 4 lists 2 as a neighbor, but 2 does not list 4
+        with pytest.raises(GraphError, match="edge \\(4, 2\\) is not symmetric"):
+            self.build(offsets=[0, 2, 4, 7, 9], flat=[1, 2, 0, 2, 0, 1, 3, 1, 2])

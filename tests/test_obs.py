@@ -424,6 +424,31 @@ class TestCliRoundTrips:
                 "scenario.solve"} <= names
 
 
+class TestGraphBuildSpans:
+    def test_fast_gnp_sampling_and_index_are_children_of_build_graph(
+        self, tmp_path
+    ):
+        from repro.api import Scenario, run_scenario
+
+        trace = tmp_path / "t.jsonl"
+        spans.configure(trace)
+        result = run_scenario(Scenario(
+            family="gnp", n=64, problem="mis", algorithm="theorem1",
+            engine="vectorized", params={"p": 0.1, "method": "fast"},
+        ))
+        spans.disable()
+        assert result.ok
+        records, bad = load_trace(trace)
+        assert check_trace(records, bad) == []
+        by_name = {r["name"]: r for r in records}
+        build = by_name["scenario.build_graph"]
+        for name in ("graphs.sample", "graphs.index"):
+            assert by_name[name]["parent"] == build["id"]
+            assert by_name[name]["attrs"] == {"n": 64}
+        assert (by_name["graphs.sample"]["t0"]
+                <= by_name["graphs.index"]["t0"])
+
+
 # -- docs stay in sync with the instrumentation ------------------------------
 
 

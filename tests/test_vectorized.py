@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.algorithms import ALGORITHMS, ENGINE_VECTORIZED, ENGINES
 from repro.graphs.families import build_family_graph
-from repro.graphs.generators import preferential_attachment
+from repro.graphs.generators import gnp, preferential_attachment
 from repro.registry import RegistryError, UnknownNameError
 from repro.olocal import PROBLEMS
 
@@ -272,23 +272,11 @@ class TestEngineAxis:
 # -- scale (marked slow) -----------------------------------------------------
 
 
-def fast_gnp(n, avg_degree, seed):
-    """Sparse G(n, d/n) via networkx's O(n + m) sampler — the family
-    registry's ``gnp`` walks all n² pairs, infeasible at these sizes."""
-    import networkx as nx
-
-    from repro.graphs.graph import StaticGraph
-
-    return StaticGraph.from_networkx(
-        nx.fast_gnp_random_graph(n, avg_degree / n, seed=seed)
-    )
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "gname,factory",
     [
-        ("gnp", lambda: fast_gnp(65536, 8, seed=13)),
+        ("gnp", lambda: gnp(65536, 8 / 65536, seed=13, method="fast")),
         # fixed m: the powerlaw *family*'s m = n/16 would mean ~2^28 edges
         ("powerlaw", lambda: preferential_attachment(65536, 8, seed=17)),
     ],
@@ -305,7 +293,7 @@ def test_vectorized_greedy_at_65536(gname, factory):
 
 @pytest.mark.slow
 def test_vectorized_baseline_at_65536():
-    graph = fast_gnp(65536, 8, seed=23)
+    graph = gnp(65536, 8 / 65536, seed=23, method="fast")
     problem = PROBLEMS.get("coloring")
     adapter = ALGORITHMS.get("baseline")
     vec = adapter.solve(graph, problem, engine=ENGINE_VECTORIZED)
