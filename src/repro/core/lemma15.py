@@ -49,46 +49,37 @@ from repro.errors import ProtocolError
 from repro.graphs.graph import StaticGraph
 from repro.model.actions import AwakeAt
 from repro.types import NodeId, Payload
+from repro.util.mathx import next_prime
 
 Proto = Generator[AwakeAt, dict[NodeId, Payload], Any]
 
-#: The constant ``a`` of Lemma 15. Linial's reduction with conflict degree
-#: b halts on a palette k iff no (d, q) with q > b·d, q^{d+1} >= k and
-#: q² < k exists; any such "stuck" palette satisfies k <= 4·(3b+1)² <= 64 b²
-#: (take the smallest d with ceil_root(k, d+1) <= b·d + 1 and apply
-#: Bertrand's postulate), which fixes a = 64.
+#: The constant ``a`` of Lemma 15: every palette on which Linial's
+#: reduction with conflict degree b halts is at most next_prime(2b+1)²
+#: (see :func:`singleton_palette`), and next_prime(2b+1) <= 4b + 1 by
+#: Bertrand's postulate, so a·b² with a = 64 covers it for every b >= 1.
 A_CONSTANT = 64
 
-from functools import lru_cache  # noqa: E402  (kept near its single user)
 
-from repro.core.linial import _ceil_root  # noqa: E402
-from repro.util.mathx import next_prime  # noqa: E402
-
-
-def _has_progress(k: int, b: int) -> bool:
-    """True iff some Linial step shrinks palette k at conflict degree b."""
-    for d in range(1, max(1, k.bit_length()) + 1):
-        q = next_prime(max(b * d + 1, _ceil_root(k, d + 1)))
-        if q * q < k:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
 def singleton_palette(b: int) -> int:
     """The exact number of colors reserved for singleton clusters: the
     largest palette on which Linial's reduction with conflict degree b can
-    halt. Guaranteed <= A_CONSTANT · b²; computed exactly so that the color
-    range is as tight as the construction allows for every ID space.
+    halt, which is ``P²`` with ``P = next_prime(2b+1)``.
 
-    Empirically this equals next_prime(2b+1)², but the scan (bounded by
-    the proven 4(3b+1)² limit) keeps the value correct unconditionally.
+    A step (d, q) shrinks palette k iff q² < k, where
+    ``q = next_prime(max(b·d + 1, ⌈k^{1/(d+1)}⌉))``. Then:
+
+    - d = 1 never makes progress, because q >= ⌈√k⌉.
+    - For d >= 2, q >= next_prime(2b+1) = P, so k = P² is stuck.
+    - Every k > P² progresses at d = 2. Let c = ⌈k^{1/3}⌉. If c <= 2b+1
+      then q = P and q² < k. Otherwise c >= 2b+2 and, by Bertrand,
+      q = next_prime(c) <= 2c - 1, so q² <= (2c-1)² < (c-1)³ + 1 <= k
+      once c >= 8, which holds for all b >= 3.
+
+    b <= 2 is checked exhaustively against the scan over every palette
+    (tests/test_lemma15.py pins the closed form for every b <= 32).
     """
-    limit = 4 * (3 * b + 1) ** 2
-    for k in range(limit, 0, -1):
-        if not _has_progress(k, b):
-            return k
-    raise AssertionError("unreachable: palette 1 is always terminal")
+    p = next_prime(2 * b + 1)
+    return p * p
 
 
 @dataclass(frozen=True)

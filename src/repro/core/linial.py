@@ -11,11 +11,14 @@ adopts the pair (x, p(x)) as its new color.
 Iterating reaches the fixed-point palette ``q*² = next_prime(D+1)²`` in
 O(log* k) steps; the step parameters depend only on (k, D), so all nodes
 compute identical schedules — crucial in the Sleeping model where the wake
-calendar must be agreed upon without communication.
+calendar must be agreed upon without communication. :func:`step_parameters`
+is memoized: a simulation shortcut for "every node computes the same pure
+function", not state shared between nodes in the model.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Generator, Iterable
 
 from repro.errors import ProtocolError
@@ -55,10 +58,14 @@ def _ceil_root(k: int, e: int) -> int:
     return lo
 
 
+@lru_cache(maxsize=1 << 12)
 def step_parameters(palette: int, conflict_degree: int) -> tuple[int, int] | None:
     """The (d, q) minimizing the next palette q², or None at the fixed point.
 
-    Deterministic in (palette, conflict_degree) so every node agrees.
+    Deterministic in (palette, conflict_degree) so every node agrees. A run
+    asks for a few distinct keys once per node per phase; the cache bound
+    only keeps a long-lived process (``repro serve``) from growing without
+    limit.
     """
     d_max = max(1, palette.bit_length())
     best: tuple[int, int] | None = None

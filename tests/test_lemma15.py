@@ -1,8 +1,11 @@
 """Tests for Lemma 15: one clustering phase, distributed vs reference."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.linial as linial_module
 from repro.core.clustering import ColoredBFSClustering
 from repro.core.lemma15 import (
     lemma15_duration,
@@ -23,7 +26,7 @@ from repro.graphs import (
 from repro.graphs.examples import figure4_instance
 from repro.model import SleepingSimulator
 from repro.util.idspace import permuted_ids, polynomial_ids
-from repro.util.mathx import iterated_log
+from repro.util.mathx import iterated_log, next_prime
 
 
 def run_distributed(graph, b):
@@ -63,6 +66,25 @@ class TestDistributedMatchesReference:
         g = factory()
         res = run_distributed(g, b)
         assert res.round_complexity <= lemma15_duration(g.n, g.id_space, b)
+
+
+class TestSingletonPalette:
+    #: next_prime is pure; memoizing it only speeds up the scan below,
+    #: which asks for the same few primes ~10⁴ times per b.
+    _next_prime = staticmethod(lru_cache(maxsize=None)(next_prime))
+
+    @pytest.mark.parametrize("b", range(33))
+    def test_closed_form_equals_scan(self, b, monkeypatch):
+        """The largest palette on which the reduction halts, found by
+        scanning down from the 4(3b+1)² bound, is next_prime(2b+1)²."""
+        monkeypatch.setattr(linial_module, "next_prime", self._next_prime)
+        # ~10⁴ distinct keys, each asked once: bypass the schedule memo.
+        stuck = linial_module.step_parameters.__wrapped__
+        scanned = next(
+            k for k in range(4 * (3 * b + 1) ** 2, 0, -1)
+            if stuck(k, b) is None
+        )
+        assert singleton_palette(b) == scanned == next_prime(2 * b + 1) ** 2
 
 
 class TestLemma15Guarantees:

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.linial as linial_module
+from repro.api import Scenario, run_scenario
 from repro.core.linial import (
     final_palette,
     fixed_point_palette,
@@ -53,6 +55,54 @@ class TestScheduleMath:
             assert q > degree * d
             assert q ** (d + 1) >= palette
             assert q * q < palette
+
+
+class TestScheduleMemo:
+    """``step_parameters`` is memoized; the memo must be invisible."""
+
+    @staticmethod
+    def grid():
+        keys = []
+        for n in (1, 2, 3, 16, 64, 1000, 2**17, 10**6):
+            keys += [(n, 1), (n, 5), (n**2, 8), (n**3, 3)]  # ID spaces
+            keys.append((n**4, n**2))  # distance-2 palettes, D = Δ²
+        for degree in (1, 2, 3, 7, 31, 64, 4096):
+            keys += [(fixed_point_palette(degree), degree),
+                     (fixed_point_palette(degree) + 1, degree)]
+        keys += [(palette, 1) for palette in range(1, 200)]
+        return keys
+
+    def test_memo_equals_plain_function(self):
+        plain = step_parameters.__wrapped__
+        for palette, degree in self.grid():
+            assert step_parameters(palette, degree) == plain(
+                palette, degree
+            ), (palette, degree)
+            # Second call is a cache hit; still the same value.
+            assert step_parameters(palette, degree) == plain(palette, degree)
+
+    def test_per_node_run_hits_the_memo(self, monkeypatch):
+        """Every node asks for the same few schedules: one miss per
+        distinct (palette, D), at least ten hits per miss."""
+        keys = []
+        memo = linial_module.step_parameters
+
+        def counting(palette, conflict_degree):
+            keys.append((palette, conflict_degree))
+            return memo(palette, conflict_degree)
+
+        monkeypatch.setattr(linial_module, "step_parameters", counting)
+        memo.cache_clear()
+        result = run_scenario(Scenario(
+            family="gnp", n=64, problem="mis", algorithm="theorem1",
+            engine="simulator",
+        ))
+        assert result.ok
+        info = memo.cache_info()
+        assert keys, "the run never consulted the schedule"
+        assert info.misses == len(set(keys))
+        assert info.hits == len(keys) - len(set(keys))
+        assert info.hits >= 10 * info.misses
 
 
 def run_linial(graph, distance=1, conflict_degree=None):
