@@ -40,16 +40,14 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.bm21 import BaselineResult
 from repro.core.clustering_vectorized import _linial_step_pairs
 from repro.core.linial import final_palette, reduction_schedule
 from repro.core.mapping import ColorScheduleMapping
-from repro.graphs.arrays import require_numpy
 from repro.graphs.graph import StaticGraph
-from repro.model.metrics import SimulationMetrics
-from repro.model.simulator import SimulationResult
-from repro.model.vectorized import make_wave_decider
-from repro.obs import counters
+from repro.model.vectorized import Accounting, make_wave_decider
 from repro.obs.spans import span
 from repro.olocal.problem import OLocalProblem
 from repro.types import NodeId
@@ -69,15 +67,14 @@ def solve_with_baseline_vectorized(
     O(V + E) Python output validation, for throughput measurements at
     n ≥ 10⁶ where validation would dominate the vectorized runtime.
     """
-    np = require_numpy()
     delta = max(graph.max_degree, 1)
     node_inputs = (
         dict(inputs) if inputs is not None else problem.make_inputs(graph)
     )
-    metrics = SimulationMetrics()
     palette = final_palette(graph.id_space, delta)
     if graph.n == 0:
-        simulation = SimulationResult(outputs={}, metrics=metrics, graph=graph)
+        empty = np.zeros(0, dtype=np.int64)
+        simulation = Accounting(empty, empty, 0, 0).result(graph, {})
         return BaselineResult(outputs={}, simulation=simulation, palette=palette)
 
     ga = graph.arrays
@@ -87,7 +84,7 @@ def solve_with_baseline_vectorized(
     with span("bm21.linial", n=ga.n, steps=steps):
         for d, q in schedule:
             colors = _linial_step_pairs(
-                np, colors, ga.ids, [(ga.offsets, ga.flat)], d, q
+                colors, ga.ids, [(ga.offsets, ga.flat)], d, q
             )
     colors = colors + 1  # the Lemma 11 calendar is 1-based
 
@@ -125,18 +122,14 @@ def solve_with_baseline_vectorized(
         term = np.asarray(term_by_color, dtype=np.int64)[lookup]
         sends = np.asarray(sends_by_color, dtype=np.int64)[lookup]
 
-        ids = ga.ids.tolist()
-        metrics.awake_rounds = dict(zip(ids, awake.tolist()))
-        metrics.termination_round = dict(zip(ids, term.tolist()))
-        metrics.messages_sent = steps * 2 * graph.num_edges + int(
-            sends @ ga.degrees
+        accounting = Accounting(
+            awake=awake,
+            termination=term,
+            messages=steps * 2 * graph.num_edges + int(sends @ ga.degrees),
+            active_rounds=steps + len(phase2_rounds),
         )
-        metrics.active_rounds = steps + len(phase2_rounds)
-        metrics.last_round = steps + max(max(mapping.r(c)) for c in present)
-    counters.add("sim.run")
-    counters.add("sim.messages", metrics.messages_sent)
-    counters.add("sim.rounds", metrics.active_rounds)
-    simulation = SimulationResult(outputs=outputs, metrics=metrics, graph=graph)
+    accounting.charge()
+    simulation = accounting.result(graph, outputs)
     return BaselineResult(
         outputs=outputs, simulation=simulation, palette=palette
     )

@@ -35,6 +35,9 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
+from repro.core.clustering import ClusteringError, ColoredBFSClustering
 from repro.core.lemma14 import lemma14_duration
 from repro.core.lemma15 import (
     c2_bound,
@@ -44,11 +47,10 @@ from repro.core.lemma15 import (
     singleton_palette,
 )
 from repro.core.linial import reduction_schedule
-from repro.core.theorem1_vectorized import _member_offsets
 from repro.core.theorem13 import (
     ClusteringResult,
     Theorem13Assignment,
-    _package,
+    color_palette_bound,
     default_b,
     num_phases,
     phase_label_space,
@@ -57,26 +59,22 @@ from repro.core.virtual import virtual_duration
 from repro.errors import ProtocolError, ReproError
 from repro.graphs.arrays import (
     ragged_gather,
-    require_numpy,
     segment_any,
     segment_sum,
     sorted_unique,
 )
 from repro.graphs.graph import StaticGraph
-from repro.model.metrics import SimulationMetrics
-from repro.model.simulator import SimulationResult
-from repro.obs import counters
+from repro.model.vectorized import Accounting
 from repro.obs.spans import span
 
 #: Sentinel larger than any color, label or slot index that can occur.
 _BIG = 1 << 62
 
 
-def _segment_min(np: Any, values: Any, offsets: Any, fill: int) -> Any:
+def _segment_min(values: Any, offsets: Any, fill: int) -> Any:
     """Per-segment minima of ``values`` delimited by CSR ``offsets``.
 
     Args:
-        np: the numpy module.
         values: int64 data, segment-contiguous in ``offsets`` order.
         offsets: CSR row pointers (length ``num_segments + 1``).
         fill: value returned for empty segments.
@@ -95,7 +93,6 @@ def _segment_min(np: Any, values: Any, offsets: Any, fill: int) -> Any:
 
 
 def _linial_step_pairs(
-    np: Any,
     colors: Any,
     labels: Any,
     csrs: list[tuple[Any, Any]],
@@ -115,7 +112,6 @@ def _linial_step_pairs(
     :mod:`repro.core.bm21_vectorized`).
 
     Args:
-        np: the numpy module.
         colors: current int64 colors, one per vertex.
         labels: per-vertex IDs, for error messages only.
         csrs: list of ``(offsets, dst)`` conflict CSRs; a vertex clashes
@@ -170,7 +166,7 @@ def _linial_step_pairs(
 
 
 def _masked_bfs(
-    np: Any, offsets: Any, flat: Any, sources: Any, group: Any, member: Any
+    offsets: Any, flat: Any, sources: Any, group: Any, member: Any
 ) -> Any:
     """Multi-source BFS restricted to same-group member vertices.
 
@@ -179,7 +175,6 @@ def _masked_bfs(
     clusters flood concurrently without interfering.
 
     Args:
-        np: the numpy module.
         offsets: CSR row pointers.
         flat: CSR neighbor slots.
         sources: int64 slots at distance 0.
@@ -208,9 +203,34 @@ def _masked_bfs(
     return dist
 
 
+def _member_offsets(n: int, d: int) -> Any:
+    """Awake offsets of a depth-``d`` member inside one virtual window.
+
+    Offsets are relative to the window start (the exchange round): the
+    exchange itself, then the gather's convergecast receive/send and
+    broadcast receive/send rounds of :func:`repro.core.cast.gather_bfs`
+    with depth bound ``n``.  A root (``d == 0``) neither sends up nor
+    receives down, so it is awake 3 rounds; any other member 5.  Every
+    simulated virtual round costs this — Lemma 15 and Lemma 14 windows
+    here, the Theorem 9 windows in :mod:`repro.core.theorem1_vectorized`.
+
+    Args:
+        n: the graph size (= the cast depth bound).
+        d: the member's BFS depth δ within its cluster.
+
+    Returns:
+        int64 array of distinct in-window offsets.
+    """
+    if d == 0:
+        return np.array([0, n, n + 2], dtype=np.int64)
+    return np.array(
+        [0, n - d, n - d + 1, n + d + 1, n + d + 2], dtype=np.int64
+    )
+
+
 def _clustering_kernel(
     graph: StaticGraph, b: int
-) -> tuple[dict, SimulationResult, tuple[Any, Any, Any]]:
+) -> tuple[Any, Any, Any, Accounting]:
     """Run the Theorem 13 pipeline as array kernels.
 
     Args:
@@ -218,23 +238,12 @@ def _clustering_kernel(
         b: the phase parameter (clusters with root degree ≤ b dissolve).
 
     Returns:
-        ``(assignments, simulation, arrays)`` — per-node
-        :class:`~repro.core.theorem13.Theorem13Assignment` outputs, a
-        :class:`SimulationResult` whose metrics are bit-identical to the
-        :func:`~repro.core.theorem13.compute_clustering` simulator run,
-        and the raw per-slot ``(phase, gamma, dist)`` int64 columns so
-        downstream kernels can derive colors without walking the dict.
+        ``(phase, gamma, dist, accounting)`` — the per-slot int64
+        assignment columns (node v finishes in phase i with color
+        γ = (i, γ') and depth δ) and the run's :class:`Accounting`,
+        bit-identical to the
+        :func:`~repro.core.theorem13.compute_clustering` simulator run.
     """
-    np = require_numpy()
-    metrics = SimulationMetrics()
-    if graph.n == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return (
-            {},
-            SimulationResult(outputs={}, metrics=metrics, graph=graph),
-            (empty, empty, empty),
-        )
-
     ga = graph.arrays
     n, id_space = graph.n, graph.id_space
     phases = num_phases(n)
@@ -258,7 +267,7 @@ def _clustering_kernel(
         if active.any():
             clock_14 = clock + window15
             label, delta, active = _run_phase(
-                np, graph, b, i, ls, clock, clock_14,
+                graph, b, i, ls, clock, clock_14,
                 label, delta, active,
                 awake, msgs, termination,
                 out_phase, out_gamma, out_dist, round_chunks,
@@ -270,28 +279,14 @@ def _clustering_kernel(
             f"{int(active.sum())} nodes unassigned after {phases} phases"
         )
 
-    ids = ga.ids.tolist()
-    assignments = {
-        v: Theorem13Assignment(phase=p, gamma=g, dist=d)
-        for v, p, g, d in zip(
-            ids, out_phase.tolist(), out_gamma.tolist(), out_dist.tolist()
-        )
-    }
-    metrics.awake_rounds = dict(zip(ids, awake.tolist()))
-    metrics.termination_round = dict(zip(ids, termination.tolist()))
-    metrics.messages_sent = int(msgs.sum())
-    metrics.last_round = int(termination.max())
-    metrics.active_rounds = int(
+    active_rounds = (
         sorted_unique(np.concatenate(round_chunks)).size if round_chunks else 0
     )
-    simulation = SimulationResult(
-        outputs=assignments, metrics=metrics, graph=graph
-    )
-    return assignments, simulation, (out_phase, out_gamma, out_dist)
+    accounting = Accounting(awake, termination, int(msgs.sum()), active_rounds)
+    return out_phase, out_gamma, out_dist, accounting
 
 
 def _run_phase(
-    np: Any,
     graph: StaticGraph,
     b: int,
     i: int,
@@ -315,7 +310,6 @@ def _run_phase(
     phase's ``(label, delta, active)`` G-state.
 
     Args:
-        np: the numpy module.
         graph: the network.
         b: the phase parameter.
         i: the 1-indexed phase number.
@@ -382,7 +376,7 @@ def _run_phase(
     c0 = hlabels - 1
     for d, q in sched2:
         c0 = _linial_step_pairs(
-            np, c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
+            c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
         )
     c1 = np.where(hdeg <= b, c0 + 1 + k, c0 + 1)
 
@@ -391,22 +385,21 @@ def _run_phase(
     # it; the relayed set may repeat direct neighbors, which can never
     # win case 3 (all direct colors exceed c1 there).
     rc = c1[rw]
-    dmin_c = _segment_min(np, c1[hflat], hoff, _BIG)
-    rmin_c = _segment_min(np, rc, roff, _BIG)
+    dmin_c = _segment_min(c1[hflat], hoff, _BIG)
+    rmin_c = _segment_min(rc, roff, _BIG)
     root_h = (dmin_c > c1) & (rmin_c > c1)
     case2 = ~root_h & (dmin_c < c1)
     case3 = ~root_h & ~case2
     darg = _segment_min(
-        np, np.where(c1[hflat] == dmin_c[hes], hflat, _BIG), hoff, _BIG
+        np.where(c1[hflat] == dmin_c[hes], hflat, _BIG), hoff, _BIG
     )
-    rarg = _segment_min(np, np.where(rc == rmin_c[rsrc], rw, _BIG), roff, _BIG)
+    rarg = _segment_min(np.where(rc == rmin_c[rsrc], rw, _BIG), roff, _BIG)
     p1 = np.where(case2, darg, np.where(case3, rarg, -1))
     parent_c1 = np.where(root_h, 0, np.where(case2, dmin_c, rmin_c))
     c2 = np.where(root_h, 0, 2 * parent_c1 + case3)
     p2 = np.where(case2, p1, np.int64(-1))
     if case3.any():
         common = _segment_min(
-            np,
             np.where(case3[rsrc] & (rw == p1[rsrc]), rmid, _BIG),
             roff,
             _BIG,
@@ -445,7 +438,7 @@ def _run_phase(
             f"deg = {int(hdeg[v])} > b = {b} — contradicts Lemma 15"
         )
     d_h = _masked_bfs(
-        np, hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
+        hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
         np.ones(num_h, dtype=bool),
     )
     if (d_h < 0).any():
@@ -474,7 +467,7 @@ def _run_phase(
         ucol = hlabels[uid] - 1
         for d, q in sched_u:
             ucol = _linial_step_pairs(
-                np, ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
+                ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
             )
         gamma_u = ucol + 1
         if (gamma_u > ab2).any() or (gamma_u < 1).any():
@@ -549,7 +542,7 @@ def _run_phase(
         if (sel & sing_s).any():
             parts.append(sing_rounds)
         vrs = sorted_unique(np.concatenate(parts))
-        offs = _member_offsets(np, n, int(dd))
+        offs = _member_offsets(n, int(dd))
         round_chunks.append(
             (clock + vrs[:, None] * window + offs[None, :]).ravel()
         )
@@ -571,7 +564,6 @@ def _run_phase(
     hres_e = res_h[hes] & res_h[hflat]
     same_super = hres_e & (rootidx[hes] == rootidx[hflat])
     parent2_h = _segment_min(
-        np,
         np.where(same_super & (d_h[hflat] == d_h[hes] - 1), hflat, _BIG),
         hoff,
         _BIG,
@@ -626,7 +618,7 @@ def _run_phase(
         if pos.size:
             parts += [n - pos + 2, n + pos + 2]
         vrs = sorted_unique(np.concatenate(parts))
-        offs = _member_offsets(np, n, int(dd))
+        offs = _member_offsets(n, int(dd))
         round_chunks.append(
             (clock_14 + vrs[:, None] * window + offs[None, :]).ravel()
         )
@@ -643,7 +635,7 @@ def _run_phase(
             f"{int(root_counts[h])} roots"
         )
     dist_new = _masked_bfs(
-        np, ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
+        ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
     )
     if (dist_new[residual] < 0).any():
         v = np.flatnonzero(residual & (dist_new < 0))[0]
@@ -676,29 +668,92 @@ def compute_clustering_vectorized(
         clustering, the per-node assignments and the simulated metrics.
     """
     chosen_b = b if b is not None else default_b(graph.n)
-    with span("theorem13.vectorized", n=graph.n, b=chosen_b):
-        assignments, simulation, columns = _clustering_kernel(graph, chosen_b)
-        counters.add("sim.run")
-        counters.add("sim.messages", simulation.metrics.messages_sent)
-        counters.add("sim.rounds", simulation.metrics.active_rounds)
-        # Definition 4 is checked on the kernel's own columns (array
-        # validation, ~BFS cost) instead of _package's per-node Python
-        # walk — same acceptance, same error taxonomy, differentially
-        # tested in tests/test_clustering_validation.py.
-        result = _package(graph, assignments, simulation, chosen_b, False)
+    result, _, _, accounting = _clustering_columns(graph, chosen_b, validate)
+    accounting.charge()
+    return result
+
+
+def _clustering_columns(
+    graph: StaticGraph, b: int, validate: bool
+) -> tuple[ClusteringResult, Any, Any, Accounting]:
+    """Run the kernel, check and package its columns.
+
+    Definition 4 and the Theorem 13 color bound are checked on the
+    kernel's own columns (:func:`validate_clustering_arrays`, ~BFS cost)
+    rather than by the per-node validator's Python walk — same
+    acceptance, same error taxonomy, differentially tested in
+    ``tests/test_clustering_validation.py``. Charges no counters: the
+    caller decides whether this run stands alone or is one stage of
+    Theorem 1.
+
+    Args:
+        graph: the network.
+        b: the phase parameter.
+        validate: check the clustering before packaging it.
+
+    Returns:
+        ``(result, color, dist, accounting)`` — the packaged
+        :class:`ClusteringResult`, the per-slot canonical colors
+        ``(i - 1)·a·b² + γ'`` and depths δ as int64 columns, and the
+        kernel's :class:`Accounting`.
+    """
+    with span("theorem13.vectorized", n=graph.n, b=b):
+        phase, gamma, dist, accounting = _clustering_kernel(graph, b)
+        color = (phase - 1) * np.int64(singleton_palette(b)) + gamma
+        bound = color_palette_bound(graph.n, b)
         if validate:
-            np = require_numpy()
-            out_phase, out_gamma, out_dist = columns
-            sp = singleton_palette(chosen_b)
-            col = (out_phase - 1) * np.int64(sp) + out_gamma
-            validate_clustering_arrays(graph, col, out_dist)
-            bound = result.palette_bound
-            max_color = int(col.max()) if col.size else 0
+            validate_clustering_arrays(graph, color, dist)
+            max_color = int(color.max(initial=0))
             if max_color > bound:
                 raise ProtocolError(
                     f"used color {max_color} exceeds the bound {bound}"
                 )
-    return result
+        ids = graph.arrays.ids.tolist()
+        assignments = {
+            v: Theorem13Assignment(phase=p, gamma=g, dist=d)
+            for v, p, g, d in zip(
+                ids, phase.tolist(), gamma.tolist(), dist.tolist()
+            )
+        }
+        result = ClusteringResult(
+            clustering=ColoredBFSClustering(
+                color=dict(zip(ids, color.tolist())),
+                dist=dict(zip(ids, dist.tolist())),
+            ),
+            assignments=assignments,
+            simulation=accounting.result(graph, assignments),
+            b=b,
+            palette_bound=bound,
+        )
+    return result, color, dist, accounting
+
+
+def clustering_columns(
+    graph: StaticGraph, clustering: ColoredBFSClustering
+) -> tuple[Any, Any]:
+    """A dict-form integer-colored clustering as slot-ordered columns.
+
+    Args:
+        graph: the network the clustering lives on.
+        clustering: a :class:`ColoredBFSClustering` with integer colors.
+
+    Returns:
+        ``(color, dist)`` int64 arrays in :attr:`GraphArrays.ids` order,
+        the input of :func:`validate_clustering_arrays` and of the
+        Theorem 9 kernel.
+
+    Raises:
+        ClusteringError: if the maps do not cover exactly the node set,
+            with the per-node validator's messages.
+    """
+    if set(clustering.color) != graph.node_set:
+        raise ClusteringError("coloring does not cover exactly the node set")
+    if set(clustering.dist) != set(clustering.color):
+        raise ClusteringError("dist does not cover exactly the node set")
+    ids = graph.arrays.ids.tolist()
+    color = np.array([clustering.color[v] for v in ids], dtype=np.int64)
+    dist = np.array([clustering.dist[v] for v in ids], dtype=np.int64)
+    return color, dist
 
 
 def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> None:
@@ -726,9 +781,6 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
         ClusteringError: on any Definition 4 violation, with the same
             message vocabulary as the per-node validator.
     """
-    from repro.core.clustering import ClusteringError
-
-    np = require_numpy()
     ga = graph.arrays
     n = len(ga.ids)
     if len(color) != n:
@@ -777,7 +829,7 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     # δ must be the induced BFS distance from the component's root: one
     # multi-source wave, each root flooding only its own component.
     depth = _masked_bfs(
-        np, ga.offsets, ga.flat, np.flatnonzero(roots), comp,
+        ga.offsets, ga.flat, np.flatnonzero(roots), comp,
         np.ones(n, dtype=bool),
     )
     mismatch = np.flatnonzero(depth != dist)
@@ -789,39 +841,3 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
             f"= {int(dist[slot])} but induced BFS distance from root "
             f"{int(ga.ids[root_slot])} is {int(depth[slot])}"
         )
-
-
-def validate_clustering_vectorized(graph: StaticGraph, clustering: Any) -> None:
-    """Array-validate a dict-form :class:`ColoredBFSClustering`.
-
-    Converts the clustering's ``color``/``dist`` maps to columnar form
-    and dispatches to :func:`validate_clustering_arrays`; non-integer
-    palettes (which the array kernels cannot represent) fall back to the
-    per-node :meth:`~repro.core.clustering.ColoredBFSClustering.validate`.
-    Coverage mismatches raise before any conversion, with the per-node
-    validator's messages.
-
-    Args:
-        graph: the network the clustering lives on.
-        clustering: a :class:`~repro.core.clustering.ColoredBFSClustering`.
-
-    Raises:
-        ClusteringError: on any Definition 4 violation.
-    """
-    from repro.core.clustering import ClusteringError
-
-    np = require_numpy()
-    if set(clustering.color) != graph.node_set:
-        raise ClusteringError("coloring does not cover exactly the node set")
-    if set(clustering.dist) != set(clustering.color):
-        raise ClusteringError("dist does not cover exactly the node set")
-    if not all(
-        isinstance(c, int) and not isinstance(c, bool)
-        for c in clustering.color.values()
-    ):
-        clustering.validate(graph)
-        return
-    ids = graph.arrays.ids.tolist()
-    color = np.array([clustering.color[v] for v in ids], dtype=np.int64)
-    dist = np.array([clustering.dist[v] for v in ids], dtype=np.int64)
-    validate_clustering_arrays(graph, color, dist)

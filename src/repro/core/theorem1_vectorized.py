@@ -33,49 +33,31 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.core.cast import bfs_cast_duration
 from repro.core.clustering import ColoredBFSClustering
+from repro.core.clustering_vectorized import (
+    _clustering_columns,
+    _member_offsets,
+    clustering_columns,
+)
 from repro.core.mapping import ColorScheduleMapping
+from repro.core.theorem1 import Theorem1Result
 from repro.core.theorem9 import Theorem9Result, theorem9_duration
+from repro.core.theorem13 import default_b, theorem13_duration
 from repro.errors import ProtocolError
-from repro.graphs.arrays import require_numpy, segment_sum, sorted_unique
+from repro.graphs.arrays import segment_sum, sorted_unique
 from repro.graphs.graph import StaticGraph
-from repro.model.metrics import SimulationMetrics
-from repro.model.simulator import SimulationResult
-from repro.model.vectorized import decide_by_priority
-from repro.obs import counters
+from repro.model.vectorized import Accounting, decide_by_priority
 from repro.obs.spans import span
 from repro.olocal.problem import OLocalProblem
 from repro.types import NodeId
 
 
-def _member_offsets(np: Any, n: int, d: int) -> Any:
-    """Awake offsets of a depth-``d`` member inside one virtual window.
-
-    Offsets are relative to the window start (the exchange round): the
-    exchange itself, then the gather's convergecast receive/send and
-    broadcast receive/send rounds of :func:`repro.core.cast.gather_bfs`
-    with depth bound ``n``.  A root (``d == 0``) neither sends up nor
-    receives down, so it is awake 3 rounds; any other member 5.
-
-    Args:
-        np: the numpy module.
-        n: the graph size (= the cast depth bound).
-        d: the member's BFS depth δ within its cluster.
-
-    Returns:
-        int64 array of distinct in-window offsets.
-    """
-    if d == 0:
-        return np.array([0, n, n + 2], dtype=np.int64)
-    return np.array(
-        [0, n - d, n - d + 1, n + d + 1, n + d + 2], dtype=np.int64
-    )
-
-
 def _theorem9_closed_form(
     ga: Any, colors: Any, dist: Any, palette: int, t0: int, n: int
-) -> tuple[Any, Any, Any, Any]:
+) -> Accounting:
     """Exact per-node Theorem 9 accounting, without running any rounds.
 
     Args:
@@ -87,11 +69,10 @@ def _theorem9_closed_form(
         n: the graph size (the protocol's common-knowledge n).
 
     Returns:
-        ``(awake, msgs, termination, active)`` — per-slot awake-round
-        counts, per-slot messages sent, per-slot termination rounds, and
-        the sorted array of distinct rounds in which any node is awake.
+        The stage's :class:`Accounting`: per-slot awake-round counts and
+        termination rounds, the messages sent, and the number of
+        distinct rounds in which any node is awake.
     """
-    np = require_numpy()
     mapping = ColorScheduleMapping.for_palette(palette)
     window = 2 * n + 3  # one virtual round simulated (phase_duration)
     vt0 = t0 + 1 + bfs_cast_duration(n)  # first virtual-window round
@@ -160,76 +141,61 @@ def _theorem9_closed_form(
                 + [np.asarray(r_of[int(c)], dtype=np.int64) for c in cs]
             )
         )
-        offs = _member_offsets(np, n, int(d))
+        offs = _member_offsets(n, int(d))
         chunks.append((vt0 + vrs[:, None] * window + offs[None, :]).ravel())
     active = sorted_unique(np.concatenate(chunks))
-    return awake, msgs, termination, active
+    return Accounting(awake, termination, int(msgs.sum()), active.size)
 
 
 def _run_theorem9_kernel(
     graph: StaticGraph,
     problem: OLocalProblem,
     node_inputs: Mapping[NodeId, Any],
-    colors: Mapping[NodeId, int],
-    dist: Mapping[NodeId, int],
+    color: Any,
+    dist: Any,
     palette: int,
     t0: int,
-    columns: tuple[Any, Any] | None = None,
-) -> SimulationResult:
+) -> tuple[dict[NodeId, Any], Accounting]:
     """Theorem 9 as array kernels: outputs plus closed-form metrics.
 
     Args:
         graph: the network.
         problem: the O-LOCAL problem to solve.
         node_inputs: per-node problem inputs.
-        colors: canonical cluster colors γ, in ``[1, palette]``.
-        dist: per-node BFS depths δ.
+        color: int64 per-slot cluster colors γ, in ``[1, palette]``.
+        dist: int64 per-slot BFS depths δ.
         palette: the common-knowledge palette size c.
         t0: first round of the Theorem 9 window.
-        columns: optional slot-ordered ``(color, dist)`` int64 columns
-            matching ``colors``/``dist`` — skips the per-node dict walk
-            when the caller already has the arrays (the Theorem 1 path).
 
     Returns:
-        A :class:`SimulationResult` bit-identical to simulating
-        :func:`repro.core.theorem9.theorem9_protocol` from round ``t0``.
+        ``(outputs, accounting)`` — the per-node outputs and the
+        :class:`Accounting` of simulating
+        :func:`repro.core.theorem9.theorem9_protocol` from round ``t0``,
+        bit-identical to the simulator run.
     """
-    np = require_numpy()
-    metrics = SimulationMetrics()
     if graph.n == 0:
-        return SimulationResult(outputs={}, metrics=metrics, graph=graph)
+        empty = np.zeros(0, dtype=np.int64)
+        return {}, Accounting(empty, empty, 0, 0)
     ga = graph.arrays
-    ids = ga.ids.tolist()
-    if columns is not None:
-        col, dlt = columns
-    else:
-        col = np.array([colors[v] for v in ids], dtype=np.int64)
-        dlt = np.array([dist[v] for v in ids], dtype=np.int64)
-    if int(col.min()) < 1 or int(col.max()) > palette:
-        bad = int(col.min()) if int(col.min()) < 1 else int(col.max())
+    low, high = int(color.min()), int(color.max())
+    if low < 1 or high > palette:
+        bad = low if low < 1 else high
         raise ProtocolError(f"color {bad} outside palette [1, {palette}]")
 
     with span("theorem9.decide", n=ga.n):
         # The protocol's outcome is the sequential greedy under the
         # orientation µ_G: priority (γ, -δ, -ID) ascending.  Slot order
         # is ID order, so -arange encodes -ID.
-        order = np.lexsort((-np.arange(ga.n), -dlt, col))
+        order = np.lexsort((-np.arange(ga.n), -dist, color))
         rank = np.empty(ga.n, dtype=np.int64)
         rank[order] = np.arange(ga.n)
-        decider = decide_by_priority(graph, problem, node_inputs, rank)
+        decider, _ = decide_by_priority(graph, problem, node_inputs, rank)
 
     with span("theorem9.accounting", n=ga.n, palette=palette):
-        awake, msgs, termination, active = _theorem9_closed_form(
-            ga, col, dlt, palette, t0, graph.n
+        accounting = _theorem9_closed_form(
+            ga, color, dist, palette, t0, graph.n
         )
-        metrics.awake_rounds = dict(zip(ids, awake.tolist()))
-        metrics.termination_round = dict(zip(ids, termination.tolist()))
-        metrics.messages_sent = int(msgs.sum())
-        metrics.last_round = int(termination.max())
-        metrics.active_rounds = int(active.size)
-    return SimulationResult(
-        outputs=decider.outputs(), metrics=metrics, graph=graph
-    )
+    return decider.outputs(), accounting
 
 
 def solve_with_clustering_vectorized(
@@ -270,12 +236,12 @@ def solve_with_clustering_vectorized(
             cast_rounds=(1, cast_end),
             calendar_rounds=(cast_end + 1, theorem9_duration(graph.n, c)),
         )
-        result = _run_theorem9_kernel(
-            graph, problem, node_inputs, canon.color, canon.dist, c, t0=1
+        color, dist = clustering_columns(graph, canon)
+        outputs, accounting = _run_theorem9_kernel(
+            graph, problem, node_inputs, color, dist, c, t0=1
         )
-        counters.add("sim.run")
-        counters.add("sim.messages", result.metrics.messages_sent)
-        counters.add("sim.rounds", result.metrics.active_rounds)
+        accounting.charge()
+        result = accounting.result(graph, outputs)
     with span("theorem9.validate", n=graph.n):
         if validate:
             problem.check(graph, result.outputs, node_inputs)
@@ -290,14 +256,15 @@ def solve_vectorized(
     inputs: Mapping[NodeId, Any] | None = None,
     b: int | None = None,
     validate: bool = True,
-) -> "Theorem1Result":
+) -> Theorem1Result:
     """Solve an O-LOCAL problem on the vectorized engine (Theorem 1).
 
     The drop-in array twin of :func:`repro.core.theorem1.solve`: the
-    Theorem 13 clustering runs through
-    :func:`repro.core.clustering_vectorized.compute_clustering_vectorized`,
-    the Theorem 9 stage through the closed-form kernel, and the two
-    stages compose by Lemma 8 — per-node awake/message counts add, the
+    Theorem 13 clustering runs through the path of
+    :func:`repro.core.clustering_vectorized.compute_clustering_vectorized`
+    (kernel, array validation, color-bound check), its color and depth
+    columns feed the closed-form Theorem 9 kernel, and the two stages
+    compose by Lemma 8 — per-node awake/message counts add, the
     termination rounds are the solver stage's, and the active-round sets
     of the two reserved windows are disjoint.
 
@@ -312,78 +279,37 @@ def solve_vectorized(
         :class:`~repro.core.theorem1.Theorem1Result`, bit-identical to
         the simulator engine's.
     """
-    from repro.core.clustering_vectorized import _clustering_kernel
-    from repro.core.lemma15 import singleton_palette
-    from repro.core.theorem1 import Theorem1Result
-    from repro.core.theorem13 import (
-        color_palette_bound,
-        default_b,
-        theorem13_duration,
-    )
-
     chosen_b = b if b is not None else default_b(graph.n)
     node_inputs = (
         dict(inputs) if inputs is not None else problem.make_inputs(graph)
     )
     with span("theorem1.vectorized", n=graph.n, b=chosen_b):
-        assignments, sim13, columns = _clustering_kernel(graph, chosen_b)
-        out_phase, out_gamma, out_dist = columns
-        np = require_numpy()
-        sp13 = singleton_palette(chosen_b)
-        col = (out_phase - 1) * np.int64(sp13) + out_gamma
-        ids = graph.arrays.ids.tolist()
-        colors = dict(zip(ids, col.tolist()))
-        dist = dict(zip(ids, out_dist.tolist()))
-        palette = color_palette_bound(graph.n, chosen_b)
-        t9_start = 1 + theorem13_duration(
-            graph.n, graph.id_space, chosen_b
+        clustered, color, dist, stage13 = _clustering_columns(
+            graph, chosen_b, validate
         )
-        sim9 = _run_theorem9_kernel(
-            graph, problem, node_inputs, colors, dist, palette,
-            t0=t9_start, columns=(col, out_dist),
+        t9_start = 1 + theorem13_duration(graph.n, graph.id_space, chosen_b)
+        outputs, stage9 = _run_theorem9_kernel(
+            graph, problem, node_inputs, color, dist,
+            clustered.palette_bound, t0=t9_start,
+        )
+        composed = Accounting(
+            awake=stage13.awake + stage9.awake,
+            termination=stage9.termination,
+            messages=stage13.messages + stage9.messages,
+            active_rounds=stage13.active_rounds + stage9.active_rounds,
+        )
+        composed.charge()
+        assignments = clustered.assignments
+        simulation = composed.result(
+            graph, {v: (out, assignments[v]) for v, out in outputs.items()}
         )
 
-        metrics = SimulationMetrics()
-        metrics.awake_rounds = {
-            v: sim13.metrics.awake_rounds[v] + a
-            for v, a in sim9.metrics.awake_rounds.items()
-        }
-        metrics.termination_round = dict(sim9.metrics.termination_round)
-        metrics.messages_sent = (
-            sim13.metrics.messages_sent + sim9.metrics.messages_sent
-        )
-        metrics.active_rounds = (
-            sim13.metrics.active_rounds + sim9.metrics.active_rounds
-        )
-        metrics.last_round = sim9.metrics.last_round
-        composed = SimulationResult(
-            outputs={
-                v: (out, assignments[v]) for v, out in sim9.outputs.items()
-            },
-            metrics=metrics,
-            graph=graph,
-        )
-        counters.add("sim.run")
-        counters.add("sim.messages", metrics.messages_sent)
-        counters.add("sim.rounds", metrics.active_rounds)
-
-    outputs = dict(sim9.outputs)
-    clustering = ColoredBFSClustering(color=colors, dist=dist)
     if validate:
-        # Definition 4 on the kernel's own columns — the array twin of
-        # clustering.validate(graph), ~BFS cost instead of a per-node
-        # Python walk (lazy import: clustering_vectorized imports from
-        # this module).
-        from repro.core.clustering_vectorized import (
-            validate_clustering_arrays,
-        )
-
-        validate_clustering_arrays(graph, col, out_dist)
         problem.check(graph, outputs, node_inputs)
     return Theorem1Result(
         outputs=outputs,
-        clustering=clustering,
-        simulation=composed,
+        clustering=clustered.clustering,
+        simulation=simulation,
         b=chosen_b,
-        palette_bound=color_palette_bound(graph.n, chosen_b),
+        palette_bound=clustered.palette_bound,
     )

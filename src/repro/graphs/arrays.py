@@ -2,20 +2,15 @@
 
 :class:`GraphArrays` re-exports the Python-list CSR layout of
 :class:`~repro.graphs.graph._GraphIndex` as int64 numpy arrays, plus the
-derived views the bulk-synchronous kernels need (per-edge source slots,
-the "up" CSR restricted to larger-ID neighbors). It is built lazily and
-cached on the owning :class:`~repro.graphs.graph.StaticGraph`, exactly
-like the index itself, so graphs that never meet the vectorized engine
-never pay for it — and :mod:`repro.graphs.graph` never imports numpy.
+per-edge source slots the bulk-synchronous kernels need. It is built
+lazily and cached on the owning :class:`~repro.graphs.graph.StaticGraph`,
+exactly like the index itself, so graphs that never meet the vectorized
+engine never pay for it — and :mod:`repro.graphs.graph` never imports
+numpy.
 Array-native samplers go the other way: they build the columns first
 (:func:`csr_from_edges`, checked by :meth:`GraphArrays.from_csr`) and
 hand them to :meth:`StaticGraph.from_arrays
 <repro.graphs.graph.StaticGraph.from_arrays>`.
-
-The module degrades gracefully: importing it without numpy installed
-works; *using* it raises :class:`~repro.errors.SimulationError` with an
-actionable message (numpy is a core dependency of the vectorized engine
-only — every other engine remains pure Python).
 
 Slot order is ID order: ``_GraphIndex.nodes`` is sorted ascending, so
 ``slot_u < slot_v  ⇔  id_u < id_v`` and the kernels compare slots where
@@ -28,24 +23,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import GraphError, SimulationError
+import numpy as np
 
-try:  # gated: numpy is required by the vectorized engine only
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+from repro.errors import GraphError
 
 if TYPE_CHECKING:
     from repro.graphs.graph import _GraphIndex
-
-def require_numpy() -> Any:
-    """Return the numpy module or fail loudly with install guidance."""
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise SimulationError(
-            "the vectorized engine requires numpy; install it "
-            "(pip install numpy) or pick the 'simulator' engine"
-        )
-    return np
 
 
 @dataclass(frozen=True)
@@ -69,7 +52,6 @@ class GraphArrays:
     @classmethod
     def from_index(cls, index: "_GraphIndex") -> "GraphArrays":
         """Mirror a built :class:`_GraphIndex` into numpy arrays."""
-        require_numpy()
         return cls(
             ids=np.asarray(index.nodes, dtype=np.int64),
             offsets=np.asarray(index.offsets, dtype=np.int64),
@@ -89,7 +71,6 @@ class GraphArrays:
         every neighbor slot in range, not a self-loop, unique and
         ascending within its row; every edge present in both directions.
         """
-        require_numpy()
         ids, offsets, flat = (
             np.ascontiguousarray(a, dtype=np.int64) for a in (ids, offsets, flat)
         )
@@ -152,21 +133,6 @@ class GraphArrays:
     def edge_sources(self) -> Any:
         """Source slot of every ``flat`` entry (shape ``(2E,)``)."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-
-    @cached_property
-    def up(self) -> tuple[Any, Any]:
-        """The "up" CSR: directed edges slot → larger slot (= larger ID).
-
-        Returns ``(up_offsets, up_flat)`` delimiting, per slot, its
-        neighbors of strictly larger ID — the orientation every
-        increasing-priority kernel walks.
-        """
-        mask = self.flat > self.edge_sources
-        up_counts = segment_sum(mask.astype(np.int64), self.offsets)
-        up_offsets = np.empty(self.n + 1, dtype=np.int64)
-        up_offsets[0] = 0
-        np.cumsum(up_counts, out=up_offsets[1:])
-        return up_offsets, self.flat[mask]
 
 
 # -- segment helpers ---------------------------------------------------------

@@ -127,11 +127,12 @@ def _fast_gnp(
 ) -> StaticGraph:
     """The array-native ``gnp(method="fast")``: skip walk, component
     chain, ID relabelling, CSR."""
-    from repro.graphs.arrays import component_minima, csr_from_edges, require_numpy
+    import numpy as np
 
-    np = require_numpy()
+    from repro.graphs.arrays import component_minima, csr_from_edges
+
     with span("graphs.sample", n=n):
-        higher, lower = _skip_walk_pairs(np, n, p, seed)
+        higher, lower = _skip_walk_pairs(n, p, seed)
         minima = component_minima(n, higher, lower)
         higher = np.concatenate((higher, minima[1:]))
         lower = np.concatenate((lower, minima[:-1]))
@@ -152,7 +153,7 @@ def _fast_gnp(
         return StaticGraph.from_arrays(node_ids, offsets, flat, space)
 
 
-def _skip_walk_pairs(np, n: int, p: float, seed: int, batch: int = 0):
+def _skip_walk_pairs(n: int, p: float, seed: int, batch: int = 0):
     """The edges of :func:`nx.fast_gnp_random_graph` as arrays ``(v, w)``,
     ``w < v``, in the order networkx adds them.
 
@@ -165,6 +166,8 @@ def _skip_walk_pairs(np, n: int, p: float, seed: int, batch: int = 0):
     an edge). Draws come ``batch`` at a time; the default is enough for
     the whole walk with overwhelming probability.
     """
+    import numpy as np
+
     total = n * (n - 1) // 2
     log_q = math.log(1.0 - p)
     if log_q == 0.0:  # 1 - p rounds to 1: no pair is ever chosen
@@ -187,11 +190,13 @@ def _skip_walk_pairs(np, n: int, p: float, seed: int, batch: int = 0):
         if inside < batch:
             break
         last = int(index[-1])
-    return _unrank_pairs(np, np.concatenate(chunks))
+    return _unrank_pairs(np.concatenate(chunks))
 
 
-def _unrank_pairs(np, index):
+def _unrank_pairs(index):
     """Invert ``index = v(v-1)/2 + w`` (``0 <= w < v``) to ``(v, w)``."""
+    import numpy as np
+
     v = ((1.0 + np.sqrt(1.0 + 8.0 * index)) / 2.0).astype(np.int64)
     while True:  # the float root is off by at most a few: correct it
         low = v * (v - 1) // 2 > index

@@ -164,9 +164,9 @@ class StaticGraph:
 
         Built lazily on first access and cached like the index itself;
         see :class:`repro.graphs.arrays.GraphArrays`. A graph built by
-        :meth:`from_arrays` adopts the columns it was built from. Raises
-        :class:`~repro.errors.SimulationError` when numpy is missing —
-        every non-vectorized engine works without it.
+        :meth:`from_arrays` adopts the columns it was built from. numpy is
+        imported on first access only, so the per-node engines never load
+        it.
         """
         arrays = self.__dict__.get("_arrays_cache")
         if arrays is None:

@@ -22,16 +22,18 @@ once every smaller-ID neighbor has decided *and broadcast* — so its
 decide round is ``D(v) = 1 + max D(u)`` over smaller neighbors u
 (``D = 1`` with none), the length of the longest increasing-ID path
 into v. The decide rounds are computed as Kahn waves over the
-increasing-ID orientation: a frontier of ready slots, a per-node count
-of undecided smaller neighbors decremented by scattered subtraction,
-segment reductions over the CSR neighbor array for the decisions
-themselves. Each wave is an independent set (two adjacent nodes cannot
+increasing-ID orientation (:func:`decide_by_priority` with rank = slot
+order, since slot order is ID order): a frontier of ready slots, a
+per-node count of undecided smaller neighbors decremented by scattered
+subtraction, segment reductions over the CSR neighbor array for the
+decisions themselves. Each wave is an independent set (two adjacent nodes cannot
 both have all smaller neighbors decided while the smaller of the two is
 undecided), so a whole wave decides in one batched kernel. The
 finish round replays :func:`~repro.model.lockstep.run_local`'s
 announce/finish handshake in closed form: v finishes one round after
 both its own decision and its last larger neighbor's
-(``F(v) = 1 + max(D(v), max D(w))`` over larger neighbors w), it is
+(``F(v) = 1 + max(D(v), max D(w))`` over larger neighbors w — over all
+neighbors equally, since a smaller neighbor has ``D(u) < D(v)``), it is
 awake and broadcasting to all ``deg(v)`` neighbors in rounds
 ``1..F(v)``, so ``awake(v) = termination(v) = F(v)`` and
 ``messages_sent = Σ_v deg(v)·F(v)``.
@@ -48,12 +50,14 @@ definition already requires).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
+
+import numpy as np
 
 from repro.graphs.arrays import (
     ragged_gather,
-    require_numpy,
     segment_any,
+    segment_sum,
     sorted_unique,
 )
 from repro.graphs.graph import StaticGraph
@@ -93,7 +97,6 @@ class _WaveDecider:
         node_inputs: Mapping[NodeId, Any],
     ) -> None:
         """Bind the graph's CSR arrays and an all-undecided state."""
-        np = require_numpy()
         self.graph = graph
         self.arrays = graph.arrays
         self.problem = problem
@@ -114,7 +117,6 @@ class _MISDecider(_WaveDecider):
 
     def __init__(self, graph, problem, node_inputs) -> None:
         """Add the per-slot joined flags to the base state."""
-        np = require_numpy()
         super().__init__(graph, problem, node_inputs)
         self.joined = np.zeros(self.arrays.n, dtype=bool)
 
@@ -139,7 +141,6 @@ class _VertexCoverDecider(_WaveDecider):
 
     def __init__(self, graph, problem, node_inputs) -> None:
         """Add the per-slot cover flags to the base state."""
-        np = require_numpy()
         super().__init__(graph, problem, node_inputs)
         self.cover = np.zeros(self.arrays.n, dtype=bool)
 
@@ -167,13 +168,11 @@ class _ColoringDecider(_WaveDecider):
 
     def __init__(self, graph, problem, node_inputs) -> None:
         """Add the per-slot color array (0 = undecided) to the state."""
-        np = require_numpy()
         super().__init__(graph, problem, node_inputs)
         self.color = np.zeros(self.arrays.n, dtype=np.int64)  # 0 = undecided
 
     def decide_wave(self, ready: Any) -> None:
         """Color each ready slot with the mex of its decided neighbors."""
-        np = require_numpy()
         nbrs, counts = ragged_gather(
             self.arrays.offsets, self.arrays.flat, ready
         )
@@ -266,17 +265,18 @@ def decide_by_priority(
     problem: OLocalProblem,
     node_inputs: Mapping[NodeId, Any],
     rank: Any,
-) -> _WaveDecider:
+) -> tuple[_WaveDecider, Any]:
     """Run the greedy decision process in ``rank`` order, as Kahn waves.
 
     ``rank`` is a per-slot permutation of ``0..n-1``; the decisions are
     bit-identical to a sequential greedy pass visiting slots by
-    ascending rank (the Theorem 9 priority order ``(color, -dist,
-    -ID)``, say). Waves peel the rank orientation of the CSR exactly
-    like :func:`greedy_by_id_vectorized` peels the ID orientation: a
-    wave is an independent set whose decided neighbors are precisely
-    its smaller-rank neighbors, so each wave decides in one batched
-    kernel regardless of within-wave order.
+    ascending rank (ID order for the greedy strawman, the Theorem 9
+    priority order ``(color, -dist, -ID)``, say). A wave is the set of
+    undecided slots whose smaller-rank neighbors have all decided — an
+    independent set whose decided neighbors are precisely its
+    smaller-rank neighbors — so each wave decides in one batched kernel
+    regardless of within-wave order. Work is proportional to each wave's
+    out-edges, so the whole loop is O(E) regardless of the wave count.
 
     Args:
         graph: the substrate graph (its CSR mirror is used).
@@ -286,38 +286,72 @@ def decide_by_priority(
             position in the sequential decision order.
 
     Returns:
-        The finished :class:`_WaveDecider`; call ``outputs()`` for the
-        per-node results.
+        ``(decider, wave)`` — the finished :class:`_WaveDecider` (call
+        ``outputs()`` for the per-node results) and the int64 per-slot
+        wave numbers, 1 for the first wave: a slot's wave is one more
+        than the largest wave among its smaller-rank neighbors.
     """
-    np = require_numpy()
-    from repro.graphs.arrays import segment_sum
-
     ga = graph.arrays
     decider = make_wave_decider(graph, problem, node_inputs)
-    if ga.n == 0:
-        return decider
+    wave = np.zeros(ga.n, dtype=np.int64)
     # The rank-up CSR: per slot, its neighbors of strictly larger rank.
     mask = rank[ga.flat] > rank[ga.edge_sources]
     up_counts = segment_sum(mask.astype(np.int64), ga.offsets)
-    up_offsets = np.empty(ga.n + 1, dtype=np.int64)
-    up_offsets[0] = 0
+    up_offsets = np.zeros(ga.n + 1, dtype=np.int64)
     np.cumsum(up_counts, out=up_offsets[1:])
     up_flat = ga.flat[mask]
 
     remaining = ga.degrees - up_counts  # undecided smaller-rank neighbors
     ready = np.flatnonzero(remaining == 0)
+    number = 0
     while ready.size:
+        number += 1
         decider.decide_wave(ready)
+        wave[ready] = number
         targets, _ = ragged_gather(up_offsets, up_flat, ready)
         np.subtract.at(remaining, targets, 1)
         candidates = sorted_unique(targets)
         ready = candidates[remaining[candidates] == 0]
-    return decider
+    return decider, wave
 
 
 # ---------------------------------------------------------------------------
-# The vectorized greedy-by-ID lockstep engine.
+# Closed-form accounting, and the vectorized greedy-by-ID lockstep engine.
 # ---------------------------------------------------------------------------
+
+
+class Accounting(NamedTuple):
+    """The metrics of one vectorized run, as per-slot columns.
+
+    Every array kernel ends in this form; stages compose on it (Lemma
+    8: awake counts and totals add, the last stage's terminations
+    stand) before :meth:`result` builds the per-node dicts once.
+    """
+
+    awake: Any  #: int64 awake-round count per slot
+    termination: Any  #: int64 termination round per slot
+    messages: int  #: messages sent, in total
+    active_rounds: int  #: rounds in which any node is awake
+
+    def result(
+        self, graph: StaticGraph, outputs: dict[NodeId, Any]
+    ) -> SimulationResult:
+        """The :class:`SimulationResult` these columns describe."""
+        ids = graph.arrays.ids.tolist()
+        metrics = SimulationMetrics(
+            awake_rounds=dict(zip(ids, self.awake.tolist())),
+            termination_round=dict(zip(ids, self.termination.tolist())),
+            messages_sent=int(self.messages),
+            active_rounds=int(self.active_rounds),
+            last_round=int(self.termination.max(initial=0)),
+        )
+        return SimulationResult(outputs=outputs, metrics=metrics, graph=graph)
+
+    def charge(self) -> None:
+        """Count this run in the process-wide ``sim.*`` counters."""
+        counters.add("sim.run")
+        counters.add("sim.messages", int(self.messages))
+        counters.add("sim.rounds", int(self.active_rounds))
 
 
 def greedy_by_id_vectorized(
@@ -332,55 +366,24 @@ def greedy_by_id_vectorized(
     closed-form round accounting — but with O(V + E) total array work
     instead of O(V · rounds) Python dispatch.
     """
-    np = require_numpy()
     node_inputs = inputs if inputs is not None else problem.make_inputs(graph)
-    metrics = SimulationMetrics()
-    if graph.n == 0:
-        return SimulationResult(outputs={}, metrics=metrics, graph=graph)
-
     ga = graph.arrays
-    up_offsets, up_flat = ga.up
-    # Undecided smaller-ID neighbors: total degree minus up-degree.
-    remaining = ga.degrees - (up_offsets[1:] - up_offsets[:-1])
-    decide_round = np.zeros(ga.n, dtype=np.int64)
-    decider = make_wave_decider(graph, problem, node_inputs)
-
-    ready = np.flatnonzero(remaining == 0)
-    wave = 0
     with span("vectorized.waves", n=ga.n):
-        while ready.size:
-            wave += 1
-            decider.decide_wave(ready)
-            decide_round[ready] = wave
-            # Release the larger neighbors; those hitting zero form the
-            # next wave. Work is proportional to the wave's out-edges,
-            # so the whole loop is O(E) regardless of the wave count.
-            targets, _ = ragged_gather(up_offsets, up_flat, ready)
-            np.subtract.at(remaining, targets, 1)
-            candidates = sorted_unique(targets)
-            ready = candidates[remaining[candidates] == 0]
+        decider, decide_round = decide_by_priority(
+            graph, problem, node_inputs, np.arange(ga.n, dtype=np.int64)
+        )
 
-    with span("vectorized.accounting", n=ga.n, waves=wave):
-        # F(v) = 1 + max(D(v), max over larger neighbors w of D(w)).
+    waves = int(decide_round.max(initial=0))
+    with span("vectorized.accounting", n=ga.n, waves=waves):
+        # F(v) = 1 + max(D(v), max over neighbors w of D(w)).
         finish = decide_round.copy()
-        if up_flat.size:
-            up_counts = up_offsets[1:] - up_offsets[:-1]
-            up_sources = np.repeat(
-                np.arange(ga.n, dtype=np.int64), up_counts
-            )
-            np.maximum.at(finish, up_sources, decide_round[up_flat])
+        np.maximum.at(finish, ga.edge_sources, decide_round[ga.flat])
         finish += 1
-
-        ids = ga.ids.tolist()
-        finish_list = finish.tolist()
-        metrics.awake_rounds = dict(zip(ids, finish_list))
-        metrics.termination_round = dict(zip(ids, finish_list))
-        metrics.messages_sent = int(ga.degrees @ finish)
-        metrics.last_round = int(finish.max())
-        metrics.active_rounds = metrics.last_round
-    counters.add("sim.run")
-    counters.add("sim.messages", metrics.messages_sent)
-    counters.add("sim.rounds", metrics.active_rounds)
-    return SimulationResult(
-        outputs=decider.outputs(), metrics=metrics, graph=graph
-    )
+        accounting = Accounting(
+            awake=finish,
+            termination=finish,
+            messages=int(ga.degrees @ finish),
+            active_rounds=int(finish.max(initial=0)),
+        )
+    accounting.charge()
+    return accounting.result(graph, decider.outputs())

@@ -110,3 +110,32 @@ def test_registries_are_the_single_source_of_names():
 
     for name in ("GRAPH_FAMILIES", "PROBLEMS", "ALGORITHMS"):
         assert isinstance(getattr(repro, name), Registry), name
+
+
+def test_per_node_path_never_imports_numpy():
+    """numpy is the vectorized engine's alone: importing the API and the
+    service and solving on a per-node engine must not load it (it would
+    add to every worker's and the server's start-up time)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = (
+        "import sys\n"
+        "import repro.api, repro.serve.service\n"
+        "from repro.api import Scenario, run_scenario\n"
+        "result = run_scenario(Scenario(family='path', n=16, problem='mis',"
+        " algorithm='theorem1'))\n"
+        "assert result.ok, result\n"
+        "sys.exit(1 if 'numpy' in sys.modules else 0)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr or "numpy was imported"

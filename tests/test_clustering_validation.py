@@ -1,7 +1,8 @@
 """Differential tests: array clustering validation vs the per-node walk.
 
-`validate_clustering_arrays` / `validate_clustering_vectorized`
-(clustering_vectorized.py) must accept exactly the clusterings
+`validate_clustering_arrays` (clustering_vectorized.py), fed by the
+`clustering_columns` dict-to-columns conversion, must accept exactly the
+clusterings
 `ColoredBFSClustering.validate` accepts and reject exactly the ones it
 rejects — same Definition 4, same error vocabulary — while running as
 whole-graph kernels instead of a per-node Python walk.
@@ -13,9 +14,9 @@ np = pytest.importorskip("numpy")
 
 from repro.core.clustering import ClusteringError, ColoredBFSClustering
 from repro.core.clustering_vectorized import (
+    clustering_columns,
     compute_clustering_vectorized,
     validate_clustering_arrays,
-    validate_clustering_vectorized,
 )
 from repro.core.theorem13 import compute_clustering
 from repro.graphs.families import build_family_graph
@@ -34,7 +35,7 @@ def both_validate(graph, clustering):
     except ClusteringError as exc:
         per_node = str(exc)
     try:
-        validate_clustering_vectorized(graph, clustering)
+        validate_clustering_arrays(graph, *clustering_columns(graph, clustering))
     except ClusteringError as exc:
         array = str(exc)
     return per_node, array
@@ -146,23 +147,22 @@ class TestRejectsCorruptedClusterings:
 
 
 class TestArrayPathDetails:
-    def test_non_integer_palette_falls_back(self):
+    def test_non_integer_palette_validates_per_node(self):
+        """Tuple colors are the per-node validator's alone: the array
+        path takes the integer colors the pipelines produce."""
         graph = build_family_graph("path", 6, seed=0)
         nodes = sorted(graph.nodes)
-        clustering = ColoredBFSClustering(
+        # One path-cluster rooted at one end: valid.
+        ColoredBFSClustering(
             color={v: ("phase", 1) for v in nodes},
             dist={v: i for i, v in enumerate(nodes)},
-        )
-        # Falls back to the per-node validator (and still rejects:
-        # the single path-cluster has its root at one end, so this
-        # dist is actually valid — build an invalid variant).
-        validate_clustering_vectorized(graph, clustering)
+        ).validate(graph)
         bad = ColoredBFSClustering(
             color={v: ("phase", 1) for v in nodes},
             dist={v: 1 for v in nodes},
         )
         with pytest.raises(ClusteringError):
-            validate_clustering_vectorized(graph, bad)
+            bad.validate(graph)
 
     def test_raw_array_entry_point(self):
         graph = build_family_graph("cycle", 10, seed=0)
@@ -228,3 +228,27 @@ class TestPipelineIntegration:
         assert result.clustering.max_color() <= color_palette_bound(
             graph.n, 4
         )
+
+    def test_theorem1_checks_the_color_bound_before_theorem9(
+        self, monkeypatch
+    ):
+        """theorem1/vectorized validates the clustering through the
+        Theorem 13 path: a color above the bound is reported as such,
+        not later as a Theorem 9 palette violation."""
+        import repro.core.clustering_vectorized as cv
+        import repro.core.theorem13 as theorem13
+        from repro.core.theorem1_vectorized import solve_vectorized
+        from repro.errors import ProtocolError
+        from repro.olocal import PROBLEMS
+
+        graph = build_family_graph("gnp", 40, seed=0)
+        def tight(n, b=None):
+            return 1
+
+        # Lower the bound wherever a module looks it up.
+        monkeypatch.setattr(theorem13, "color_palette_bound", tight)
+        monkeypatch.setattr(cv, "color_palette_bound", tight, raising=False)
+        with pytest.raises(
+            ProtocolError, match=r"used color \d+ exceeds the bound 1"
+        ):
+            solve_vectorized(graph, PROBLEMS.get("mis"), b=4)

@@ -123,9 +123,9 @@ class TestSameGraphs:
 
     def test_batches_continue_one_random_stream(self):
         n, p = 400, 0.02
-        whole = _skip_walk_pairs(np, n, p, seed=3)
+        whole = _skip_walk_pairs(n, p, seed=3)
         for batch in (1, 7, 64):
-            pieces = _skip_walk_pairs(np, n, p, seed=3, batch=batch)
+            pieces = _skip_walk_pairs(n, p, seed=3, batch=batch)
             for a, b in zip(whole, pieces):
                 assert np.array_equal(a, b)
 

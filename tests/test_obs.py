@@ -449,6 +449,30 @@ class TestGraphBuildSpans:
                 <= by_name["graphs.index"]["t0"])
 
 
+class TestVectorizedTheorem1Spans:
+    def test_clustering_span_nests_under_theorem1(self, tmp_path):
+        """The vectorized Theorem 1 runs its clustering stage through the
+        Theorem 13 entry point, so its span is a child of the
+        composition's."""
+        from repro.api import Scenario, run_scenario
+
+        trace = tmp_path / "t.jsonl"
+        spans.configure(trace)
+        result = run_scenario(Scenario(
+            family="gnp", n=48, problem="mis", algorithm="theorem1",
+            engine="vectorized",
+        ))
+        spans.disable()
+        assert result.ok
+        records, bad = load_trace(trace)
+        assert check_trace(records, bad) == []
+        by_name = {r["name"]: r for r in records}
+        outer = by_name["theorem1.vectorized"]
+        assert by_name["theorem13.vectorized"]["parent"] == outer["id"]
+        for stage in ("theorem9.decide", "theorem9.accounting"):
+            assert by_name[stage]["parent"] == outer["id"]
+
+
 # -- docs stay in sync with the instrumentation ------------------------------
 
 
