@@ -385,8 +385,7 @@ def bench_vectorized_mega(results, n=1_000_000):
     """Throughput-only n = 10^6: the acceptance run for 'a million-node
     graph solves in seconds'. No per-node counterpart (it would take
     hours) and hence no speedup key — ``--check`` skips these cases.
-    Baseline validation is skipped too (``check=False``): the O(V + E)
-    Python checker would dominate the vectorized kernels."""
+    Every solve validates its outputs (array checks on the CSR columns)."""
     from repro.core.bm21_vectorized import solve_with_baseline_vectorized
     from repro.model.vectorized import greedy_by_id_vectorized
     from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
@@ -405,9 +404,7 @@ def bench_vectorized_mega(results, n=1_000_000):
     }
 
     base, t = timed(
-        lambda: solve_with_baseline_vectorized(
-            g, DeltaPlusOneColoring(), check=False
-        ),
+        lambda: solve_with_baseline_vectorized(g, DeltaPlusOneColoring()),
         1,
     )
     node_rounds = base.simulation.metrics.total_awake
@@ -474,16 +471,16 @@ def bench_vectorized_clustered(n, reps, results):
 def bench_vectorized_clustered_mega(results):
     """Throughput-only Theorem 1 pipeline runs at the sizes the
     simulator cannot reach (its n = 4096 run already takes ~90 s, and
-    the cost grows superlinearly). ``validate=False`` for the same
-    reason as the greedy/baseline mega cases; min-of-2 sheds the
-    one-time page-fault/lazy-import noise of the first mega call."""
+    the cost grows superlinearly), validated like every other solve;
+    min-of-2 sheds the one-time page-fault/lazy-import noise of the
+    first mega call."""
     from repro.core.theorem1_vectorized import solve_vectorized
     from repro.olocal import MaximalIndependentSet
 
     problem = MaximalIndependentSet()
     for n, avg_degree in ((1 << 17, 8), (1_000_000, 4)):
         g = gnp(n, avg_degree / n, seed=1, method="fast")
-        res, t = timed(lambda: solve_vectorized(g, problem, validate=False), 2)
+        res, t = timed(lambda: solve_vectorized(g, problem), 2)
         node_rounds = res.simulation.metrics.total_awake
         results[f"vectorized_theorem1_mega/gnp/n={n}"] = {
             "node_rounds": node_rounds,

@@ -57,15 +57,13 @@ def solve_with_baseline_vectorized(
     graph: StaticGraph,
     problem: OLocalProblem,
     inputs: Mapping[NodeId, Any] | None = None,
-    check: bool = True,
 ) -> BaselineResult:
     """Run the BM21 baseline end to end on the vectorized engine.
 
     Drop-in for :func:`repro.core.bm21.solve_with_baseline` (same result
     type, same validation) minus the ``simulator`` hook — fault
-    injection stays a per-node-engine feature. ``check=False`` skips the
-    O(V + E) Python output validation, for throughput measurements at
-    n ≥ 10⁶ where validation would dominate the vectorized runtime.
+    injection stays a per-node-engine feature. The outputs are always
+    checked; on the graph's CSR columns that costs O(V + E) array work.
     """
     delta = max(graph.max_degree, 1)
     node_inputs = (
@@ -101,8 +99,7 @@ def solve_with_baseline_vectorized(
         for lo, hi in zip(starts.tolist(), ends.tolist()):
             decider.decide_wave(order[lo:hi])
         outputs = decider.outputs()
-        if check:
-            problem.check(graph, outputs, node_inputs)
+        problem.check(graph, outputs, node_inputs)
 
     # Closed-form accounting, one mapping evaluation per distinct color.
     with span("bm21.accounting", n=ga.n):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Mapping
 
+from repro.analysis.bounds import theorem1_awake_bound
 from repro.core.clustering import ColoredBFSClustering
 from repro.core.theorem9 import theorem9_duration, theorem9_protocol
 from repro.core.theorem13 import (
@@ -23,6 +24,7 @@ from repro.core.theorem13 import (
     theorem13_duration,
     theorem13_subprotocol,
 )
+from repro.errors import ProtocolError
 from repro.graphs.graph import StaticGraph
 from repro.model.actions import AwakeAt
 from repro.model.api import NodeInfo
@@ -38,6 +40,20 @@ def theorem1_duration(n: int, id_space: int, b: int | None = None) -> int:
     b = b if b is not None else default_b(n)
     palette = color_palette_bound(n, b)
     return theorem13_duration(n, id_space, b) + theorem9_duration(n, palette)
+
+
+def check_awake_bound(graph: StaticGraph, b: int, awake: int) -> None:
+    """Raise :class:`ProtocolError` when a run's awake complexity
+    exceeds :func:`~repro.analysis.bounds.theorem1_awake_bound`.
+
+    Both engines run this on every validated solve, so the paper's
+    bound is checked wherever the outputs are.
+    """
+    bound = theorem1_awake_bound(graph.n, graph.id_space, b)
+    if awake > bound:
+        raise ProtocolError(
+            f"awake complexity {awake} exceeds the Theorem 1 bound {bound}"
+        )
 
 
 def theorem1_program(problem: OLocalProblem, b: int | None = None):
@@ -100,7 +116,9 @@ def solve(
         problem: any :class:`OLocalProblem` (e.g. (Δ+1)-coloring, MIS).
         inputs: optional per-node inputs (defaults to the problem's own).
         b: override the paper's b = 2^{sqrt(log n)} (for ablations).
-        validate: check the solution and the clustering before returning.
+        validate: check the solution and the clustering before returning,
+            and the awake complexity against the Theorem 1 bound
+            (:func:`check_awake_bound`).
         simulator: optional ``(graph, program, inputs=...)`` factory
             replacing :class:`SleepingSimulator` (e.g. a fault-injecting
             :class:`~repro.model.faults.FaultySimulator`).
@@ -127,6 +145,7 @@ def solve(
     if validate:
         clustering.validate(graph)
         problem.check(graph, outputs, node_inputs)
+        check_awake_bound(graph, chosen_b, result.awake_complexity)
     return Theorem1Result(
         outputs=outputs,
         clustering=clustering,

@@ -43,7 +43,7 @@ from repro.core.clustering_vectorized import (
     clustering_columns,
 )
 from repro.core.mapping import ColorScheduleMapping
-from repro.core.theorem1 import Theorem1Result
+from repro.core.theorem1 import Theorem1Result, check_awake_bound
 from repro.core.theorem9 import Theorem9Result, theorem9_duration
 from repro.core.theorem13 import default_b, theorem13_duration
 from repro.errors import ProtocolError
@@ -273,7 +273,9 @@ def solve_vectorized(
         problem: any :class:`OLocalProblem`.
         inputs: optional per-node inputs (defaults to the problem's own).
         b: override the paper's b = 2^{sqrt(log n)} (for ablations).
-        validate: check the solution and the clustering before returning.
+        validate: check the solution and the clustering before returning,
+            and the awake complexity against the Theorem 1 bound
+            (:func:`~repro.core.theorem1.check_awake_bound`).
 
     Returns:
         :class:`~repro.core.theorem1.Theorem1Result`, bit-identical to
@@ -306,6 +308,7 @@ def solve_vectorized(
 
     if validate:
         problem.check(graph, outputs, node_inputs)
+        check_awake_bound(graph, chosen_b, int(composed.awake.max(initial=0)))
     return Theorem1Result(
         outputs=outputs,
         clustering=clustered.clustering,

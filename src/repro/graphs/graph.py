@@ -178,6 +178,16 @@ class StaticGraph:
             object.__setattr__(self, "_arrays_cache", arrays)
         return arrays
 
+    @property
+    def built_arrays(self):
+        """:attr:`arrays` if already built or adopted, else ``None``.
+
+        Never builds them (and so never imports numpy): callers with an
+        array fast path take it only when the columns are already there.
+        """
+        arrays = self.__dict__.get("_arrays_cache")
+        return arrays if arrays is not None else self.__dict__.get("_source_arrays")
+
     @staticmethod
     def from_edges(
         edges: Iterable[tuple[NodeId, NodeId]],

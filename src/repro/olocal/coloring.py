@@ -41,7 +41,7 @@ class DeltaPlusOneColoring(OLocalProblem):
                 violations.append(f"node {v} has no color")
                 continue
             color = outputs[v]
-            if not isinstance(color, int) or color < 1:
+            if isinstance(color, bool) or not isinstance(color, int) or color < 1:
                 violations.append(f"node {v} has invalid color {color!r}")
                 continue
             if color > graph.degree(v) + 1:

@@ -74,7 +74,22 @@ class OLocalProblem(ABC):
         outputs: Mapping[NodeId, Any],
         inputs: Mapping[NodeId, Any] | None = None,
     ) -> None:
-        """Validate and raise :class:`ValidationError` on the first failure."""
+        """Validate and raise :class:`ValidationError` on the first failure.
+
+        On a graph whose numpy CSR columns are already built
+        (:attr:`StaticGraph.built_arrays
+        <repro.graphs.graph.StaticGraph.built_arrays>`), the built-in
+        problems first get an array verdict from
+        :mod:`repro.olocal.arrays`; when it accepts, :meth:`validate`
+        would find nothing and is skipped. Every other case, and every
+        rejection, runs :meth:`validate`, which words the error.
+        """
+        arrays = graph.built_arrays
+        if arrays is not None:
+            from repro.olocal.arrays import passes_array_check
+
+            if passes_array_check(self, arrays, outputs):
+                return
         violations = self.validate(graph, outputs, inputs)
         if violations:
             raise ValidationError(

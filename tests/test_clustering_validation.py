@@ -252,3 +252,40 @@ class TestPipelineIntegration:
             ProtocolError, match=r"used color \d+ exceeds the bound 1"
         ):
             solve_vectorized(graph, PROBLEMS.get("mis"), b=4)
+
+    @pytest.mark.parametrize("engine", ["simulator", "vectorized"])
+    def test_theorem1_checks_the_awake_bound(self, monkeypatch, engine):
+        """Every validated Theorem 1 run, on either engine, checks its
+        awake complexity against the paper's Theorem 1 bound."""
+        import repro.core.theorem1 as t1
+        from repro.core.theorem1_vectorized import solve_vectorized
+        from repro.errors import ProtocolError
+        from repro.olocal import PROBLEMS
+
+        solve = solve_vectorized if engine == "vectorized" else t1.solve
+        graph = build_family_graph("gnp", 40, seed=0)
+        monkeypatch.setattr(
+            t1, "theorem1_awake_bound", lambda n, id_space, b=None: 1
+        )
+        with pytest.raises(
+            ProtocolError,
+            match=r"awake complexity \d+ exceeds the Theorem 1 bound 1",
+        ):
+            solve(graph, PROBLEMS.get("mis"))
+        solve(graph, PROBLEMS.get("mis"), validate=False)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 8, 16])
+    def test_awake_bound_holds_for_ablation_b(self, b):
+        """The bound check passes for every b the ablations use (E12's
+        2/4/8/16 on its own graph, and the 1/3 of the b-ablation tests),
+        on both engines, with the same awake complexity."""
+        from repro.core.theorem1 import solve
+        from repro.core.theorem1_vectorized import solve_vectorized
+        from repro.graphs import gnp
+        from repro.olocal import PROBLEMS
+
+        graph = gnp(40, 0.15, seed=23)
+        for name in ("mis", "coloring"):
+            ref = solve(graph, PROBLEMS.get(name), b=b)
+            vec = solve_vectorized(graph, PROBLEMS.get(name), b=b)
+            assert vec.awake_complexity == ref.awake_complexity
