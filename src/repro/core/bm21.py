@@ -198,7 +198,10 @@ def solve_with_baseline(
     """Run the BM21 baseline end to end on the Sleeping simulator.
 
     ``simulator`` optionally replaces :class:`SleepingSimulator` with a
-    ``(graph, program, inputs=...)`` factory (fault injection)."""
+    ``(graph, program, inputs=...)`` factory (fault injection). The
+    outputs and the awake complexity (against the BM21 bound,
+    :func:`~repro.core.theorem1.check_baseline_awake_bound`) are always
+    checked."""
     delta = max(graph.max_degree, 1)
     node_inputs = dict(inputs) if inputs is not None else problem.make_inputs(graph)
     make_simulator = simulator if simulator is not None else SleepingSimulator
@@ -206,7 +209,10 @@ def solve_with_baseline(
         graph, baseline_program(problem, delta), inputs=node_inputs
     )
     result = sim.run()
+    from repro.core.theorem1 import check_baseline_awake_bound
+
     problem.check(graph, result.outputs, node_inputs)
+    check_baseline_awake_bound(graph, result.awake_complexity)
     return BaselineResult(
         outputs=result.outputs,
         simulation=result,

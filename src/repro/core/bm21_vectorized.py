@@ -46,6 +46,7 @@ from repro.core.bm21 import BaselineResult
 from repro.core.clustering_vectorized import _linial_step_pairs
 from repro.core.linial import final_palette, reduction_schedule
 from repro.core.mapping import ColorScheduleMapping
+from repro.core.theorem1 import check_baseline_awake_bound
 from repro.graphs.graph import StaticGraph
 from repro.model.vectorized import Accounting, make_wave_decider
 from repro.obs.spans import span
@@ -63,7 +64,9 @@ def solve_with_baseline_vectorized(
     Drop-in for :func:`repro.core.bm21.solve_with_baseline` (same result
     type, same validation) minus the ``simulator`` hook — fault
     injection stays a per-node-engine feature. The outputs are always
-    checked; on the graph's CSR columns that costs O(V + E) array work.
+    checked (on the graph's CSR columns that costs O(V + E) array
+    work), and so is the awake complexity against the BM21 bound
+    (:func:`~repro.core.theorem1.check_baseline_awake_bound`).
     """
     delta = max(graph.max_degree, 1)
     node_inputs = (
@@ -126,6 +129,7 @@ def solve_with_baseline_vectorized(
             active_rounds=steps + len(phase2_rounds),
         )
     accounting.charge()
+    check_baseline_awake_bound(graph, int(awake.max()))
     simulation = accounting.result(graph, outputs)
     return BaselineResult(
         outputs=outputs, simulation=simulation, palette=palette

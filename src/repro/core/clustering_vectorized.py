@@ -58,6 +58,7 @@ from repro.core.theorem13 import (
 from repro.core.virtual import virtual_duration
 from repro.errors import ProtocolError, ReproError
 from repro.graphs.arrays import (
+    ColumnMap,
     ragged_gather,
     segment_any,
     segment_sum,
@@ -695,7 +696,9 @@ def _clustering_columns(
         ``(result, color, dist, accounting)`` — the packaged
         :class:`ClusteringResult`, the per-slot canonical colors
         ``(i - 1)·a·b² + γ'`` and depths δ as int64 columns, and the
-        kernel's :class:`Accounting`.
+        kernel's :class:`Accounting`. The result's per-node maps
+        (assignments, γ, δ, metrics) are
+        :class:`~repro.graphs.arrays.ColumnMap` views over the columns.
     """
     with span("theorem13.vectorized", n=graph.n, b=b):
         phase, gamma, dist, accounting = _clustering_kernel(graph, b)
@@ -708,17 +711,13 @@ def _clustering_columns(
                 raise ProtocolError(
                     f"used color {max_color} exceeds the bound {bound}"
                 )
-        ids = graph.arrays.ids.tolist()
-        assignments = {
-            v: Theorem13Assignment(phase=p, gamma=g, dist=d)
-            for v, p, g, d in zip(
-                ids, phase.tolist(), gamma.tolist(), dist.tolist()
-            )
-        }
+        ids = graph.arrays.ids
+        assignments = ColumnMap(
+            ids, (phase, gamma, dist), row=Theorem13Assignment
+        )
         result = ClusteringResult(
             clustering=ColoredBFSClustering(
-                color=dict(zip(ids, color.tolist())),
-                dist=dict(zip(ids, dist.tolist())),
+                color=ColumnMap(ids, (color,)), dist=ColumnMap(ids, (dist,))
             ),
             assignments=assignments,
             simulation=accounting.result(graph, assignments),
@@ -754,6 +753,28 @@ def clustering_columns(
     color = np.array([clustering.color[v] for v in ids], dtype=np.int64)
     dist = np.array([clustering.dist[v] for v in ids], dtype=np.int64)
     return color, dist
+
+
+def canonical_columns(
+    graph: StaticGraph, clustering: ColoredBFSClustering
+) -> tuple[Any, Any]:
+    """``clustering.canonical()`` as slot-ordered ``(color, dist)`` columns.
+
+    A clustering whose maps are :class:`~repro.graphs.arrays.ColumnMap`
+    views over this graph's ``ids`` (the vectorized Theorem 13 output)
+    is renumbered 1..c in color order on its own columns; any other
+    goes through the dict :meth:`~ColoredBFSClustering.canonical`
+    (which also handles non-integer palettes) and
+    :func:`clustering_columns`.
+    """
+    ids = graph.arrays.ids
+    color, dist = clustering.color, clustering.dist
+    if isinstance(color, ColumnMap) and isinstance(dist, ColumnMap):
+        color, dist = color.column_over(ids), dist.column_over(ids)
+        if color is not None and dist is not None:
+            distinct = sorted_unique(color)
+            return np.searchsorted(distinct, color) + 1, dist
+    return clustering_columns(graph, clustering.canonical())
 
 
 def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> None:

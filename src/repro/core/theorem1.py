@@ -14,7 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Mapping
 
-from repro.analysis.bounds import theorem1_awake_bound
+from repro.analysis.bounds import (
+    baseline_awake_bound,
+    theorem1_awake_bound,
+    theorem9_awake_bound,
+)
 from repro.core.clustering import ColoredBFSClustering
 from repro.core.theorem9 import theorem9_duration, theorem9_protocol
 from repro.core.theorem13 import (
@@ -42,18 +46,36 @@ def theorem1_duration(n: int, id_space: int, b: int | None = None) -> int:
     return theorem13_duration(n, id_space, b) + theorem9_duration(n, palette)
 
 
+def _check_awake(awake: int, bound: int, name: str) -> None:
+    if awake > bound:
+        raise ProtocolError(
+            f"awake complexity {awake} exceeds the {name} bound {bound}"
+        )
+
+
 def check_awake_bound(graph: StaticGraph, b: int, awake: int) -> None:
     """Raise :class:`ProtocolError` when a run's awake complexity
     exceeds :func:`~repro.analysis.bounds.theorem1_awake_bound`.
 
     Both engines run this on every validated solve, so the paper's
-    bound is checked wherever the outputs are.
+    bound is checked wherever the outputs are; the Theorem 9 and
+    baseline solvers run the two checks below the same way.
     """
-    bound = theorem1_awake_bound(graph.n, graph.id_space, b)
-    if awake > bound:
-        raise ProtocolError(
-            f"awake complexity {awake} exceeds the Theorem 1 bound {bound}"
-        )
+    _check_awake(awake, theorem1_awake_bound(graph.n, graph.id_space, b), "Theorem 1")
+
+
+def check_theorem9_awake_bound(graph: StaticGraph, palette: int, awake: int) -> None:
+    """Raise :class:`ProtocolError` when a Theorem 9 run on ``palette``
+    colors exceeds :func:`~repro.analysis.bounds.theorem9_awake_bound`."""
+    _check_awake(awake, theorem9_awake_bound(graph.n, palette), "Theorem 9")
+
+
+def check_baseline_awake_bound(graph: StaticGraph, awake: int) -> None:
+    """Raise :class:`ProtocolError` when a BM21 baseline run exceeds
+    :func:`~repro.analysis.bounds.baseline_awake_bound` (Δ taken as at
+    least 1, as the baseline does)."""
+    bound = baseline_awake_bound(graph.id_space, max(graph.max_degree, 1))
+    _check_awake(awake, bound, "baseline")
 
 
 def theorem1_program(problem: OLocalProblem, b: int | None = None):

@@ -22,7 +22,7 @@ the label space already fits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Mapping
 
 from repro.core.clustering import ColoredBFSClustering
 from repro.core.lemma14 import (
@@ -199,7 +199,7 @@ def _make_lemma15_vprogram(
 @dataclass(frozen=True)
 class ClusteringResult:
     clustering: ColoredBFSClustering
-    assignments: dict[NodeId, Theorem13Assignment]
+    assignments: Mapping[NodeId, Theorem13Assignment]
     simulation: SimulationResult | None
     b: int
     palette_bound: int

@@ -40,14 +40,22 @@ from repro.core.clustering import ColoredBFSClustering
 from repro.core.clustering_vectorized import (
     _clustering_columns,
     _member_offsets,
-    clustering_columns,
+    canonical_columns,
 )
 from repro.core.mapping import ColorScheduleMapping
-from repro.core.theorem1 import Theorem1Result, check_awake_bound
+from repro.core.theorem1 import (
+    Theorem1Result,
+    check_awake_bound,
+    check_theorem9_awake_bound,
+)
 from repro.core.theorem9 import Theorem9Result, theorem9_duration
-from repro.core.theorem13 import default_b, theorem13_duration
+from repro.core.theorem13 import (
+    Theorem13Assignment,
+    default_b,
+    theorem13_duration,
+)
 from repro.errors import ProtocolError
-from repro.graphs.arrays import segment_sum, sorted_unique
+from repro.graphs.arrays import ColumnMap, segment_sum, sorted_unique
 from repro.graphs.graph import StaticGraph
 from repro.model.vectorized import Accounting, decide_by_priority
 from repro.obs.spans import span
@@ -198,6 +206,13 @@ def _run_theorem9_kernel(
     return decider.outputs(), accounting
 
 
+def _output_and_assignment(
+    output: Any, phase: int, gamma: int, dist: int
+) -> tuple[Any, Theorem13Assignment]:
+    """One node's Theorem 1 simulator output: ``(output, assignment)``."""
+    return output, Theorem13Assignment(phase, gamma, dist)
+
+
 def solve_with_clustering_vectorized(
     graph: StaticGraph,
     problem: OLocalProblem,
@@ -218,14 +233,17 @@ def solve_with_clustering_vectorized(
         clustering: a colored BFS-clustering (γ, δ) of the graph.
         inputs: optional per-node inputs (defaults to the problem's own).
         palette: optionally widen the assumed color range c.
-        validate: check the solution before returning.
+        validate: check the solution, and the awake complexity against
+            the Theorem 9 bound
+            (:func:`~repro.core.theorem1.check_theorem9_awake_bound`),
+            before returning.
 
     Returns:
         :class:`Theorem9Result` with outputs, the simulated metrics and
         the palette used.
     """
-    canon = clustering.canonical()
-    c = palette if palette is not None else canon.max_color()
+    color, dist = canonical_columns(graph, clustering)
+    c = palette if palette is not None else int(color.max(initial=0))
     node_inputs = (
         dict(inputs) if inputs is not None else problem.make_inputs(graph)
     )
@@ -236,7 +254,6 @@ def solve_with_clustering_vectorized(
             cast_rounds=(1, cast_end),
             calendar_rounds=(cast_end + 1, theorem9_duration(graph.n, c)),
         )
-        color, dist = clustering_columns(graph, canon)
         outputs, accounting = _run_theorem9_kernel(
             graph, problem, node_inputs, color, dist, c, t0=1
         )
@@ -245,6 +262,9 @@ def solve_with_clustering_vectorized(
     with span("theorem9.validate", n=graph.n):
         if validate:
             problem.check(graph, result.outputs, node_inputs)
+            check_theorem9_awake_bound(
+                graph, c, int(accounting.awake.max(initial=0))
+            )
     return Theorem9Result(
         outputs=result.outputs, simulation=result, palette=c
     )
@@ -301,14 +321,23 @@ def solve_vectorized(
             active_rounds=stage13.active_rounds + stage9.active_rounds,
         )
         composed.charge()
-        assignments = clustered.assignments
+        # The decider keys its outputs in slot order, so their values
+        # line up with the assignment columns.
         simulation = composed.result(
-            graph, {v: (out, assignments[v]) for v, out in outputs.items()}
+            graph,
+            ColumnMap(
+                graph.arrays.ids,
+                (list(outputs.values()), *clustered.assignments.columns),
+                row=_output_and_assignment,
+            ),
         )
 
-    if validate:
-        problem.check(graph, outputs, node_inputs)
-        check_awake_bound(graph, chosen_b, int(composed.awake.max(initial=0)))
+    with span("theorem1.validate", n=graph.n):
+        if validate:
+            problem.check(graph, outputs, node_inputs)
+            check_awake_bound(
+                graph, chosen_b, int(composed.awake.max(initial=0))
+            )
     return Theorem1Result(
         outputs=outputs,
         clustering=clustered.clustering,

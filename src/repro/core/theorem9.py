@@ -203,6 +203,9 @@ def solve_with_clustering(
     may widen the assumed color range (it is common knowledge c).
     ``simulator`` optionally replaces :class:`SleepingSimulator` with a
     ``(graph, program, inputs=...)`` factory (fault injection).
+    ``validate`` checks the outputs and the awake complexity against the
+    Theorem 9 bound
+    (:func:`~repro.core.theorem1.check_theorem9_awake_bound`).
     """
     canon = clustering.canonical()
     c = palette if palette is not None else canon.max_color()
@@ -240,7 +243,10 @@ def solve_with_clustering(
         result = make_simulator(graph, program, inputs=node_inputs).run()
     with span("theorem9.validate", n=graph.n):
         if validate:
+            from repro.core.theorem1 import check_theorem9_awake_bound
+
             problem.check(graph, result.outputs, node_inputs)
+            check_theorem9_awake_bound(graph, c, result.awake_complexity)
     return Theorem9Result(outputs=result.outputs, simulation=result, palette=c)
 
 

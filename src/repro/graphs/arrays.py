@@ -15,17 +15,26 @@ hand them to :meth:`StaticGraph.from_arrays
 Slot order is ID order: ``_GraphIndex.nodes`` is sorted ascending, so
 ``slot_u < slot_v  ⇔  id_u < id_v`` and the kernels compare slots where
 the sequential code compares IDs.
+
+Results leave the kernels the same way: :class:`ColumnMap` is the
+read-only ``{ID: value}`` view over ``ids`` plus slot-ordered columns
+that the vectorized engine returns wherever a per-node dict used to be
+(graph adjacency, clustering maps, awake and termination rounds, the
+composed Theorem 1 outputs); the dict is built on first keyed use.
 """
 
 from __future__ import annotations
 
+import gc
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.errors import GraphError
+from repro.obs.spans import span
 
 if TYPE_CHECKING:
     from repro.graphs.graph import _GraphIndex
@@ -130,9 +139,172 @@ class GraphArrays:
         return len(self.ids)
 
     @cached_property
+    def max_degree(self) -> int:
+        """Largest degree (0 for an edgeless graph)."""
+        return int(self.degrees.max(initial=0))
+
+    @property
+    def num_edges(self) -> int:
+        """Number of undirected edges."""
+        return self.flat.size // 2
+
+    @cached_property
     def edge_sources(self) -> Any:
         """Source slot of every ``flat`` entry (shape ``(2E,)``)."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
+
+# -- column-backed results ---------------------------------------------------
+
+
+class ColumnMap(Mapping):
+    """A read-only ``{node ID: value}`` mapping over slot-ordered columns.
+
+    Slot ``i`` maps ``ids[i]`` to ``columns[0][i]``, or to
+    ``row(columns[0][i], columns[1][i], ...)`` when a ``row`` callable is
+    given. A column is a numpy array (values come out as Python scalars,
+    via ``tolist``) or a list. ``len`` reads ``ids`` and :meth:`values`
+    reads the columns; the first keyed access or iteration builds the
+    dict, once. ``row`` must be a module-level callable, so the view
+    pickles (without its dict), and it compares equal to any mapping
+    with the same items, from either side of ``==``.
+    """
+
+    __slots__ = ("ids", "columns", "row", "_dict")
+
+    def __init__(
+        self, ids: Any, columns: tuple, row: Callable[..., Any] | None = None
+    ) -> None:
+        """Wrap ``columns`` (slot-ordered, as long as ``ids``) by ID."""
+        self.ids = ids
+        self.columns = tuple(columns)
+        self.row = row
+        self._dict: dict | None = None
+
+    def __reduce__(self) -> tuple:
+        """Pickle the columns, not the dict."""
+        return (type(self), (self.ids, self.columns, self.row))
+
+    @property
+    def built(self) -> bool:
+        """Whether the dict has been built."""
+        return self._dict is not None
+
+    def column_over(self, ids: Any) -> Any:
+        """The single column if this view is keyed by exactly ``ids``.
+
+        ``None`` when ``ids`` is another array, or the view has several
+        columns or a ``row`` callable.
+        """
+        if self.ids is ids and self.row is None and len(self.columns) == 1:
+            return self.columns[0]
+        return None
+
+    def _values(self) -> list:
+        """The values in slot order; never builds the dict."""
+        lists = [
+            c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns
+        ]
+        return lists[0] if self.row is None else list(map(self.row, *lists))
+
+    def _mapping(self) -> dict:
+        """The dict, built on first call."""
+        if self._dict is None:
+            # n acyclic entries: the cyclic collector would only re-scan them
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self._dict = dict(zip(self.ids.tolist(), self._values()))
+            finally:
+                if collecting:
+                    gc.enable()
+        return self._dict
+
+    def __len__(self) -> int:
+        """The number of nodes, from ``ids``."""
+        return len(self.ids)
+
+    def __getitem__(self, key: Any) -> Any:
+        """The value of node ``key``."""
+        return self._mapping()[key]
+
+    def __iter__(self) -> Iterator[Any]:
+        """Node IDs, ascending."""
+        return iter(self._mapping())
+
+    def __contains__(self, key: object) -> bool:
+        """Whether ``key`` is a node ID."""
+        return key in self._mapping()
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        """The value of node ``key``, or ``default``."""
+        return self._mapping().get(key, default)
+
+    def items(self) -> ItemsView:
+        """``(ID, value)`` pairs, as the dict's items view."""
+        return self._mapping().items()
+
+    def values(self) -> ValuesView:
+        """The values in slot order, read from the columns."""
+        if self._dict is not None:
+            return self._dict.values()
+        return _ColumnValues(self)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to any mapping with the same items."""
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if isinstance(other, ColumnMap):
+            other = other._mapping()
+        return self._mapping() == other
+
+    def __repr__(self) -> str:
+        """The dict's repr."""
+        return repr(self._mapping())
+
+
+class _ColumnValues(ValuesView):
+    """``ColumnMap.values()`` before the dict exists: read the columns."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._values())
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._mapping._values()
+
+
+class NeighborMap(ColumnMap):
+    """``{ID: neighbor-ID tuple}`` over CSR columns.
+
+    The adjacency of a graph built by :meth:`StaticGraph.from_arrays
+    <repro.graphs.graph.StaticGraph.from_arrays>`. The tuples are made
+    on first use, under a ``graphs.index`` span, so a per-node consumer
+    that pays for them shows in a trace.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ids: Any, offsets: Any, flat: Any) -> None:
+        """Wrap the CSR columns of :class:`GraphArrays`."""
+        super().__init__(ids, (offsets, flat))
+
+    def __reduce__(self) -> tuple:
+        """Pickle the CSR columns, not the dict."""
+        return (type(self), (self.ids, *self.columns))
+
+    def _values(self) -> list:
+        offsets, flat = self.columns
+        bounds = offsets.tolist()
+        neighbor_ids = self.ids[flat].tolist()
+        return [tuple(neighbor_ids[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    def _mapping(self) -> dict:
+        if self._dict is None:
+            with span("graphs.index", n=len(self.ids)):
+                return super()._mapping()
+        return self._dict
 
 
 # -- segment helpers ---------------------------------------------------------

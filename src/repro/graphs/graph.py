@@ -13,7 +13,6 @@ instance. The index layout is documented in PERFORMANCE.md.
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -21,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 import networkx as nx
 
 from repro.errors import GraphError
+from repro.obs.spans import span
 from repro.types import NodeId
 from repro.util.idspace import IdAssignment, identity_ids
 
@@ -154,7 +154,17 @@ class StaticGraph:
     def _index(self) -> _GraphIndex:
         index = self.__dict__.get("_index_cache")
         if index is None:
-            index = _GraphIndex(self.adjacency)
+            arrays = self.__dict__.get("_source_arrays")
+            if arrays is None:
+                index = _GraphIndex(self.adjacency)
+            else:
+                with span("graphs.index", n=arrays.n):
+                    index = _GraphIndex._from_columns(
+                        arrays.ids.tolist(),
+                        arrays.offsets.tolist(),
+                        arrays.flat.tolist(),
+                        arrays.degrees.tolist(),
+                    )
             object.__setattr__(self, "_index_cache", index)
         return index
 
@@ -216,7 +226,7 @@ class StaticGraph:
 
     @staticmethod
     def from_arrays(ids, offsets, flat, id_space: int) -> "StaticGraph":
-        """Build a graph from int64 CSR columns, in one pass.
+        """Build a graph from int64 CSR columns, without a per-node walk.
 
         ``ids`` are the node IDs, ascending (slot ``i`` holds ``ids[i]``);
         ``flat[offsets[i]:offsets[i + 1]]`` are slot i's neighbor slots,
@@ -225,33 +235,16 @@ class StaticGraph:
         :meth:`GraphArrays.from_csr
         <repro.graphs.arrays.GraphArrays.from_csr>`, which raises
         :class:`GraphError`) and kept on the graph, which adopts them as
-        its ``arrays`` on first access instead of mirroring the index;
-        the index and the adjacency dict are built in bulk from them.
+        its ``arrays``. ``n``, ``max_degree`` and ``num_edges`` read them;
+        ``adjacency`` is a :class:`~repro.graphs.arrays.NeighborMap` over
+        them, and it and the index are built from them on first use.
         """
-        from repro.graphs.arrays import GraphArrays
+        from repro.graphs.arrays import GraphArrays, NeighborMap
 
         arrays = GraphArrays.from_csr(ids, offsets, flat, id_space)
-        nodes = arrays.ids.tolist()
-        bounds = arrays.offsets.tolist()
-        neighbor_ids = arrays.ids[arrays.flat].tolist()
-        # n acyclic tuples: the cyclic collector would only re-scan them
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            adjacency = dict(
-                zip(
-                    nodes,
-                    [tuple(neighbor_ids[a:b]) for a, b in zip(bounds, bounds[1:])],
-                )
-            )
-        finally:
-            if collecting:
-                gc.enable()
-        graph = StaticGraph._trusted(adjacency, id_space)
-        index = _GraphIndex._from_columns(
-            nodes, bounds, arrays.flat.tolist(), arrays.degrees.tolist()
+        graph = StaticGraph._trusted(
+            NeighborMap(arrays.ids, arrays.offsets, arrays.flat), id_space
         )
-        object.__setattr__(graph, "_index_cache", index)
         object.__setattr__(graph, "_source_arrays", arrays)
         return graph
 
@@ -312,11 +305,13 @@ class StaticGraph:
 
     @property
     def max_degree(self) -> int:
-        return self._index.max_degree
+        arrays = self.__dict__.get("_source_arrays")
+        return arrays.max_degree if arrays is not None else self._index.max_degree
 
     @property
     def num_edges(self) -> int:
-        return self._index.num_edges
+        arrays = self.__dict__.get("_source_arrays")
+        return arrays.num_edges if arrays is not None else self._index.num_edges
 
     def edges(self) -> Iterator[tuple[NodeId, NodeId]]:
         index = self._index

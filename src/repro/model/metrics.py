@@ -12,16 +12,23 @@ We additionally record averages, totals and message counts, which back the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.types import NodeId
 
 
 @dataclass
 class SimulationMetrics:
-    """Mutable accounting updated by the simulator while it runs."""
+    """Mutable accounting updated by the simulator while it runs.
 
-    awake_rounds: dict[NodeId, int] = field(default_factory=dict)
-    termination_round: dict[NodeId, int] = field(default_factory=dict)
+    The per-node engines fill plain dicts; the vectorized engine hands
+    back read-only views over its columns
+    (:class:`~repro.graphs.arrays.ColumnMap`), which every query below
+    reads the same way.
+    """
+
+    awake_rounds: Mapping[NodeId, int] = field(default_factory=dict)
+    termination_round: Mapping[NodeId, int] = field(default_factory=dict)
     messages_sent: int = 0
     active_rounds: int = 0  # rounds in which at least one node was awake
     last_round: int = 0

@@ -70,9 +70,13 @@ NodeProgram = Callable[[NodeInfo], Generator[AwakeAt, dict[NodeId, Payload], Any
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of a completed simulation."""
+    """Outcome of a completed simulation.
 
-    outputs: dict[NodeId, Any]
+    ``outputs`` and the metrics' per-node maps are dicts from the
+    per-node engines and column-backed views from the vectorized one.
+    """
+
+    outputs: Mapping[NodeId, Any]
     metrics: SimulationMetrics
     graph: StaticGraph
 

@@ -55,6 +55,7 @@ from typing import Any, Mapping, NamedTuple
 import numpy as np
 
 from repro.graphs.arrays import (
+    ColumnMap,
     ragged_gather,
     segment_any,
     segment_sum,
@@ -325,7 +326,7 @@ class Accounting(NamedTuple):
 
     Every array kernel ends in this form; stages compose on it (Lemma
     8: awake counts and totals add, the last stage's terminations
-    stand) before :meth:`result` builds the per-node dicts once.
+    stand) before :meth:`result` wraps the columns as per-node views.
     """
 
     awake: Any  #: int64 awake-round count per slot
@@ -334,13 +335,17 @@ class Accounting(NamedTuple):
     active_rounds: int  #: rounds in which any node is awake
 
     def result(
-        self, graph: StaticGraph, outputs: dict[NodeId, Any]
+        self, graph: StaticGraph, outputs: Mapping[NodeId, Any]
     ) -> SimulationResult:
-        """The :class:`SimulationResult` these columns describe."""
-        ids = graph.arrays.ids.tolist()
+        """The :class:`SimulationResult` these columns describe.
+
+        Its per-node metrics are :class:`~repro.graphs.arrays.ColumnMap`
+        views over the columns.
+        """
+        ids = graph.arrays.ids
         metrics = SimulationMetrics(
-            awake_rounds=dict(zip(ids, self.awake.tolist())),
-            termination_round=dict(zip(ids, self.termination.tolist())),
+            awake_rounds=ColumnMap(ids, (self.awake,)),
+            termination_round=ColumnMap(ids, (self.termination,)),
             messages_sent=int(self.messages),
             active_rounds=int(self.active_rounds),
             last_round=int(self.termination.max(initial=0)),

@@ -65,8 +65,27 @@ class OLocalProblem(ABC):
         problem takes no input."""
         return None
 
-    def make_inputs(self, graph: StaticGraph) -> dict[NodeId, Any]:
-        return {v: self.default_input(graph, v) for v in graph.nodes}
+    def make_inputs(self, graph: StaticGraph) -> Mapping[NodeId, Any]:
+        """Every node's :meth:`default_input`.
+
+        A dict, or, when the graph's CSR columns are already built
+        (:attr:`StaticGraph.built_arrays
+        <repro.graphs.graph.StaticGraph.built_arrays>`), a
+        :class:`~repro.graphs.arrays.ColumnMap` over them, so the array
+        engine never makes a per-node dict. A problem that keeps the
+        base :meth:`default_input` gets ``None`` for every node without
+        a call per node.
+        """
+        arrays = graph.built_arrays
+        if arrays is None:
+            return {v: self.default_input(graph, v) for v in graph.nodes}
+        from repro.graphs.arrays import ColumnMap
+
+        if type(self).default_input is OLocalProblem.default_input:
+            column = [None] * arrays.n
+        else:
+            column = [self.default_input(graph, v) for v in arrays.ids.tolist()]
+        return ColumnMap(arrays.ids, (column,))
 
     def check(
         self,
