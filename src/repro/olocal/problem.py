@@ -72,19 +72,14 @@ class OLocalProblem(ABC):
         (:attr:`StaticGraph.built_arrays
         <repro.graphs.graph.StaticGraph.built_arrays>`), a
         :class:`~repro.graphs.arrays.ColumnMap` over them, so the array
-        engine never makes a per-node dict. A problem that keeps the
-        base :meth:`default_input` gets ``None`` for every node without
-        a call per node.
+        engine never makes a per-node dict.
         """
         arrays = graph.built_arrays
         if arrays is None:
             return {v: self.default_input(graph, v) for v in graph.nodes}
         from repro.graphs.arrays import ColumnMap
 
-        if type(self).default_input is OLocalProblem.default_input:
-            column = [None] * arrays.n
-        else:
-            column = [self.default_input(graph, v) for v in arrays.ids.tolist()]
+        column = [self.default_input(graph, v) for v in arrays.ids.tolist()]
         return ColumnMap(arrays.ids, (column,))
 
     def check(

@@ -19,12 +19,18 @@ np = pytest.importorskip("numpy")
 
 from repro.api import Scenario, run_scenario
 from repro.core.algorithms import ALGORITHMS as ALGORITHM_REGISTRY
+from repro.core.bm21_vectorized import solve_with_baseline_vectorized
+from repro.core.clustering_vectorized import compute_clustering_vectorized
 from repro.core.theorem1 import solve
-from repro.core.theorem1_vectorized import solve_vectorized
+from repro.core.theorem1_vectorized import (
+    solve_vectorized,
+    solve_with_clustering_vectorized,
+)
 from repro.graphs import gnp
 from repro.graphs.arrays import ColumnMap, NeighborMap
 from repro.graphs.graph import StaticGraph
 from repro.olocal import PROBLEMS
+from repro.olocal.problem import OLocalProblem
 
 N = 2**12
 ALGORITHMS = ("theorem1", "theorem9", "baseline", "greedy")
@@ -184,8 +190,27 @@ class TestVectorizedResults:
         assert again.simulation.metrics.summary() == result.simulation.metrics.summary()
 
 
+@pytest.fixture
+def made_inputs(monkeypatch):
+    """Every mapping ``OLocalProblem.make_inputs`` returns while the test runs."""
+    made = []
+    make_inputs = OLocalProblem.make_inputs
+
+    def spy(self, graph):
+        inputs = make_inputs(self, graph)
+        made.append(inputs)
+        return inputs
+
+    monkeypatch.setattr(OLocalProblem, "make_inputs", spy)
+    return made
+
+
+def unbuilt(views):
+    return all(isinstance(v, ColumnMap) and not v.built for v in views)
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_scale_path_builds_no_per_node_dict(algorithm):
+def test_scale_path_builds_no_per_node_dict(algorithm, made_inputs):
     """gnp(fast) → vectorized solve with checks on: no index, no view dict,
     and the same outcome as on the graph's from_edges twin."""
     scenario = Scenario(
@@ -195,12 +220,13 @@ def test_scale_path_builds_no_per_node_dict(algorithm):
     result = run_scenario(scenario)
     assert result.ok
     graph, outcome = result.graph, result.outcome
-    views = [graph.adjacency]
+    views = [graph.adjacency, *made_inputs]
     clustering = outcome.extras.get("clustering")
     if clustering is not None:
         views += [clustering.color, clustering.dist]
+    assert made_inputs
     assert "_index_cache" not in graph.__dict__
-    assert all(isinstance(v, ColumnMap) and not v.built for v in views)
+    assert unbuilt(views)
 
     again = ALGORITHM_REGISTRY.get(algorithm).solve(
         twin(graph), PROBLEMS.get("mis"), engine="vectorized"
@@ -214,3 +240,32 @@ def test_scale_path_builds_no_per_node_dict(algorithm):
         again.round_complexity, again.messages_sent,
     )
     assert outcome.extras == again.extras
+
+
+def test_vectorized_results_leave_every_view_unbuilt(made_inputs):
+    """The result objects of each vectorized solver, after its checks ran:
+    metrics, outputs, assignments, clustering maps and inputs stay views."""
+    graph = gnp(N, 8 / N, seed=0, method="fast")
+    problem = PROBLEMS.get("mis")
+    clustered = compute_clustering_vectorized(graph)
+    theorem1 = solve_vectorized(graph, problem)
+    theorem9 = solve_with_clustering_vectorized(
+        graph, problem, clustered.clustering
+    )
+    baseline = solve_with_baseline_vectorized(graph, problem)
+
+    views = [
+        clustered.assignments,
+        clustered.clustering.color,
+        clustered.clustering.dist,
+        clustered.simulation.outputs,
+        theorem1.simulation.outputs,
+        *made_inputs,
+    ]
+    for result in (clustered, theorem1, theorem9, baseline):
+        metrics = result.simulation.metrics
+        metrics.summary()
+        views += [metrics.awake_rounds, metrics.termination_round]
+    assert len(made_inputs) == 3
+    assert "_index_cache" not in graph.__dict__
+    assert unbuilt(views)
