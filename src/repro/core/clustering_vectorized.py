@@ -16,6 +16,8 @@ over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
   CSRs — the distance-2 conflicts are the direct edges plus the relayed
   triples ``(v, mid, w)`` with ``w != v``, exactly the colors
   :func:`repro.core.linial.linial_coloring` collects;
+- **the parent rule** reads every 2-hop color minimum from each H row's
+  two smallest colors (:func:`_lemma15_parents`), with no triples;
 - **the F2 forest** (parents p2) roots via pointer doubling, and all
   BFS distances (induced cluster distances, Lemma 14 merges) run as
   masked frontier waves;
@@ -26,9 +28,10 @@ over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
   :func:`repro.core.theorem13.compute_clustering` — the differential
   suite in ``tests/test_engine_equivalence.py`` is the gate.
 
-Per-phase work is O(n + m + Σ deg_H²) array time (the triples), and the
-virtual graph shrinks geometrically, so the whole clustering runs at
-n = 10⁶ in seconds where the simulator needs hours.
+Per-phase work is O(n + m) array time and memory; only the distance-2
+prologue, which runs for ID spaces beyond about n⁴, adds the Σ deg_H²
+triples. The virtual graph shrinks geometrically, so the whole
+clustering runs at n = 10⁶ in seconds where the simulator needs hours.
 """
 
 from __future__ import annotations
@@ -229,6 +232,78 @@ def _member_offsets(n: int, d: int) -> Any:
     )
 
 
+def _lemma15_parents(
+    hoff: Any, hflat: Any, c1: Any, labels: Any
+) -> tuple[Any, Any, Any, Any]:
+    """The three-case parent rule of Lemma 15 (steps 3-4) on H's CSR.
+
+    A vertex v with a smaller color on its 2-ball picks p1 = the
+    smallest-colored neighbor if that one is smaller than c1(v) (case
+    2, p2 = p1), else the smallest-colored distance-2 vertex (case 3,
+    p2 = the smallest-ID common neighbor) — the rule of
+    :func:`repro.core.lemma15._select_p1`. c1 is unique on every
+    2-ball, so what v hears through a neighbor u is the smallest color
+    on N(u) other than v's: u's row minimum, or its runner-up when
+    that minimum is v itself. Each row's two smallest colors therefore
+    give every 2-hop minimum in O(n + m_H) segment-min passes, with no
+    relayed (v, u, w) triple built. What v hears may be a direct
+    neighbor's color, which never wins case 3 (all direct colors exceed
+    c1 there).
+
+    Args:
+        hoff: H's CSR row pointers.
+        hflat: H's CSR neighbor indices (sorted within each row, so the
+            smallest index is the smallest ID).
+        c1: int64 per-vertex colors, unique on every 2-ball.
+        labels: per-vertex IDs, for error messages only.
+
+    Returns:
+        ``(p1, p2, c2, root_h)`` — int64 parents (-1 at roots), the
+        int64 tree labels c2 = 2·c1(p1) + [case 3] (0 at roots), and
+        the boolean root mask.
+
+    Raises:
+        ProtocolError: if a case-3 vertex shares no neighbor with p1.
+    """
+    num_h = len(hoff) - 1
+    hes = np.repeat(np.arange(num_h, dtype=np.int64), np.diff(hoff))
+    cn = c1[hflat]
+    m1 = _segment_min(cn, hoff, _BIG)
+    a1 = _segment_min(np.where(cn == m1[hes], hflat, _BIG), hoff, _BIG)
+    m2 = _segment_min(np.where(hflat == a1[hes], _BIG, cn), hoff, _BIG)
+    a2 = _segment_min(np.where(cn == m2[hes], hflat, _BIG), hoff, _BIG)
+    # Per H edge (v, u): the color v hears through u, and whose it is.
+    hit = a1[hflat] == hes
+    heard_c = np.where(hit, m2[hflat], m1[hflat])
+    heard = np.where(hit, a2[hflat], a1[hflat])
+
+    rmin_c = _segment_min(heard_c, hoff, _BIG)
+    root_h = (m1 > c1) & (rmin_c > c1)
+    case2 = ~root_h & (m1 < c1)
+    case3 = ~root_h & ~case2
+    rarg = _segment_min(
+        np.where(heard_c == rmin_c[hes], heard, _BIG), hoff, _BIG
+    )
+    p1 = np.where(case2, a1, np.where(case3, rarg, -1))
+    parent_c1 = np.where(root_h, 0, np.where(case2, m1, rmin_c))
+    c2 = np.where(root_h, 0, 2 * parent_c1 + case3)
+    p2 = np.where(case2, p1, np.int64(-1))
+    if case3.any():
+        common = _segment_min(
+            np.where(case3[hes] & (heard == p1[hes]), hflat, _BIG),
+            hoff,
+            _BIG,
+        )
+        bad = case3 & (common >= _BIG)
+        if bad.any():
+            v = int(labels[np.flatnonzero(bad)[0]])
+            raise ProtocolError(
+                f"node {v}: 2-hop parent shares no common neighbor"
+            )
+        p2 = np.where(case3, common, p2)
+    return p1, p2, c2, root_h
+
+
 def _clustering_kernel(
     graph: StaticGraph, b: int
 ) -> tuple[Any, Any, Any, Accounting]:
@@ -338,19 +413,21 @@ def _run_phase(
     esrc, edst = ga.edge_sources, ga.flat
 
     # ---- the virtual graph H of the current clustering -------------------
-    hlabels = sorted_unique(label[active])
-    num_h = hlabels.size
-    hidx = np.zeros(ga.n, dtype=np.int64)
-    hidx[active] = np.searchsorted(hlabels, label[active])
-    e_act = active[esrc] & active[edst]
-    same_lab = label[esrc] == label[edst]
-    e_x = e_act & ~same_lab
-    hkey = hidx[esrc[e_x]] * np.int64(num_h) + hidx[edst[e_x]]
-    ukey = sorted_unique(hkey)
-    hdeg = np.bincount(ukey // num_h, minlength=num_h).astype(np.int64)
-    hoff = np.zeros(num_h + 1, dtype=np.int64)
-    np.cumsum(hdeg, out=hoff[1:])
-    hflat = ukey % num_h
+    with span("theorem13.h_build", phase=i):
+        hlabels = sorted_unique(label[active])
+        num_h = hlabels.size
+        hidx = np.zeros(ga.n, dtype=np.int64)
+        hidx[active] = np.searchsorted(hlabels, label[active])
+        e_act = active[esrc] & active[edst]
+        same_lab = label[esrc] == label[edst]
+        e_x = e_act & ~same_lab
+        hkey = hidx[esrc[e_x]] * np.int64(num_h) + hidx[edst[e_x]]
+        ukey = sorted_unique(hkey)
+        hdeg = np.bincount(ukey // num_h, minlength=num_h).astype(np.int64)
+        hoff = np.zeros(num_h + 1, dtype=np.int64)
+        np.cumsum(hdeg, out=hoff[1:])
+        hflat = ukey % num_h
+        hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
 
     # ---- Lemma 15, steps 1-4: colors c1/c2 and parents p1/p2 -------------
     k = distance2_palette(n, ls)
@@ -361,292 +438,263 @@ def _run_phase(
     sched_u = reduction_schedule(ls, b)
     steps_u = len(sched_u)
 
-    # Relayed triples (src, mid, w): what the distance-2 rounds deliver.
-    hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
-    w2, _ = ragged_gather(hoff, hflat, hflat)
-    rep = hdeg[hflat]
-    src2 = np.repeat(hes, rep)
-    mid2 = np.repeat(hflat, rep)
-    relay = w2 != src2
-    rsrc, rmid, rw = src2[relay], mid2[relay], w2[relay]
-    del w2, src2, mid2, relay, rep
-    rcnt = np.bincount(rsrc, minlength=num_h).astype(np.int64)
-    roff = np.zeros(num_h + 1, dtype=np.int64)
-    np.cumsum(rcnt, out=roff[1:])
-
-    c0 = hlabels - 1
-    for d, q in sched2:
-        c0 = _linial_step_pairs(
-            c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
-        )
-    c1 = np.where(hdeg <= b, c0 + 1 + k, c0 + 1)
-
-    # The three-case parent rule: c1 is unique on every 2-ball, so the
-    # color minimum pins a single vertex and a second segment-min finds
-    # it; the relayed set may repeat direct neighbors, which can never
-    # win case 3 (all direct colors exceed c1 there).
-    rc = c1[rw]
-    dmin_c = _segment_min(c1[hflat], hoff, _BIG)
-    rmin_c = _segment_min(rc, roff, _BIG)
-    root_h = (dmin_c > c1) & (rmin_c > c1)
-    case2 = ~root_h & (dmin_c < c1)
-    case3 = ~root_h & ~case2
-    darg = _segment_min(
-        np.where(c1[hflat] == dmin_c[hes], hflat, _BIG), hoff, _BIG
-    )
-    rarg = _segment_min(np.where(rc == rmin_c[rsrc], rw, _BIG), roff, _BIG)
-    p1 = np.where(case2, darg, np.where(case3, rarg, -1))
-    parent_c1 = np.where(root_h, 0, np.where(case2, dmin_c, rmin_c))
-    c2 = np.where(root_h, 0, 2 * parent_c1 + case3)
-    p2 = np.where(case2, p1, np.int64(-1))
-    if case3.any():
-        common = _segment_min(
-            np.where(case3[rsrc] & (rw == p1[rsrc]), rmid, _BIG),
-            roff,
-            _BIG,
-        )
-        bad = case3 & (common >= _BIG)
-        if bad.any():
-            v = int(hlabels[np.flatnonzero(bad)[0]])
+    with span("theorem13.parents", phase=i):
+        c0 = hlabels - 1
+        if sched2:
+            # The distance-2 prologue also conflicts with the relayed
+            # triples (src, mid, w), w != src, that its rounds deliver:
+            # Σ deg_H² rows, built only for label spaces beyond about n⁴.
+            w2, _ = ragged_gather(hoff, hflat, hflat)
+            src2 = np.repeat(hes, hdeg[hflat])
+            relay = w2 != src2
+            rw = w2[relay]
+            rcnt = np.bincount(src2[relay], minlength=num_h)
+            del w2, src2, relay
+            roff = np.zeros(num_h + 1, dtype=np.int64)
+            np.cumsum(rcnt, out=roff[1:])
+            for d, q in sched2:
+                c0 = _linial_step_pairs(
+                    c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
+                )
+            del rw, roff
+        c1 = np.where(hdeg <= b, c0 + 1 + k, c0 + 1)
+        _, p2, c2, root_h = _lemma15_parents(hoff, hflat, c1, hlabels)
+        if int(c2.max(initial=0)) > big_b:
+            v = int(hlabels[int(np.argmax(c2))])
             raise ProtocolError(
-                f"node {v}: 2-hop parent shares no common neighbor"
+                f"node {v}: c2 = {int(c2.max())} exceeds bound {big_b}"
             )
-        p2 = np.where(case3, common, p2)
-    del rc, rsrc, rmid, rw, rcnt, roff
-    if int(c2.max(initial=0)) > big_b:
-        v = int(hlabels[int(np.argmax(c2))])
-        raise ProtocolError(
-            f"node {v}: c2 = {int(c2.max())} exceeds bound {big_b}"
-        )
 
     # ---- steps 5-7: the F2 forest, induced distances, U coloring ---------
-    ptr = np.where(p2 >= 0, p2, np.arange(num_h, dtype=np.int64))
-    for _ in range(max(1, num_h).bit_length() + 1):
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            break
-        ptr = nxt
-    rootidx = ptr
-    if (p2[rootidx] >= 0).any():
-        v = int(hlabels[np.flatnonzero(p2[rootidx] >= 0)[0]])
-        raise ProtocolError(f"node {v}: F2 is not a forest")
-    singleton_h = hdeg[rootidx] <= b
-    bad = singleton_h & (hdeg > b)
-    if bad.any():
-        v = np.flatnonzero(bad)[0]
-        raise ProtocolError(
-            f"node {int(hlabels[v])}: in a low-degree-rooted cluster but "
-            f"deg = {int(hdeg[v])} > b = {b} — contradicts Lemma 15"
+    with span("theorem13.forest", phase=i):
+        ptr = np.where(p2 >= 0, p2, np.arange(num_h, dtype=np.int64))
+        for _ in range(max(1, num_h).bit_length() + 1):
+            nxt = ptr[ptr]
+            if np.array_equal(nxt, ptr):
+                break
+            ptr = nxt
+        rootidx = ptr
+        if (p2[rootidx] >= 0).any():
+            v = int(hlabels[np.flatnonzero(p2[rootidx] >= 0)[0]])
+            raise ProtocolError(f"node {v}: F2 is not a forest")
+        singleton_h = hdeg[rootidx] <= b
+        bad = singleton_h & (hdeg > b)
+        if bad.any():
+            v = np.flatnonzero(bad)[0]
+            raise ProtocolError(
+                f"node {int(hlabels[v])}: in a low-degree-rooted cluster but "
+                f"deg = {int(hdeg[v])} > b = {b} — contradicts Lemma 15"
+            )
+        d_h = _masked_bfs(
+            hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
+            np.ones(num_h, dtype=bool),
         )
-    d_h = _masked_bfs(
-        hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
-        np.ones(num_h, dtype=bool),
-    )
-    if (d_h < 0).any():
-        v = np.flatnonzero(d_h < 0)[0]
-        raise ProtocolError(
-            f"node {int(hlabels[v])}: cluster of root "
-            f"{int(hlabels[rootidx[v]])} is not connected in G"
-        )
+        if (d_h < 0).any():
+            v = np.flatnonzero(d_h < 0)[0]
+            raise ProtocolError(
+                f"node {int(hlabels[v])}: cluster of root "
+                f"{int(hlabels[rootidx[v]])} is not connected in G"
+            )
 
-    gamma_h = np.zeros(num_h, dtype=np.int64)
-    uid = np.flatnonzero(singleton_h)
-    if uid.size:
-        upair = singleton_h[hes] & singleton_h[hflat]
-        udeg = segment_sum(upair.astype(np.int64), hoff)
-        if (udeg[uid] > b).any():
-            v = uid[np.flatnonzero(udeg[uid] > b)[0]]
-            raise ProtocolError(
-                f"node {int(hlabels[v])}: {int(udeg[v])} U-neighbors "
-                f"> b = {b}"
-            )
-        uofv = np.zeros(num_h, dtype=np.int64)
-        uofv[uid] = np.arange(uid.size, dtype=np.int64)
-        ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
-        uoff = np.zeros(uid.size + 1, dtype=np.int64)
-        np.cumsum(ucnt, out=uoff[1:])
-        ucol = hlabels[uid] - 1
-        for d, q in sched_u:
-            ucol = _linial_step_pairs(
-                ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
-            )
-        gamma_u = ucol + 1
-        if (gamma_u > ab2).any() or (gamma_u < 1).any():
-            v = uid[np.flatnonzero((gamma_u > ab2) | (gamma_u < 1))[0]]
-            raise ProtocolError(
-                f"node {int(hlabels[v])}: singleton color outside [1, {ab2}]"
-            )
-        gamma_h[uid] = gamma_u
+        gamma_h = np.zeros(num_h, dtype=np.int64)
+        uid = np.flatnonzero(singleton_h)
+        if uid.size:
+            upair = singleton_h[hes] & singleton_h[hflat]
+            udeg = segment_sum(upair.astype(np.int64), hoff)
+            if (udeg[uid] > b).any():
+                v = uid[np.flatnonzero(udeg[uid] > b)[0]]
+                raise ProtocolError(
+                    f"node {int(hlabels[v])}: {int(udeg[v])} U-neighbors "
+                    f"> b = {b}"
+                )
+            uofv = np.zeros(num_h, dtype=np.int64)
+            uofv[uid] = np.arange(uid.size, dtype=np.int64)
+            ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
+            uoff = np.zeros(uid.size + 1, dtype=np.int64)
+            np.cumsum(ucnt, out=uoff[1:])
+            ucol = hlabels[uid] - 1
+            for d, q in sched_u:
+                ucol = _linial_step_pairs(
+                    ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
+                )
+            gamma_u = ucol + 1
+            if (gamma_u > ab2).any() or (gamma_u < 1).any():
+                v = uid[np.flatnonzero((gamma_u > ab2) | (gamma_u < 1))[0]]
+                raise ProtocolError(
+                    f"node {int(hlabels[v])}: singleton color outside [1, {ab2}]"
+                )
+            gamma_h[uid] = gamma_u
 
     # ---- Lemma 15 accounting over the G-members --------------------------
-    hv = hidx  # per-slot H-vertex (garbage where inactive; always masked)
-    intra = segment_sum((e_act & same_lab).astype(np.int64), ga.offsets)
-    foreign = segment_sum(e_x.astype(np.int64), ga.offsets)
-    nev_a = (
-        2 * steps2 + 2
-        + np.where(root_h, 8, 12)
-        + np.where(singleton_h, 1 + steps_u, 0)
-    )
-    n_all = 2 * steps2 + 8 + singleton_h.astype(np.int64)
-    plab_h = np.where(p2 >= 0, hlabels[np.maximum(p2, 0)], np.int64(-1))
-    pd_edge = e_x & (label[edst] == plab_h[hv][esrc])
-    parent_deg = segment_sum(pd_edge.astype(np.int64), ga.offsets)
-    sing_dst = np.zeros(ga.n, dtype=bool)
-    sing_dst[active] = singleton_h[hidx[active]]
-    deg_u = segment_sum((e_x & sing_dst[edst]).astype(np.int64), ga.offsets)
-
-    sing_s = active & sing_dst
-    s_flag = (delta > 0).astype(np.int64)
-    w15_awake = (1 + nev_a[hv]) * np.where(delta == 0, 3, 5)
-    w15_msgs = (
-        ga.degrees
-        + (1 + nev_a[hv]) * (s_flag + intra)
-        + n_all[hv] * foreign
-        + 2 * (~root_h[hv]).astype(np.int64) * parent_deg
-        + singleton_h[hv].astype(np.int64) * steps_u * deg_u
-    )
-    awake[active] += w15_awake[active]
-    msgs[active] += w15_msgs[active]
-
-    # Active rounds: the fixed calendar (setup, Linial, c1 exchange, the
-    # four cast anchors, and the singleton tail) plus the c2/c2p-keyed
-    # cast rounds, expanded per distinct depth δ — absolute rounds are
-    # deduplicated globally, never summed per category (the δ = 0 and
-    # δ = 1 gather offsets collide).
-    vc2 = 3 + 2 * steps2
-    vc4 = vc2 + 4 * cast_len
-    betas = np.array([vc2, vc2 + 2 * cast_len], dtype=np.int64)
-    fixed = np.concatenate((
-        np.arange(vc2, dtype=np.int64),
-        betas,
-        betas + cast_len,
-    ))
-    sing_rounds = np.concatenate((
-        np.array([vc4], dtype=np.int64),
-        vc4 + 1 + np.arange(steps_u, dtype=np.int64),
-    ))
-    c2_s = c2[hv]
-    c2p_s = np.where(p2 >= 0, c2[np.maximum(p2, 0)], 0)[hv]
-    for dd in sorted_unique(delta[active]).tolist():
-        sel = active & (delta == dd)
-        parts = [fixed]
-        cset = sorted_unique(c2_s[sel])
-        parts.append((betas[None, :] + 1 + big_b - cset[:, None]).ravel())
-        parts.append((betas[None, :] + cast_len + 1 + cset[:, None]).ravel())
-        nonroot_sel = sel & ~root_h[hv]
-        if nonroot_sel.any():
-            pset = sorted_unique(c2p_s[nonroot_sel])
-            parts.append((betas[None, :] + 1 + big_b - pset[:, None]).ravel())
-            parts.append(
-                (betas[None, :] + cast_len + 1 + pset[:, None]).ravel()
-            )
-        if (sel & sing_s).any():
-            parts.append(sing_rounds)
-        vrs = sorted_unique(np.concatenate(parts))
-        offs = _member_offsets(n, int(dd))
-        round_chunks.append(
-            (clock + vrs[:, None] * window + offs[None, :]).ravel()
+    with span("theorem13.accounting", phase=i):
+        hv = hidx  # per-slot H-vertex (garbage where inactive; always masked)
+        intra = segment_sum((e_act & same_lab).astype(np.int64), ga.offsets)
+        foreign = segment_sum(e_x.astype(np.int64), ga.offsets)
+        nev_a = (
+            2 * steps2 + 2
+            + np.where(root_h, 8, 12)
+            + np.where(singleton_h, 1 + steps_u, 0)
         )
+        n_all = 2 * steps2 + 8 + singleton_h.astype(np.int64)
+        plab_h = np.where(p2 >= 0, hlabels[np.maximum(p2, 0)], np.int64(-1))
+        pd_edge = e_x & (label[edst] == plab_h[hv][esrc])
+        parent_deg = segment_sum(pd_edge.astype(np.int64), ga.offsets)
+        sing_dst = np.zeros(ga.n, dtype=bool)
+        sing_dst[active] = singleton_h[hidx[active]]
+        deg_u = segment_sum((e_x & sing_dst[edst]).astype(np.int64), ga.offsets)
 
-    # ---- singleton members finish: γ = (i, γ'), δ kept -------------------
-    out_phase[sing_s] = i
-    out_gamma[sing_s] = gamma_h[hv[sing_s]]
-    out_dist[sing_s] = delta[sing_s]
-    termination[sing_s] = (
-        clock + (vc4 + steps_u) * window + n + delta[sing_s] + 2
-    )
+        sing_s = active & sing_dst
+        s_flag = (delta > 0).astype(np.int64)
+        w15_awake = (1 + nev_a[hv]) * np.where(delta == 0, 3, 5)
+        w15_msgs = (
+            ga.degrees
+            + (1 + nev_a[hv]) * (s_flag + intra)
+            + n_all[hv] * foreign
+            + 2 * (~root_h[hv]).astype(np.int64) * parent_deg
+            + singleton_h[hv].astype(np.int64) * steps_u * deg_u
+        )
+        awake[active] += w15_awake[active]
+        msgs[active] += w15_msgs[active]
+
+        # Active rounds: the fixed calendar (setup, Linial, c1 exchange, the
+        # four cast anchors, and the singleton tail) plus the c2/c2p-keyed
+        # cast rounds, expanded per distinct depth δ — absolute rounds are
+        # deduplicated globally, never summed per category (the δ = 0 and
+        # δ = 1 gather offsets collide).
+        vc2 = 3 + 2 * steps2
+        vc4 = vc2 + 4 * cast_len
+        betas = np.array([vc2, vc2 + 2 * cast_len], dtype=np.int64)
+        fixed = np.concatenate((
+            np.arange(vc2, dtype=np.int64),
+            betas,
+            betas + cast_len,
+        ))
+        sing_rounds = np.concatenate((
+            np.array([vc4], dtype=np.int64),
+            vc4 + 1 + np.arange(steps_u, dtype=np.int64),
+        ))
+        c2_s = c2[hv]
+        c2p_s = np.where(p2 >= 0, c2[np.maximum(p2, 0)], 0)[hv]
+        for dd in sorted_unique(delta[active]).tolist():
+            sel = active & (delta == dd)
+            parts = [fixed]
+            cset = sorted_unique(c2_s[sel])
+            parts.append((betas[None, :] + 1 + big_b - cset[:, None]).ravel())
+            parts.append((betas[None, :] + cast_len + 1 + cset[:, None]).ravel())
+            nonroot_sel = sel & ~root_h[hv]
+            if nonroot_sel.any():
+                pset = sorted_unique(c2p_s[nonroot_sel])
+                parts.append((betas[None, :] + 1 + big_b - pset[:, None]).ravel())
+                parts.append(
+                    (betas[None, :] + cast_len + 1 + pset[:, None]).ravel()
+                )
+            if (sel & sing_s).any():
+                parts.append(sing_rounds)
+            vrs = sorted_unique(np.concatenate(parts))
+            offs = _member_offsets(n, int(dd))
+            round_chunks.append(
+                (clock + vrs[:, None] * window + offs[None, :]).ravel()
+            )
+
+        # ---- singleton members finish: γ = (i, γ'), δ kept -------------------
+        out_phase[sing_s] = i
+        out_gamma[sing_s] = gamma_h[hv[sing_s]]
+        out_dist[sing_s] = delta[sing_s]
+        termination[sing_s] = (
+            clock + (vc4 + steps_u) * window + n + delta[sing_s] + 2
+        )
 
     # ---- Lemma 14: merge the residual clusters ---------------------------
     residual = active & ~sing_s
     if not residual.any():
         return label, delta, residual
-
-    res_h = ~singleton_h
-    hres_e = res_h[hes] & res_h[hflat]
-    same_super = hres_e & (rootidx[hes] == rootidx[hflat])
-    parent2_h = _segment_min(
-        np.where(same_super & (d_h[hflat] == d_h[hes] - 1), hflat, _BIG),
-        hoff,
-        _BIG,
-    )
-    bad = res_h & (d_h > 0) & (parent2_h >= _BIG)
-    if bad.any():
-        v = np.flatnonzero(bad)[0]
-        raise ProtocolError(
-            f"cluster {int(hlabels[v])}: δ' = {int(d_h[v])} but no "
-            f"super-cluster neighbor at δ' = {int(d_h[v]) - 1}"
+    with span("theorem13.merge", phase=i):
+        res_h = ~singleton_h
+        hres_e = res_h[hes] & res_h[hflat]
+        same_super = hres_e & (rootidx[hes] == rootidx[hflat])
+        parent2_h = _segment_min(
+            np.where(same_super & (d_h[hflat] == d_h[hes] - 1), hflat, _BIG),
+            hoff,
+            _BIG,
         )
-    nev_b = 3 + 2 * (d_h > 0).astype(np.int64)
+        bad = res_h & (d_h > 0) & (parent2_h >= _BIG)
+        if bad.any():
+            v = np.flatnonzero(bad)[0]
+            raise ProtocolError(
+                f"cluster {int(hlabels[v])}: δ' = {int(d_h[v])} but no "
+                f"super-cluster neighbor at δ' = {int(d_h[v]) - 1}"
+            )
+        nev_b = 3 + 2 * (d_h > 0).astype(np.int64)
 
-    e_res = residual[esrc] & residual[edst]
-    intra_r = segment_sum((e_res & same_lab).astype(np.int64), ga.offsets)
-    e_rx = e_res & ~same_lab
-    foreign_r = segment_sum(e_rx.astype(np.int64), ga.offsets)
-    p2lab_h = np.where(
-        parent2_h < _BIG,
-        hlabels[np.minimum(parent2_h, num_h - 1)],
-        np.int64(-1),
-    )
-    parent2_deg = segment_sum(
-        (e_rx & (label[edst] == p2lab_h[hv][esrc])).astype(np.int64),
-        ga.offsets,
-    )
-    rt_s = rootidx[hv]
-    samesuper_deg = segment_sum(
-        (e_rx & (rt_s[edst] == rt_s[esrc])).astype(np.int64), ga.offsets
-    )
-    d2_s = d_h[hv]
-    w14_awake = (1 + nev_b[hv]) * np.where(delta == 0, 3, 5)
-    w14_msgs = (
-        ga.degrees
-        + (1 + nev_b[hv]) * (s_flag + intra_r)
-        + foreign_r
-        + (d2_s > 0).astype(np.int64) * parent2_deg
-        + samesuper_deg
-    )
-    awake[residual] += w14_awake[residual]
-    msgs[residual] += w14_msgs[residual]
+        e_res = residual[esrc] & residual[edst]
+        intra_r = segment_sum((e_res & same_lab).astype(np.int64), ga.offsets)
+        e_rx = e_res & ~same_lab
+        foreign_r = segment_sum(e_rx.astype(np.int64), ga.offsets)
+        p2lab_h = np.where(
+            parent2_h < _BIG,
+            hlabels[np.minimum(parent2_h, num_h - 1)],
+            np.int64(-1),
+        )
+        parent2_deg = segment_sum(
+            (e_rx & (label[edst] == p2lab_h[hv][esrc])).astype(np.int64),
+            ga.offsets,
+        )
+        rt_s = rootidx[hv]
+        samesuper_deg = segment_sum(
+            (e_rx & (rt_s[edst] == rt_s[esrc])).astype(np.int64), ga.offsets
+        )
+        d2_s = d_h[hv]
+        w14_awake = (1 + nev_b[hv]) * np.where(delta == 0, 3, 5)
+        w14_msgs = (
+            ga.degrees
+            + (1 + nev_b[hv]) * (s_flag + intra_r)
+            + foreign_r
+            + (d2_s > 0).astype(np.int64) * parent2_deg
+            + samesuper_deg
+        )
+        awake[residual] += w14_awake[residual]
+        msgs[residual] += w14_msgs[residual]
 
-    for dd in sorted_unique(delta[residual]).tolist():
-        sel = residual & (delta == dd)
-        d2set = sorted_unique(d2_s[sel])
-        parts = [
-            np.array([0, 1], dtype=np.int64),
-            n - d2set + 1,
-            n + d2set + 3,
-        ]
-        pos = d2set[d2set > 0]
-        if pos.size:
-            parts += [n - pos + 2, n + pos + 2]
-        vrs = sorted_unique(np.concatenate(parts))
-        offs = _member_offsets(n, int(dd))
-        round_chunks.append(
-            (clock_14 + vrs[:, None] * window + offs[None, :]).ravel()
-        )
+        for dd in sorted_unique(delta[residual]).tolist():
+            sel = residual & (delta == dd)
+            d2set = sorted_unique(d2_s[sel])
+            parts = [
+                np.array([0, 1], dtype=np.int64),
+                n - d2set + 1,
+                n + d2set + 3,
+            ]
+            pos = d2set[d2set > 0]
+            if pos.size:
+                parts += [n - pos + 2, n + pos + 2]
+            vrs = sorted_unique(np.concatenate(parts))
+            offs = _member_offsets(n, int(dd))
+            round_chunks.append(
+                (clock_14 + vrs[:, None] * window + offs[None, :]).ravel()
+            )
 
-    # Merge roots (δ = 0 and δ' = 0, unique per merged cluster), new
-    # labels ℓ'' = root ID + a·b², and induced BFS distances in G.
-    is_root = residual & (delta == 0) & (d2_s == 0)
-    root_counts = np.bincount(rt_s[is_root], minlength=num_h)
-    merged = sorted_unique(rt_s[residual])
-    if (root_counts[merged] != 1).any():
-        h = merged[np.flatnonzero(root_counts[merged] != 1)[0]]
-        raise ProtocolError(
-            f"merged cluster {int(hlabels[h]) + ab2} has "
-            f"{int(root_counts[h])} roots"
+        # Merge roots (δ = 0 and δ' = 0, unique per merged cluster), new
+        # labels ℓ'' = root ID + a·b², and induced BFS distances in G.
+        is_root = residual & (delta == 0) & (d2_s == 0)
+        root_counts = np.bincount(rt_s[is_root], minlength=num_h)
+        merged = sorted_unique(rt_s[residual])
+        if (root_counts[merged] != 1).any():
+            h = merged[np.flatnonzero(root_counts[merged] != 1)[0]]
+            raise ProtocolError(
+                f"merged cluster {int(hlabels[h]) + ab2} has "
+                f"{int(root_counts[h])} roots"
+            )
+        dist_new = _masked_bfs(
+            ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
         )
-    dist_new = _masked_bfs(
-        ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
-    )
-    if (dist_new[residual] < 0).any():
-        v = np.flatnonzero(residual & (dist_new < 0))[0]
-        raise ProtocolError(
-            f"merged cluster ℓ'' = {int(hlabels[rt_s[v]]) + ab2} is "
-            f"disconnected"
-        )
-    label = np.where(residual, hlabels[rt_s] + ab2, label)
-    delta = np.where(residual, dist_new, delta)
-    return label, delta, residual
+        if (dist_new[residual] < 0).any():
+            v = np.flatnonzero(residual & (dist_new < 0))[0]
+            raise ProtocolError(
+                f"merged cluster ℓ'' = {int(hlabels[rt_s[v]]) + ab2} is "
+                f"disconnected"
+            )
+        label = np.where(residual, hlabels[rt_s] + ab2, label)
+        delta = np.where(residual, dist_new, delta)
+        return label, delta, residual
 
 
 def compute_clustering_vectorized(
@@ -705,12 +753,13 @@ def _clustering_columns(
         color = (phase - 1) * np.int64(singleton_palette(b)) + gamma
         bound = color_palette_bound(graph.n, b)
         if validate:
-            validate_clustering_arrays(graph, color, dist)
-            max_color = int(color.max(initial=0))
-            if max_color > bound:
-                raise ProtocolError(
-                    f"used color {max_color} exceeds the bound {bound}"
-                )
+            with span("theorem13.validate", n=graph.n):
+                validate_clustering_arrays(graph, color, dist)
+                max_color = int(color.max(initial=0))
+                if max_color > bound:
+                    raise ProtocolError(
+                        f"used color {max_color} exceeds the bound {bound}"
+                    )
         ids = graph.arrays.ids
         assignments = ColumnMap(
             ids, (phase, gamma, dist), row=Theorem13Assignment

@@ -25,6 +25,7 @@ from repro.graphs import (
     gnp,
     path,
     preferential_attachment,
+    random_regular,
     random_tree,
     star,
 )
@@ -471,3 +472,58 @@ def test_vectorized_theorem9_singleton_clusters_bit_identical():
     ref = solve_with_clustering(g, problem, clustering)
     assert vec.outputs == ref.outputs
     assert_results_identical(vec.simulation, ref.simulation)
+
+
+# IDs drawn from [1, n⁵] make every Lemma 15 phase open with the
+# distance-2 Linial prologue, the one kernel step that still builds the
+# relayed (v, mid, w) pairs; the identity and poly2 IDs above skip it.
+# With ID seed 1 on the gnp graph and b = 2, a relayed pair decides a
+# Linial step: dropping the relayed conflicts changes the clustering.
+POLY5_GRAPHS = [
+    ("gnp-40-poly5", lambda: gnp(40, 0.15, seed=5, ids=_poly5_ids(40, 1))),
+    ("regular-24-poly5", lambda: random_regular(24, 4, seed=4, ids=_poly5_ids(24, 3))),
+]
+
+
+def _poly5_ids(n, seed):
+    from repro.util.idspace import polynomial_ids
+
+    return polynomial_ids(n, 5, seed=seed)
+
+
+@pytest.mark.parametrize("gname,factory", POLY5_GRAPHS)
+@pytest.mark.parametrize("b", [2, None])
+def test_vectorized_distance2_prologue_bit_identical(gname, factory, b):
+    from repro.core import theorem1
+    from repro.core.clustering_vectorized import compute_clustering_vectorized
+    from repro.core.lemma15 import distance2_conflict_degree
+    from repro.core.linial import reduction_schedule
+    from repro.core.theorem1_vectorized import (
+        solve_vectorized,
+        solve_with_clustering_vectorized,
+    )
+    from repro.core.theorem9 import solve_with_clustering
+    from repro.core.theorem13 import compute_clustering
+
+    g = factory()
+    assert reduction_schedule(g.id_space, distance2_conflict_degree(g.n))
+    problem = MaximalIndependentSet()
+
+    vec = solve_vectorized(g, problem, b=b)
+    ref = theorem1.solve(g, problem, b=b)
+    assert vec.outputs == ref.outputs
+    assert vec.clustering.color == ref.clustering.color
+    assert vec.clustering.dist == ref.clustering.dist
+    assert_results_identical(vec.simulation, ref.simulation)
+
+    # Theorem 9 as its adapter composes it: a fresh clustering, then
+    # the clustered solver on it.
+    vclu = compute_clustering_vectorized(g, b=b)
+    rclu = compute_clustering(g, b=b)
+    assert vclu.assignments == rclu.assignments
+    assert_results_identical(vclu.simulation, rclu.simulation)
+    vec9 = solve_with_clustering_vectorized(g, problem, vclu.clustering)
+    ref9 = solve_with_clustering(g, problem, rclu.clustering)
+    assert vec9.palette == ref9.palette
+    assert vec9.outputs == ref9.outputs
+    assert_results_identical(vec9.simulation, ref9.simulation)

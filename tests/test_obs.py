@@ -472,6 +472,34 @@ class TestVectorizedTheorem1Spans:
         for stage in ("theorem9.decide", "theorem9.accounting"):
             assert by_name[stage]["parent"] == outer["id"]
 
+    def test_clustering_phase_spans_nest_under_theorem13(self, tmp_path):
+        """Each Theorem 13 phase, and the array validation, is a named
+        child of ``theorem13.vectorized``; b = 1 keeps clusters
+        residual, so the Lemma 14 merge runs too."""
+        from repro.api import Scenario, run_scenario
+
+        trace = tmp_path / "t.jsonl"
+        spans.configure(trace)
+        result = run_scenario(Scenario(
+            family="gnp", n=48, problem="mis", algorithm="theorem1",
+            engine="vectorized", params={"b": 1},
+        ))
+        spans.disable()
+        assert result.ok
+        records, bad = load_trace(trace)
+        assert check_trace(records, bad) == []
+        (kernel,) = [r for r in records if r["name"] == "theorem13.vectorized"]
+        stages = ("h_build", "parents", "forest", "accounting", "merge")
+        for name in [f"theorem13.{s}" for s in stages] + ["theorem13.validate"]:
+            found = [r for r in records if r["name"] == name]
+            assert found, name
+            assert all(r["parent"] == kernel["id"] for r in found), name
+        phases = [r for r in records if r["name"] == "theorem13.h_build"]
+        assert len(phases) >= 2
+        assert [r["attrs"]["phase"] for r in phases] == sorted(
+            r["attrs"]["phase"] for r in phases
+        )
+
 
 # -- docs stay in sync with the instrumentation ------------------------------
 
