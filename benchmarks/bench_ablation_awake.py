@@ -2,7 +2,6 @@
 phase parameter b of Theorem 13."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e11, experiment_e12
 from repro.core.theorem13 import compute_clustering
 from repro.graphs import gnp
 
@@ -14,7 +13,7 @@ def test_bench_clustering_b2_vs_default(benchmark):
 
 
 def test_average_awake_tracks_max(experiment_cache):
-    result = experiment_cache("E11", experiment_e11)
+    result = experiment_cache("E11")
     emit(result)
     for row in result.rows:
         name, max_awake, avg_awake = row[0], row[1], row[2]
@@ -25,7 +24,7 @@ def test_average_awake_tracks_max(experiment_cache):
 
 
 def test_b_ablation_tradeoff(experiment_cache):
-    result = experiment_cache("E12", experiment_e12)
+    result = experiment_cache("E12")
     emit(result)
     palettes = [row[1] for row in result.rows]
     assert all(a < b for a, b in zip(palettes, palettes[1:]))

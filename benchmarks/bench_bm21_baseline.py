@@ -1,7 +1,6 @@
 """E6 — Lemma 11 + the BM21 baseline: awake O(log Δ + log* n)."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e6
 from repro.core.bm21 import solve_with_baseline
 from repro.graphs import complete_graph, gnp
 from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
@@ -18,7 +17,7 @@ def test_bench_baseline_dense(benchmark):
 
 
 def test_baseline_bounds_hold(experiment_cache):
-    result = experiment_cache("E6", experiment_e6)
+    result = experiment_cache("E6")
     emit(result)
     assert all(row[-1] == "ok" for row in result.rows)
     # log Δ growth: complete-64 costs more awake than complete-32

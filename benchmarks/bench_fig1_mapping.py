@@ -1,7 +1,6 @@
 """E1 — Figure 1 / Lemma 10: regenerate the tree and verify the mappings."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e1
 from repro.core.mapping import ColorScheduleMapping
 
 
@@ -24,7 +23,7 @@ def test_bench_schedule_lookup(benchmark):
 
 
 def test_regenerate_figure1(experiment_cache):
-    result = experiment_cache("E1", experiment_e1)
+    result = experiment_cache("E1")
     emit(result)
     assert all(row[-1] == "ok" for row in result.rows)
     # the paper's concrete values

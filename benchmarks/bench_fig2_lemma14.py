@@ -1,7 +1,6 @@
 """E2 — Figure 2 / Lemma 14: flattening a two-level clustering."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e2
 from repro.core.lemma14 import lemma14_reference
 from repro.graphs.examples import figure2_instance
 
@@ -19,7 +18,7 @@ def test_bench_flatten_reference(benchmark):
 
 
 def test_regenerate_figure2(experiment_cache):
-    result = experiment_cache("E2", experiment_e2)
+    result = experiment_cache("E2")
     emit(result)
     assert result.findings["(ℓ'', δ'') satisfies Definition 2"] == "yes (validated)"
     # the merged clustering uses exactly the two super-labels

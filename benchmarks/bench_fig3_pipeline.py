@@ -1,7 +1,6 @@
 """E3 — Figure 3 / the Theorem 13 iteration: cluster-count decay trace."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e3
 from repro.core.theorem13 import theorem13_reference
 from repro.graphs import gnp
 
@@ -12,7 +11,7 @@ def test_bench_pipeline_reference_n96(benchmark):
 
 
 def test_regenerate_figure3_trace(experiment_cache):
-    result = experiment_cache("E3", experiment_e3)
+    result = experiment_cache("E3")
     emit(result)
     assert all(row[-1] == "ok" for row in result.rows)
     # the loop terminates within the phase budget

@@ -1,7 +1,6 @@
 """E4 — Figure 4 / Lemma 15: parent selection and cluster decomposition."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e4
 from repro.core.lemma15 import lemma15_protocol, lemma15_reference
 from repro.graphs import gnp
 from repro.graphs.examples import figure4_instance
@@ -30,7 +29,7 @@ def test_bench_lemma15_distributed(benchmark):
 
 
 def test_regenerate_figure4(experiment_cache):
-    result = experiment_cache("E4", experiment_e4)
+    result = experiment_cache("E4")
     emit(result)
     inst = figure4_instance()
     # every residual root is a hub of degree > b, as drawn in the figure

@@ -1,7 +1,6 @@
 """E5 — Lemma 6: broadcast/convergecast awake complexity and throughput."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e5
 from repro.core.cast import gather_bfs
 from repro.graphs import random_tree
 from repro.model import SleepingSimulator
@@ -34,6 +33,6 @@ def test_bench_gather_on_tree_n256(benchmark):
 
 
 def test_lemma6_awake_bounds(experiment_cache):
-    result = experiment_cache("E5", experiment_e5)
+    result = experiment_cache("E5")
     emit(result)
     assert all(row[-1] == "ok" for row in result.rows)

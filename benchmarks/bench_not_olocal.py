@@ -1,7 +1,6 @@
 """E10 — §2.2: distance-2 coloring is not in O-LOCAL."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e10
 from repro.olocal.not_olocal import defeating_id_assignment
 
 
@@ -15,7 +14,7 @@ def test_bench_defeat_rules(benchmark):
 
 
 def test_every_sampled_rule_defeated(experiment_cache):
-    result = experiment_cache("E10", experiment_e10)
+    result = experiment_cache("E10")
     emit(result)
     assert len(result.rows) >= 8
     for row in result.rows:

@@ -2,11 +2,6 @@
 remark (three sub-experiments)."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import (
-    experiment_e8_distributed,
-    experiment_e8_idspace,
-    experiment_e8_structure,
-)
 from repro.core.theorem13 import compute_clustering, theorem13_reference
 from repro.graphs import gnp
 
@@ -22,7 +17,7 @@ def test_bench_clustering_reference_n512(benchmark):
 
 
 def test_color_bound_at_scale(experiment_cache):
-    result = experiment_cache("E8a", experiment_e8_structure)
+    result = experiment_cache("E8a")
     emit(result)
     for row in result.rows:
         max_color, bound = row[5], row[6]
@@ -36,13 +31,13 @@ def test_color_bound_at_scale(experiment_cache):
 
 
 def test_awake_bound_simulated(experiment_cache):
-    result = experiment_cache("E8b", experiment_e8_distributed)
+    result = experiment_cache("E8b")
     emit(result)
     assert all(row[-1] == "ok" for row in result.rows)
 
 
 def test_idspace_remark(experiment_cache):
-    result = experiment_cache("E8c", experiment_e8_idspace)
+    result = experiment_cache("E8c")
     emit(result)
     rounds = [row[3] for row in result.rows]
     awake = [row[2] for row in result.rows]

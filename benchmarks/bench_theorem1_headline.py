@@ -8,7 +8,6 @@ the Thm1/BM21 ratio is non-increasing in n on the high-degree families.
 """
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e9
 from repro.core.theorem1 import solve
 from repro.graphs import gnp
 from repro.olocal import MaximalIndependentSet
@@ -20,7 +19,7 @@ def test_bench_theorem1_solve_n24(benchmark):
 
 
 def test_headline_shapes(experiment_cache):
-    result = experiment_cache("E9", experiment_e9)
+    result = experiment_cache("E9")
     emit(result)
     rows = result.rows
     complete = [r for r in rows if "complete" in r[0]]

@@ -1,7 +1,6 @@
 """E7 — Theorem 9: awake O(log c) given a colored BFS-clustering."""
 
 from benchmarks.conftest import emit
-from repro.analysis.experiments import experiment_e7
 from repro.core.clustering import ColoredBFSClustering
 from repro.core.theorem9 import solve_with_clustering
 from repro.graphs import gnp
@@ -24,7 +23,7 @@ def test_bench_theorem9_solve(benchmark):
 
 
 def test_awake_scales_logarithmically_in_c(experiment_cache):
-    result = experiment_cache("E7", experiment_e7)
+    result = experiment_cache("E7")
     emit(result)
     assert all(row[-1] == "ok" for row in result.rows)
     # doubling c adds a bounded number of awake rounds (~7 per doubling)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import run_experiment
+
 
 def emit(result) -> None:
     """Print an ExperimentResult table (shown under ``pytest -s``)."""
@@ -21,9 +23,9 @@ def experiment_cache():
     """Experiments are deterministic; share results across benches."""
     cache: dict[str, object] = {}
 
-    def get(name: str, runner):
+    def get(name: str):
         if name not in cache:
-            cache[name] = runner()
+            cache[name] = run_experiment(name)
         return cache[name]
 
     return get

@@ -8,12 +8,13 @@ empirically validating every stated bound.
 
 Every experiment is declared as an :class:`ExperimentPlan`: an
 enumeration of independent, picklable trials, a module-level per-trial
-function, and an order-preserving aggregator. The ``experiment_*``
-wrappers run the plan serially (the bit-identical reference path); the
+function, and an order-preserving aggregator. :func:`run_experiment`
+runs a plan serially (the bit-identical reference path); the
 sweep runner (:mod:`repro.runner`) runs the *same* plans sharded across
 worker processes and aggregates in spec order, so the tables are
 byte-identical for any worker count. Experiments whose phases are
 sequentially dependent (E2, E3, E4, E11) are single-trial plans.
+Solve runs go through :func:`repro.api.run_scenario`, except E11's.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.analysis import bounds
-from repro.core.bm21 import solve_with_baseline
+from repro.api import RunResult, Scenario, run_scenario
 from repro.core.cast import (
     broadcast_bfs,
     broadcast_labeled,
@@ -36,7 +37,6 @@ from repro.core.clustering import (
 from repro.core.lemma14 import lemma14_reference
 from repro.core.lemma15 import lemma15_reference, singleton_palette
 from repro.core.mapping import ColorScheduleMapping, render_figure1
-from repro.core.theorem1 import solve
 from repro.core.theorem9 import solve_with_clustering
 from repro.core.theorem13 import (
     color_palette_bound,
@@ -46,14 +46,8 @@ from repro.core.theorem13 import (
     phase_label_space,
     theorem13_reference,
 )
-from repro.graphs import (
-    complete_graph,
-    gnp,
-    path,
-    preferential_attachment,
-    random_regular,
-    random_tree,
-)
+from repro.errors import ReproError
+from repro.graphs import gnp, path, random_tree
 from repro.graphs.examples import figure2_instance, figure4_instance
 from repro.model import SleepingSimulator
 from repro.olocal import DeltaPlusOneColoring, MaximalIndependentSet
@@ -89,8 +83,8 @@ class ExperimentPlan:
 
     Attributes:
         exp_id: the experiment id, e.g. ``"E9"``.
-        trials: enumerates ``(label, kwargs)`` pairs; accepts the same
-            keyword overrides as the ``experiment_*`` wrapper.
+        trials: enumerates ``(label, kwargs)`` pairs; accepts the
+            keyword overrides given to :func:`run_experiment`.
         run: the per-trial function — module-level (so worker processes
             resolve it by name) and deterministic given its kwargs.
         aggregate: folds the trial payloads, **in enumeration order**,
@@ -107,10 +101,23 @@ class ExperimentPlan:
     title: str = ""
 
 
-def _run_plan(plan: ExperimentPlan, **overrides: Any) -> ExperimentResult:
-    """Serial reference execution of a plan: enumerate, run, aggregate."""
+def run_experiment(exp_id: str, **overrides: Any) -> ExperimentResult:
+    """Run experiment ``exp_id`` serially: enumerate, run, aggregate.
+
+    ``overrides`` are keywords of the plan's trial enumeration, e.g.
+    ``run_experiment("E9", sizes=(16, 32))``.
+    """
+    plan = TRIAL_PLANS[exp_id]
     payloads = [plan.run(**kwargs) for _label, kwargs in plan.trials(**overrides)]
     return plan.aggregate(payloads)
+
+
+def _solved(**fields: Any) -> RunResult:
+    """Run the scenario of ``fields``; a rejected one raises."""
+    result = run_scenario(Scenario(**fields))
+    if not result.ok:
+        raise ReproError("; ".join(result.errors))
+    return result
 
 
 def _merge_rows(payloads: list[Any]) -> list[Sequence[Any]]:
@@ -150,17 +157,13 @@ def _e1_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e1(max_log_q: int = 10) -> ExperimentResult:
-    """Regenerate Figure 1 and verify the mapping properties up to 2^10."""
-    return _run_plan(TRIAL_PLANS["E1"], max_log_q=max_log_q)
-
 
 # ---------------------------------------------------------------------------
 # E2 — Figure 2 / Lemma 14.
 # ---------------------------------------------------------------------------
 
 
-def experiment_e2() -> ExperimentResult:
+def _e2() -> ExperimentResult:
     """Flatten the Figure 2 instance and tabulate (ℓ, δ), (ℓ', δ'), (ℓ'', δ'')."""
     inst = figure2_instance()
     ref = lemma14_reference(
@@ -198,7 +201,7 @@ def experiment_e2() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def experiment_e3(n: int = 96, seed: int = 7) -> ExperimentResult:
+def _e3(n: int = 96, seed: int = 7) -> ExperimentResult:
     """Trace |V(H_i)| across phases; check the /b decay of Lemma 15."""
     graph = gnp(n, 0.12, seed=seed)
     b = default_b(graph.n)
@@ -258,7 +261,7 @@ def _virtual_graph(graph, active, label, label_space):
 # ---------------------------------------------------------------------------
 
 
-def experiment_e4() -> ExperimentResult:
+def _e4() -> ExperimentResult:
     """Parent selection and cluster decomposition on the Figure 4 instance."""
     inst = figure4_instance()
     ref = lemma15_reference(inst.graph, inst.b)
@@ -341,10 +344,6 @@ def _e5_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e5() -> ExperimentResult:
-    """Measure awake complexity of all four cast variants on trees."""
-    return _run_plan(TRIAL_PLANS["E5"])
-
 
 def _star(n):
     from repro.graphs import star
@@ -416,23 +415,14 @@ def _run_convergecast_labeled(graph, parent, depth, root):
 # ---------------------------------------------------------------------------
 
 
-def _e6_graph(name: str):
-    if name == "path-64":
-        return path(64)
-    if name == "4-regular-64":
-        return random_regular(64, 4, seed=1)
-    if name == "gnp-64-dense":
-        return gnp(64, 0.3, seed=2)
-    if name == "complete-32":
-        return complete_graph(32)
-    if name == "complete-64":
-        return complete_graph(64)
-    raise KeyError(name)
-
-
-_E6_GRAPHS = (
-    "path-64", "4-regular-64", "gnp-64-dense", "complete-32", "complete-64",
-)
+#: label -> (family, n, seed, params) of each E6 scenario.
+_E6_GRAPHS = {
+    "path-64": ("path", 64, 0, {}),
+    "4-regular-64": ("regular", 64, 1, {"degree": 4}),
+    "gnp-64-dense": ("gnp", 64, 2, {"p": 0.3}),
+    "complete-32": ("complete", 32, 0, {}),
+    "complete-64": ("complete", 64, 0, {}),
+}
 
 
 def _e6_trials() -> list[tuple[str, dict[str, Any]]]:
@@ -440,8 +430,11 @@ def _e6_trials() -> list[tuple[str, dict[str, Any]]]:
 
 
 def _e6_trial(graph_name: str) -> dict[str, Any]:
-    graph = _e6_graph(graph_name)
-    result = solve_with_baseline(graph, MaximalIndependentSet())
+    family, n, seed, params = _E6_GRAPHS[graph_name]
+    run = _solved(
+        family=family, n=n, seed=seed, params=params, algorithm="baseline"
+    )
+    graph, result = run.graph, run.outcome
     delta = graph.max_degree
     bound = bounds.baseline_awake_bound(graph.id_space, delta)
     return {
@@ -466,10 +459,6 @@ def _e6_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e6() -> ExperimentResult:
-    """Baseline awake complexity across degree regimes."""
-    return _run_plan(TRIAL_PLANS["E6"])
-
 
 # ---------------------------------------------------------------------------
 # E7 — Theorem 9: awake O(log c).
@@ -477,6 +466,8 @@ def experiment_e6() -> ExperimentResult:
 
 
 def _e7_trials(n: int = 32, seed: int = 3) -> list[tuple[str, dict[str, Any]]]:
+    """Fix a graph+clustering; widen the assumed palette c — awake grows
+    logarithmically."""
     graph = gnp(n, 0.15, seed=seed)
     base_c = max(_greedy_coloring(graph).values())
     return [
@@ -516,11 +507,6 @@ def _e7_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e7(n: int = 32, seed: int = 3) -> ExperimentResult:
-    """Fix a graph+clustering; widen the assumed palette c — awake grows
-    logarithmically."""
-    return _run_plan(TRIAL_PLANS["E7"], n=n, seed=seed)
-
 
 def _greedy_coloring(graph):
     colors = {}
@@ -539,6 +525,8 @@ def _greedy_coloring(graph):
 
 
 def _e8a_trials(sizes=(64, 256, 1024, 4096, 8192)) -> list[tuple[str, dict[str, Any]]]:
+    """Colors used vs the 2^{O(sqrt log n)} bound across n (no
+    simulation — Definition 4 validated centrally)."""
     return [(f"n={n}", {"n": n}) for n in sizes]
 
 
@@ -567,11 +555,6 @@ def _e8a_aggregate(payloads: list[Any]) -> ExperimentResult:
         },
     )
 
-
-def experiment_e8_structure(sizes=(64, 256, 1024, 4096, 8192)) -> ExperimentResult:
-    """Reference-scale structure check: colors used vs the 2^{O(sqrt log n)}
-    bound across n (no simulation — Definition 4 validated centrally)."""
-    return _run_plan(TRIAL_PLANS["E8a"], sizes=sizes)
 
 
 def _e8b_trials(sizes=(8, 16, 32, 64, 96, 128)) -> list[tuple[str, dict[str, Any]]]:
@@ -603,12 +586,9 @@ def _e8b_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e8_distributed(sizes=(8, 16, 32, 64, 96, 128)) -> ExperimentResult:
-    """Simulated awake complexity of the pipeline vs the closed-form bound."""
-    return _run_plan(TRIAL_PLANS["E8b"], sizes=sizes)
-
 
 def _e8c_trials(n: int = 12, seed: int = 9) -> list[tuple[str, dict[str, Any]]]:
+    """The §5 Remark: IDs from [n^s] change round complexity, not awake."""
     return [(f"s={s}", {"n": n, "seed": seed, "s": s}) for s in (1, 2, 3)]
 
 
@@ -641,34 +621,27 @@ def _e8c_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e8_idspace(n: int = 12, seed: int = 9) -> ExperimentResult:
-    """The §5 Remark: IDs from [n^s] change round complexity, not awake."""
-    return _run_plan(TRIAL_PLANS["E8c"], n=n, seed=seed)
-
 
 # ---------------------------------------------------------------------------
 # E9 — the headline comparison: Theorem 1 vs the BM21 baseline.
 # ---------------------------------------------------------------------------
 
 
-def _e9_family(family: str, n: int):
-    if family == "path":
-        return "bounded-degree (path)", path(n)
-    if family == "powerlaw":
-        return "Δ=n^ε (power-law)", preferential_attachment(
-            n, max(2, n // 16), seed=n
-        )
-    if family == "complete":
-        return "Δ=n-1 (complete)", complete_graph(n)
-    raise KeyError(family)
-
-
-_E9_FAMILIES = ("path", "powerlaw", "complete")
+#: Registered family -> row label; each is built at ``seed=n``.
+_E9_FAMILIES = {
+    "path": "bounded-degree (path)",
+    "powerlaw": "Δ=n^ε (power-law)",
+    "complete": "Δ=n-1 (complete)",
+}
 
 
 def _e9_trials(
-    sizes=(16, 32, 64, 128, 256), problem: Any = None
+    sizes=(16, 32, 64, 128, 256), problem: str = "mis"
 ) -> list[tuple[str, dict[str, Any]]]:
+    """Awake complexity of both algorithms on low- and high-degree
+    families. The paper's claim: for Δ = n^ε the baseline pays Θ(log n)
+    while Theorem 1 pays O(sqrt(log n)·log* n) — the *growth rates* must
+    separate even where constants favor the baseline."""
     return [
         (f"{family}/n={n}", {"n": n, "family": family, "problem": problem})
         for n in sizes
@@ -676,14 +649,16 @@ def _e9_trials(
     ]
 
 
-def _e9_trial(n: int, family: str, problem: Any = None) -> dict[str, Any]:
-    problem = problem or MaximalIndependentSet()
-    label, graph = _e9_family(family, n)
-    base = solve_with_baseline(graph, problem)
-    thm1 = solve(graph, problem)
+def _e9_trial(n: int, family: str, problem: str = "mis") -> dict[str, Any]:
+    runs = [
+        _solved(family=family, n=n, seed=n, problem=problem, algorithm=name)
+        for name in ("baseline", "theorem1")
+    ]
+    graph = runs[0].graph
+    base, thm1 = (run.outcome for run in runs)
     return {
         "rows": [
-            (label, n, graph.max_degree,
+            (_E9_FAMILIES[family], n, graph.max_degree,
              base.awake_complexity, thm1.awake_complexity,
              f"{thm1.awake_complexity / base.awake_complexity:.2f}",
              bounds.baseline_asymptotic(graph.max_degree, graph.id_space),
@@ -710,15 +685,6 @@ def _e9_aggregate(payloads: list[Any]) -> ExperimentResult:
         },
     )
 
-
-def experiment_e9(
-    sizes=(16, 32, 64, 128, 256), problem: Any = None
-) -> ExperimentResult:
-    """Awake complexity scaling of both algorithms on low- and high-degree
-    families. The paper's claim: for Δ = n^ε the baseline pays Θ(log n)
-    while Theorem 1 pays O(sqrt(log n)·log* n) — the *growth rates* must
-    separate even where constants favor the baseline."""
-    return _run_plan(TRIAL_PLANS["E9"], sizes=sizes, problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -762,20 +728,21 @@ def _e10_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e10(num_rules: int = 8) -> ExperimentResult:
-    """Defeat a sample of sink rules f: {1..6} -> {1..5}."""
-    return _run_plan(TRIAL_PLANS["E10"], num_rules=num_rules)
-
 
 # ---------------------------------------------------------------------------
 # E11 — average awake complexity (the conclusion's Open Question 3).
 # ---------------------------------------------------------------------------
 
 
-def experiment_e11(n: int = 48, seed: int = 21) -> ExperimentResult:
+def _e11(n: int = 48, seed: int = 21) -> ExperimentResult:
     """Max vs average awake rounds per algorithm: the paper asks whether
     o(sqrt(log n)) — or constant — *average* awake complexity is possible;
     we measure where the implementations actually stand."""
+    # Direct solver calls: total_awake is on the simulation metrics,
+    # which a scenario's SolveOutcome does not carry.
+    from repro.core.bm21 import solve_with_baseline
+    from repro.core.theorem1 import solve
+
     graph = gnp(n, 0.12, seed=seed)
     problem = MaximalIndependentSet()
     rows = []
@@ -825,6 +792,9 @@ def experiment_e11(n: int = 48, seed: int = 21) -> ExperimentResult:
 
 
 def _e12_trials(n: int = 40, seed: int = 23) -> list[tuple[str, dict[str, Any]]]:
+    """The paper fixes b = 2^{sqrt(log n)}; the ablation shows the
+    trade-off: larger b dissolves more nodes per phase (fewer phases,
+    more colors), smaller b needs more phases with fewer colors each."""
     return [(f"b={b}", {"n": n, "seed": seed, "b": b}) for b in (2, 4, 8, 16)]
 
 
@@ -861,12 +831,6 @@ def _e12_aggregate(payloads: list[Any]) -> ExperimentResult:
     )
 
 
-def experiment_e12(n: int = 40, seed: int = 23) -> ExperimentResult:
-    """The paper fixes b = 2^{sqrt(log n)}; the ablation shows the
-    trade-off: larger b dissolves more nodes per phase (fewer phases,
-    more colors), smaller b needs more phases with fewer colors each."""
-    return _run_plan(TRIAL_PLANS["E12"], n=n, seed=seed)
-
 
 # ---------------------------------------------------------------------------
 # Plan registry — the sweep runner executes these same plans sharded.
@@ -874,15 +838,15 @@ def experiment_e12(n: int = 40, seed: int = 23) -> ExperimentResult:
 
 
 def _single_plan(
-    exp_id: str, fn: Callable[[], ExperimentResult], title: str = ""
+    exp_id: str, fn: Callable[..., ExperimentResult], title: str = ""
 ) -> ExperimentPlan:
     """A one-trial plan for experiments with sequentially dependent
-    phases; the payload is the result's fields, plain JSON like every
-    other trial payload."""
+    phases; the overrides are ``fn``'s keywords, and the payload is the
+    result's fields, plain JSON like every other trial payload."""
     return ExperimentPlan(
         exp_id=exp_id,
-        trials=lambda: [(exp_id, {})],
-        run=lambda: asdict(fn()),
+        trials=lambda **overrides: [(exp_id, overrides)],
+        run=lambda **kwargs: asdict(fn(**kwargs)),
         aggregate=lambda payloads: ExperimentResult(**payloads[0]),
         title=title,
     )
@@ -894,15 +858,15 @@ TRIAL_PLANS: dict[str, ExperimentPlan] = {
         title="Lemma 10 mappings φ and r (Figure 1)",
     ),
     "E2": _single_plan(
-        "E2", experiment_e2,
+        "E2", _e2,
         title="Lemma 14 flattening on the Figure 2 instance",
     ),
     "E3": _single_plan(
-        "E3", experiment_e3,
+        "E3", _e3,
         title="Theorem 13 iteration trace (Figure 3)",
     ),
     "E4": _single_plan(
-        "E4", experiment_e4,
+        "E4", _e4,
         title="Lemma 15 on the Figure 4 instance",
     ),
     "E5": ExperimentPlan(
@@ -938,29 +902,11 @@ TRIAL_PLANS: dict[str, ExperimentPlan] = {
         title="§2.2: every 5-color sink rule is defeated on P_6",
     ),
     "E11": _single_plan(
-        "E11", experiment_e11,
+        "E11", _e11,
         title="Average vs maximum awake complexity",
     ),
     "E12": ExperimentPlan(
         "E12", _e12_trials, _e12_trial, _e12_aggregate,
         title="Ablation: the phase parameter b of Theorem 13",
     ),
-}
-
-
-ALL_EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
-    "E1": experiment_e1,
-    "E2": experiment_e2,
-    "E3": experiment_e3,
-    "E4": experiment_e4,
-    "E5": experiment_e5,
-    "E6": experiment_e6,
-    "E7": experiment_e7,
-    "E8a": experiment_e8_structure,
-    "E8b": experiment_e8_distributed,
-    "E8c": experiment_e8_idspace,
-    "E9": experiment_e9,
-    "E10": experiment_e10,
-    "E11": experiment_e11,
-    "E12": experiment_e12,
 }

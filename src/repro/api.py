@@ -187,6 +187,27 @@ class Scenario:
             )
         return errors
 
+    def build_graph(self) -> StaticGraph:
+        """The scenario's graph, built with the family-declared params.
+
+        This and :meth:`algorithm_params` are the one place a param is
+        routed to the family or the algorithm that declares it; call
+        :meth:`validate` first, since an undeclared param is dropped here.
+        """
+        declared = GRAPH_FAMILIES.entry(self.family).params
+        return build_family_graph(
+            self.family,
+            self.n,
+            seed=self.seed,
+            ids=self.ids,
+            **{k: v for k, v in self.params if k in declared},
+        )
+
+    def algorithm_params(self) -> dict[str, Any]:
+        """The params the scenario's algorithm declares."""
+        declared = ALGORITHMS.entry(self.algorithm).params
+        return {k: v for k, v in self.params if k in declared}
+
     def describe(self) -> dict[str, Any]:
         """JSON-able identity of the scenario."""
         described = {
@@ -246,30 +267,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
             errors = scenario.validate()
         if errors:
             return RunResult(scenario=scenario, errors=tuple(errors))
-        params = scenario.params_dict()
-        adapter_entry = ALGORITHMS.entry(scenario.algorithm)
-        family_entry = GRAPH_FAMILIES.entry(scenario.family)
-        family_params = {
-            k: v for k, v in params.items() if k in family_entry.params
-        }
-        algo_params = {
-            k: v for k, v in params.items() if k in adapter_entry.params
-        }
+        algo_params = scenario.algorithm_params()
         with span("scenario.build_graph", family=scenario.family, n=scenario.n):
-            graph = build_family_graph(
-                scenario.family,
-                scenario.n,
-                seed=scenario.seed,
-                ids=scenario.ids,
-                **family_params,
-            )
+            graph = scenario.build_graph()
         engine = scenario.resolved_engine()
         if engine == ENGINE_FAULTY:
             algo_params["fault_plan"] = scenario.fault_plan()
         with span(
             "scenario.solve", algorithm=scenario.algorithm, engine=engine
         ):
-            outcome = adapter_entry.value.solve(
+            outcome = ALGORITHMS.get(scenario.algorithm).solve(
                 graph,
                 PROBLEMS.get(scenario.problem),
                 engine=engine,

@@ -15,7 +15,8 @@ Examples::
     python -m repro solve --family complete --n 16 --algorithm baseline \
         --problem coloring --trace
     python -m repro solve --family path --n 24 --algorithm theorem9
-    python -m repro cluster --family grid --n 36 --b 4
+    python -m repro solve --family gnp --n 64 --param p=0.3 --param b=4
+    python -m repro cluster --family grid --n 36 --param b=4
     python -m repro report --only E1 E5
     python -m repro sweep --experiments E9 --workers 4
     python -m repro sweep --grid --families path gnp --sizes 16 32 \
@@ -30,63 +31,30 @@ import sys
 
 from repro.api import Scenario, run_scenario
 from repro.core.algorithms import ALGORITHMS, ENGINE_FAULTY, FAULT_PARAMS
-from repro.graphs import StaticGraph
-from repro.graphs.families import GRAPH_FAMILIES, build_family_graph
+from repro.graphs.families import GRAPH_FAMILIES
 from repro.olocal import PROBLEMS
 from repro.registry import load_plugins
 from repro.runner.cache import DEFAULT_CACHE_DIR
 
 
-def build_graph(args: argparse.Namespace) -> StaticGraph:
-    """Instantiate the requested graph family with the requested ID scheme."""
-    try:
-        return build_family_graph(
-            args.family, args.n, seed=args.seed, p=args.p,
-            degree=args.degree, ids=args.ids,
-        )
-    except KeyError as exc:
-        raise SystemExit(exc.args[0]) from exc
+def _param(text: str) -> tuple[str, object]:
+    """Parse one ``--param NAME=VALUE``: int, else float, else text."""
+    name, sep, raw = text.partition("=")
+    if not (name and sep):
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    for convert in (int, float):
+        try:
+            return name, convert(raw)
+        except ValueError:
+            pass
+    return name, raw
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """The ``solve`` arguments as a :class:`Scenario`."""
-    # --p/--degree reach only the families whose schema declares them;
-    # for the others they have always been no-ops.
-    params: dict[str, object] = {}
-    if args.family in GRAPH_FAMILIES:
-        declared = GRAPH_FAMILIES.entry(args.family).params
-        params = {
-            name: value
-            for name, value in (("p", args.p), ("degree", args.degree))
-            if name in declared
-        }
-    if args.b is not None:
-        # --b is forwarded only to algorithms that declare it (theorem1,
-        # theorem9); for the others it has always been a no-op — keep
-        # that, but say so instead of failing scenario validation.
-        entry = None
-        if args.algorithm in ALGORITHMS:
-            entry = ALGORITHMS.entry(args.algorithm)
-        if entry is None or "b" in entry.params:
-            params["b"] = args.b
-        else:
-            print(
-                f"note: --b is ignored by algorithm {entry.name!r}",
-                file=sys.stderr,
-            )
+def _scenario_from_args(args: argparse.Namespace, **fields) -> Scenario:
+    """The graph arguments (plus ``fields``) as a :class:`Scenario`."""
     return Scenario(
-        family=args.family,
-        n=args.n,
-        ids=args.ids,
-        seed=args.seed,
-        problem=args.problem,
-        algorithm=args.algorithm,
-        engine=args.engine,
-        params=params,
-        fault_drop=args.fault_drop,
-        fault_corrupt=args.fault_corrupt,
-        fault_seed=args.fault_seed,
-        immune_rounds=tuple(args.immune_rounds),
+        family=args.family, n=args.n, ids=args.ids, seed=args.seed,
+        params=dict(args.param), **fields,
     )
 
 
@@ -143,7 +111,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _run_solve(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
-    scenario = _scenario_from_args(args)
+    scenario = _scenario_from_args(
+        args,
+        problem=args.problem,
+        algorithm=args.algorithm,
+        engine=args.engine,
+        fault_drop=args.fault_drop,
+        fault_corrupt=args.fault_corrupt,
+        fault_seed=args.fault_seed,
+        immune_rounds=tuple(args.immune_rounds),
+    )
     try:
         result = run_scenario(scenario)
     except ReproError as exc:
@@ -175,26 +152,28 @@ def _run_solve(args: argparse.Namespace) -> int:
         for v in sorted(outcome.outputs):
             print(f"  {v}: {outcome.outputs[v]}")
     if args.trace:
-        _print_trace(graph, args)
+        _print_trace(graph, scenario, args.trace_nodes)
     return 0
 
 
-def _print_trace(graph, args) -> None:
+def _print_trace(graph, scenario: Scenario, num_nodes: int) -> None:
     from repro.model.trace import traced_simulation
 
-    adapter = ALGORITHMS.get(args.algorithm)
+    adapter = ALGORITHMS.get(scenario.algorithm)
     if adapter.trace_program is None:
         raise SystemExit(
             f"--trace is not supported for algorithm {adapter.name!r}; "
             f"traceable: "
             f"{[a.name for a in ALGORITHMS.values() if a.trace_program]}"
         )
-    problem = PROBLEMS.get(args.problem)
-    program = adapter.trace_program(graph, problem, args.b)
+    problem = PROBLEMS.get(scenario.problem)
+    program = adapter.trace_program(
+        graph, problem, scenario.algorithm_params().get("b")
+    )
     _, trace = traced_simulation(
         graph, program, inputs=problem.make_inputs(graph)
     )
-    sample = sorted(graph.nodes)[: args.trace_nodes]
+    sample = sorted(graph.nodes)[:num_nodes]
     print()
     print(trace.render_timeline(nodes=sample))
     print()
@@ -207,8 +186,16 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.core.theorem13 import compute_clustering
 
-    graph = build_graph(args)
-    result = compute_clustering(graph, b=args.b)
+    # The theorem9 adapter declares exactly the Theorem 13 ``b`` its
+    # first stage computes, so its scenario validates cluster's params.
+    scenario = _scenario_from_args(args, algorithm="theorem9")
+    errors = scenario.validate()
+    if errors:
+        raise SystemExit("\n".join(errors))
+    graph = scenario.build_graph()
+    result = compute_clustering(
+        graph, b=scenario.algorithm_params().get("b")
+    )
     metrics = result.simulation.metrics
     print(f"graph: {args.family} n={graph.n} Δ={graph.max_degree}")
     print(f"b={result.b} colors={result.clustering.num_colors()} "
@@ -261,6 +248,13 @@ def _print_sweep_catalog() -> int:
     print(f"  problems:   {' '.join(sorted(PROBLEMS.alias_map()))} "
           f"(aliases of {' '.join(sorted(PROBLEMS))})")
     print(f"  algorithms: {' '.join(ALGORITHMS)}")
+    print()
+    print("declared params (solve/cluster --param NAME=VALUE):")
+    for registry in (GRAPH_FAMILIES, ALGORITHMS):
+        for name in registry:
+            params = registry.entry(name).params
+            if params:
+                print(f"  {name:<10} {', '.join(params)}")
     print()
     print("engines (per algorithm; first listed = its default):")
     for name in ALGORITHMS:
@@ -566,15 +560,18 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", default="gnp",
                        help="graph family (see `repro sweep --list`)")
         p.add_argument("--n", type=int, default=32)
-        p.add_argument("--p", type=float, default=0.15)
-        p.add_argument("--degree", type=int, default=4)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--ids", default="identity",
             help="identity | permuted | polyK (IDs from [n^K])",
         )
-        p.add_argument("--b", type=int, default=None,
-                       help="override b = 2^sqrt(log n)")
+        p.add_argument(
+            "--param", type=_param, action="append", default=[],
+            metavar="NAME=VALUE",
+            help="a family or algorithm param, repeatable; the value is an "
+            "int, else a float, else text (declared params: "
+            "`repro sweep --list`)",
+        )
 
     def add_fault_args(p):
         g = p.add_argument_group(

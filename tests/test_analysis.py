@@ -3,14 +3,7 @@
 import pytest
 
 from repro.analysis import bounds
-from repro.analysis.experiments import (
-    ALL_EXPERIMENTS,
-    experiment_e1,
-    experiment_e2,
-    experiment_e4,
-    experiment_e5,
-    experiment_e10,
-)
+from repro.analysis.experiments import TRIAL_PLANS, run_experiment
 from repro.util.tables import format_table
 
 
@@ -69,32 +62,40 @@ class TestExperiments:
     def test_registry_complete(self):
         expected = {"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8a", "E8b",
                     "E8c", "E9", "E10", "E11", "E12"}
-        assert expected <= set(ALL_EXPERIMENTS)
+        assert expected <= set(TRIAL_PLANS)
 
     def test_e1_paper_values(self):
-        result = experiment_e1(max_log_q=4)
+        result = run_experiment("E1", max_log_q=4)
         assert all(row[-1] == "ok" for row in result.rows)
         assert "[2, 3, 4, 8]" in result.findings["phi(2), r(2) at q=8 (paper)"]
 
     def test_e2_table_covers_all_nodes(self):
-        result = experiment_e2()
+        result = run_experiment("E2")
         assert len(result.rows) == 13  # the Figure 2 instance has 13 nodes
 
     def test_e4_decomposition_sound(self):
-        result = experiment_e4()
+        result = run_experiment("E4")
         kinds = {str(row[6]).split(":")[0] for row in result.rows}
         assert kinds == {"singleton", "residual"}
 
     def test_e5_all_within_bounds(self):
-        result = experiment_e5()
+        result = run_experiment("E5")
         assert all(row[-1] == "ok" for row in result.rows)
 
     def test_e10_all_defeated(self):
-        result = experiment_e10(num_rules=4)
+        result = run_experiment("E10", num_rules=4)
         assert len(result.rows) == 4
 
+    def test_single_trial_plan_takes_overrides(self):
+        result = run_experiment("E3", n=32, seed=1)
+        assert "n=32" in result.title
+
+    def test_unknown_experiment_rejected(self):
+        with pytest.raises(KeyError):
+            run_experiment("E99")
+
     def test_render_is_markdown(self):
-        result = experiment_e2()
+        result = run_experiment("E2")
         text = result.render()
         assert text.startswith("### E2")
         assert "|" in text

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_graph, main, make_parser
+from repro.api import Scenario
+from repro.cli import main, make_parser
 
 
 class TestParser:
@@ -23,32 +24,96 @@ class TestBuildGraph:
                      "gnp", "regular", "powerlaw"]
     )
     def test_families(self, family):
-        args = make_parser().parse_args(
-            ["solve", "--family", family, "--n", "12"]
-        )
-        graph = build_graph(args)
+        graph = Scenario(family=family, n=12).build_graph()
         assert graph.n >= 4
         assert graph.is_connected()
 
     def test_unknown_family_rejected(self):
-        args = make_parser().parse_args(["solve", "--family", "nope"])
         with pytest.raises(SystemExit, match="unknown family"):
-            build_graph(args)
+            main(["cluster", "--family", "nope"])
 
     def test_id_schemes(self):
         for scheme, space in [("identity", 12), ("permuted", 12),
                               ("poly2", 144)]:
-            args = make_parser().parse_args(
-                ["solve", "--family", "gnp", "--n", "12", "--ids", scheme]
-            )
-            assert build_graph(args).id_space == space
+            scenario = Scenario(family="gnp", n=12, ids=scheme)
+            assert scenario.build_graph().id_space == space
 
     def test_unknown_id_scheme_rejected(self):
-        args = make_parser().parse_args(
-            ["solve", "--family", "gnp", "--n", "12", "--ids", "weird"]
-        )
         with pytest.raises(SystemExit, match="unknown id scheme"):
-            build_graph(args)
+            main(["cluster", "--family", "gnp", "--n", "12",
+                  "--ids", "weird"])
+
+
+class TestParamFlag:
+    """``--param NAME=VALUE``: parsing, routing, and rejection."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("b=4", ("b", 4)), ("p=0.3", ("p", 0.3)),
+         ("method=fast", ("method", "fast"))],
+    )
+    def test_value_parsed_as_int_float_or_text(self, text, expected):
+        args = make_parser().parse_args(["solve", "--param", text])
+        assert args.param == [expected]
+        assert type(args.param[0][1]) is type(expected[1])
+
+    def test_repeatable(self):
+        args = make_parser().parse_args(
+            ["cluster", "--param", "p=0.3", "--param", "b=4"]
+        )
+        assert dict(args.param) == {"p": 0.3, "b": 4}
+
+    def test_missing_value_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(["solve", "--param", "b"])
+        assert exc.value.code == 2
+
+    def test_undeclared_name_rejected_with_declared_list(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--family", "gnp", "--n", "8",
+                  "--algorithm", "baseline", "--param", "b=4"])
+        message = str(exc.value)
+        assert "unknown scenario param(s) ['b']" in message
+        assert "declared: ['method', 'p']" in message
+
+    def test_cluster_rejects_undeclared_name(self):
+        with pytest.raises(SystemExit, match=r"declared: \['b'\]"):
+            main(["cluster", "--family", "path", "--param", "degree=3"])
+
+    def test_p_reaches_gnp(self, capsys):
+        argv = ["solve", "--family", "gnp", "--n", "40", "--seed", "2",
+                "--algorithm", "greedy"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out.splitlines()[0]
+        assert main([*argv, "--param", "p=0.3"]) == 0
+        dense = capsys.readouterr().out.splitlines()[0]
+        edges = Scenario(family="gnp", n=40, seed=2,
+                         params={"p": 0.3}).build_graph().num_edges
+        assert f"edges={edges} " in dense
+        assert dense != default
+
+    def test_cluster_b_matches_compute_clustering(self, capsys):
+        from repro.core.theorem13 import compute_clustering
+
+        assert main(["cluster", "--family", "grid", "--n", "36",
+                     "--param", "b=4"]) == 0
+        out = capsys.readouterr().out
+        graph = Scenario(family="grid", n=36).build_graph()
+        result = compute_clustering(graph, b=4)
+        assert (
+            f"b=4 colors={result.clustering.num_colors()} "
+            f"(bound {result.palette_bound})"
+        ) in out
+        assert f"awake={result.awake_complexity} " in out
+
+    def test_sweep_list_prints_declared_params(self, capsys):
+        assert main(["sweep", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "declared params (solve/cluster --param NAME=VALUE):" in out
+        assert "  gnp        p, method\n" in out
+        assert "  regular    degree\n" in out
+        assert "  theorem1   b\n" in out
+        assert "  theorem9   b\n" in out
 
 
 class TestDeprecatedShims:
@@ -135,16 +200,6 @@ class TestCommands:
         message = str(exc.value)
         assert "unknown family 'doughnut'" in message
         assert "'gnp'" in message and "'path'" in message
-
-    def test_b_flag_ignored_by_algorithms_without_it(self, capsys):
-        # --b has always been a no-op for the baseline; it must not
-        # start failing scenario validation.
-        code = main(["solve", "--family", "path", "--n", "8",
-                     "--algorithm", "baseline", "--b", "4"])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "baseline: awake=" in captured.out
-        assert "--b is ignored" in captured.err
 
     def test_unsupported_engine_rejected(self):
         with pytest.raises(SystemExit, match="does not support engine"):

@@ -15,6 +15,8 @@ from repro.api import (
     scenarios_from_grid,
 )
 from repro.core.algorithms import ALGORITHMS, SolveOutcome
+from repro.graphs.families import build_family_graph
+from repro.registry import RegistryError
 from repro.runner import TrialCache
 from repro.runner.trials import sweep_from_grid
 
@@ -170,6 +172,17 @@ class TestRunScenario:
                      algorithm="greedy")
         )
         assert sparse.graph.num_edges < dense.graph.num_edges
+
+    def test_build_graph_routes_only_family_params(self):
+        scenario = Scenario(family="gnp", n=24, seed=1, algorithm="theorem1",
+                            params={"p": 0.9, "b": 2})
+        assert scenario.algorithm_params() == {"b": 2}
+        assert (scenario.build_graph().num_edges
+                == build_family_graph("gnp", 24, seed=1, p=0.9).num_edges)
+
+    def test_undeclared_family_param_raises(self):
+        with pytest.raises(RegistryError, match=r"declared: none"):
+            build_family_graph("path", 8, p=0.2)
 
     def test_algorithm_b_param_is_honored(self):
         result = run_scenario(

@@ -168,7 +168,7 @@ class TestDeterminism:
         result = run_sweep(spec, workers=1)
         tables = result.experiments()
         for exp_id in CHEAP:
-            direct = exp_mod.ALL_EXPERIMENTS[exp_id]()
+            direct = exp_mod.run_experiment(exp_id)
             assert tables[exp_id].render() == direct.render()
 
     @pytest.mark.skipif(not HAS_FORK, reason="needs fork start method")
