@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any
 
 from repro.errors import MappingError
 from repro.util.mathx import int_log2, next_pow2
@@ -62,6 +63,26 @@ class ColorScheduleMapping:
         """r(c): labels on the path from the root to leaf φ(c), sorted."""
         self._check(c)
         return _root_to_leaf_labels(self.q, self.phi(c))
+
+    def rounds(self, colors: Any) -> Any:
+        """r(c) for many colors at once, as one int64 table.
+
+        Row i is ``r(colors[i])``, sorted, so the table has shape
+        ``(len(colors), 1 + log₂ q)``. In the in-order labeling the
+        ancestor at height h of leaf φ(c) is the odd multiple of 2^h in
+        φ(c)'s block of 2^(h+1) labels, ``((φ(c) >> h) | 1) << h``; h = 0
+        is φ(c) itself and h = log₂ q the root q.
+        """
+        import numpy as np  # the per-node engines never load numpy
+
+        c = np.asarray(colors, dtype=np.int64)
+        bad = c[(c < 1) | (c > self.q)]
+        if bad.size:
+            self._check(int(bad[0]))
+        heights = np.arange(self.schedule_length, dtype=np.int64)
+        table = (((2 * c[:, None] - 1) >> heights) | 1) << heights
+        table.sort(axis=1)
+        return table
 
     def r_less(self, c: int) -> tuple[int, ...]:
         """r<(c) = {x ∈ r(c) : x < φ(c)} — the *receiving* rounds."""

@@ -25,8 +25,10 @@ replaces the dispatch with numpy kernels over the
   run — the differential suite in ``tests/test_engine_equivalence.py``
   is the gate.
 
-Per-node work is O(deg) plus O(log c) shared per distinct color, so the
-whole solve is O(n + m) array time — the headline pipeline at n = 10⁶.
+Per-node work is O(deg) plus one row of the Lemma 10 table
+(:meth:`~repro.core.mapping.ColorScheduleMapping.rounds`, O(log c))
+per distinct color, so the whole solve is O(n + m) array time — the
+headline pipeline at n = 10⁶.
 """
 
 from __future__ import annotations
@@ -93,20 +95,13 @@ def _theorem9_closed_form(
     deg_foreign = ga.degrees - deg_intra
     nonroot = (dist > 0).astype(np.int64)
 
-    # Per distinct color: the Lemma 10 schedule r(c), how many of its
-    # rounds are sending rounds (x >= phi(c)), and its last round.
+    # Per distinct color: the Lemma 10 schedule r(c) as one table row,
+    # how many of its rounds are sending rounds (x >= φ(c) = 2c - 1),
+    # and its last round.
     distinct = sorted_unique(colors)
-    r_of = {int(c): mapping.r(int(c)) for c in distinct.tolist()}
-    send_of = np.array(
-        [
-            sum(1 for x in r_of[int(c)] if x >= mapping.phi(int(c)))
-            for c in distinct.tolist()
-        ],
-        dtype=np.int64,
-    )
-    last_of = np.array(
-        [r_of[int(c)][-1] for c in distinct.tolist()], dtype=np.int64
-    )
+    table = mapping.rounds(distinct)
+    send_of = np.count_nonzero(table >= 2 * distinct[:, None] - 1, axis=1)
+    last_of = table[:, -1]
     cidx = np.searchsorted(distinct, colors)
 
     # awake: t9meta + rooting cast (1 round for a root, 2 otherwise) +
@@ -142,12 +137,9 @@ def _theorem9_closed_form(
     pair_colors = upairs // (n + 1)
     pair_dist = upairs % (n + 1)
     for d in sorted_unique(pair_dist).tolist():
-        cs = pair_colors[pair_dist == d].tolist()
+        rows = np.searchsorted(distinct, pair_colors[pair_dist == d])
         vrs = sorted_unique(
-            np.concatenate(
-                [np.zeros(1, dtype=np.int64)]
-                + [np.asarray(r_of[int(c)], dtype=np.int64) for c in cs]
-            )
+            np.concatenate((np.zeros(1, dtype=np.int64), table[rows].ravel()))
         )
         offs = _member_offsets(n, int(d))
         chunks.append((vt0 + vrs[:, None] * window + offs[None, :]).ravel())

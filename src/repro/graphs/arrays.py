@@ -362,13 +362,14 @@ def ragged_gather(offsets: Any, flat: Any, slots: Any) -> tuple[Any, Any]:
     ``slots[i]``'s segment length, so downstream segment reductions can
     regroup. Runs in O(total output) — no per-slot Python loop.
     """
-    counts = offsets[slots + 1] - offsets[slots]
-    total = int(counts.sum())
+    starts = offsets[slots]
+    counts = offsets[slots + 1] - starts
+    ends = np.cumsum(counts)  # output end of each segment
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=flat.dtype), counts
-    starts = offsets[slots]
-    shifted = np.cumsum(counts) - counts  # output start of each segment
-    idx = np.repeat(starts - shifted, counts) + np.arange(total, dtype=np.int64)
+    idx = np.repeat(starts - ends + counts, counts)
+    idx += np.arange(total, dtype=np.int64)
     return flat[idx], counts
 
 

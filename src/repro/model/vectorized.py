@@ -58,7 +58,6 @@ from repro.graphs.arrays import (
     ColumnMap,
     ragged_gather,
     segment_any,
-    segment_sum,
     sorted_unique,
 )
 from repro.graphs.graph import StaticGraph
@@ -272,18 +271,19 @@ def decide_by_priority(
     ``rank`` is a per-slot permutation of ``0..n-1``; the decisions are
     bit-identical to a sequential greedy pass visiting slots by
     ascending rank (ID order for the greedy strawman, the Theorem 9
-    priority order ``(color, -dist, -ID)``, say). A wave is the set of
-    undecided slots whose smaller-rank neighbors have all decided — an
-    independent set whose decided neighbors are precisely its
-    smaller-rank neighbors — so each wave decides in one batched kernel
-    regardless of within-wave order. Work is proportional to each wave's
-    out-edges, so the whole loop is O(E) regardless of the wave count.
+    priority order ``(color, -dist, -ID)``, BM21's color order, say). A
+    wave is the set of undecided slots whose smaller-rank neighbors have
+    all decided — an independent set whose decided neighbors are
+    precisely its smaller-rank neighbors — so each wave decides in one
+    batched kernel regardless of within-wave order. Work is proportional
+    to each wave's out-edges, so the whole loop is O(E) regardless of
+    the wave count.
 
     Args:
         graph: the substrate graph (its CSR mirror is used).
         problem: the O-LOCAL problem whose greedy rule decides nodes.
         node_inputs: per-node problem inputs, keyed by node ID.
-        rank: int64 array of shape ``(n,)``; ``rank[s]`` is slot s's
+        rank: integer array of shape ``(n,)``; ``rank[s]`` is slot s's
             position in the sequential decision order.
 
     Returns:
@@ -296,13 +296,18 @@ def decide_by_priority(
     decider = make_wave_decider(graph, problem, node_inputs)
     wave = np.zeros(ga.n, dtype=np.int64)
     # The rank-up CSR: per slot, its neighbors of strictly larger rank.
-    mask = rank[ga.flat] > rank[ga.edge_sources]
-    up_counts = segment_sum(mask.astype(np.int64), ga.offsets)
-    up_offsets = np.zeros(ga.n + 1, dtype=np.int64)
-    np.cumsum(up_counts, out=up_offsets[1:])
-    up_flat = ga.flat[mask]
+    # int32 ranks halve the random-access gather; one cumsum over the
+    # mask yields the CSR offsets directly.
+    rank = rank.astype(np.int32 if ga.n < 2**31 else np.int64)
+    up = rank[ga.flat] > np.repeat(rank, ga.degrees)
+    cum = np.empty(up.size + 1, dtype=np.int64)
+    cum[0] = 0
+    np.cumsum(up, out=cum[1:])
+    up_offsets = cum[ga.offsets]
+    up_flat = ga.flat[up]
 
-    remaining = ga.degrees - up_counts  # undecided smaller-rank neighbors
+    # Undecided smaller-rank neighbors per slot.
+    remaining = ga.degrees - np.diff(up_offsets)
     ready = np.flatnonzero(remaining == 0)
     number = 0
     while ready.size:
@@ -310,9 +315,10 @@ def decide_by_priority(
         decider.decide_wave(ready)
         wave[ready] = number
         targets, _ = ragged_gather(up_offsets, up_flat, ready)
+        # int64 counters keep np.subtract.at on its fast path; only the
+        # targets that reached zero are sorted and deduplicated.
         np.subtract.at(remaining, targets, 1)
-        candidates = sorted_unique(targets)
-        ready = candidates[remaining[candidates] == 0]
+        ready = sorted_unique(targets[remaining[targets] == 0])
     return decider, wave
 
 

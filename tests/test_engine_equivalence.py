@@ -343,17 +343,34 @@ def test_vectorized_greedy_bit_identical(gname, factory, pname, problem):
     problem.check(g, vec.outputs, inputs)
 
 
-@pytest.mark.parametrize("gname,factory", VEC_GRAPHS)
-@pytest.mark.parametrize("pname,problem", all_problems())
-def test_vectorized_baseline_bit_identical(gname, factory, pname, problem):
+# Dense: Δ ≈ 77 keeps Linial off, so BM21's 200 color classes (one per
+# ID) merge into a few large Kahn waves.
+BM21_GRAPHS = VEC_GRAPHS + [("gnp-200-dense", lambda: gnp(200, 0.3, seed=5))]
+
+
+def _assert_baseline_identical(g, problem):
     from repro.core.bm21 import solve_with_baseline
     from repro.core.bm21_vectorized import solve_with_baseline_vectorized
 
-    g = factory()
     vec = solve_with_baseline_vectorized(g, problem)
     ref = solve_with_baseline(g, problem)
     assert vec.palette == ref.palette
     assert_results_identical(vec.simulation, ref.simulation)
+
+
+@pytest.mark.parametrize("gname,factory", BM21_GRAPHS)
+@pytest.mark.parametrize("pname,problem", all_problems())
+def test_vectorized_baseline_bit_identical(gname, factory, pname, problem):
+    _assert_baseline_identical(factory(), problem)
+
+
+def test_vectorized_baseline_coloring_wave_split_bit_identical(monkeypatch):
+    """A mex-matrix budget of 64 cells splits every merged dense wave."""
+    from repro.model import vectorized
+    from repro.olocal import PROBLEMS
+
+    monkeypatch.setattr(vectorized, "_MEX_MATRIX_BUDGET", 64)
+    _assert_baseline_identical(gnp(200, 0.3, seed=5), PROBLEMS.get("coloring"))
 
 
 # -- the clustered pipeline: Theorem 13 / Theorem 9 / Theorem 1 ---------------

@@ -1,5 +1,6 @@
 """Tests for Lemma 10 — the φ/r color-scheduling mappings (Figure 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +81,36 @@ class TestProperties:
         for c in range(1, 17):
             r = set(m.r(c))
             assert r == set(m.r_less(c)) | {m.phi(c)} | set(m.r_greater(c))
+
+
+class TestRoundsTable:
+    """``rounds``: r(c) for many colors as one closed-form int64 table."""
+
+    @pytest.mark.parametrize("log_q", range(13))
+    def test_every_color_matches_r(self, log_q):
+        q = 2**log_q
+        m = ColorScheduleMapping(q)
+        table = m.rounds(np.arange(1, q + 1))
+        assert table.dtype == np.int64
+        assert table.shape == (q, m.schedule_length)
+        assert [tuple(row) for row in table.tolist()] == [
+            m.r(c) for c in range(1, q + 1)
+        ]
+        assert (np.diff(table, axis=1) > 0).all()  # rows sorted
+
+    def test_rows_follow_input_order(self):
+        m = ColorScheduleMapping(8)
+        table = m.rounds([4, 2, 4])
+        assert [tuple(row) for row in table.tolist()] == [m.r(4), m.r(2), m.r(4)]
+        assert m.rounds([]).shape == (0, 4)
+
+    @pytest.mark.parametrize("log_q", range(13))
+    def test_out_of_palette_raises(self, log_q):
+        q = 2**log_q
+        m = ColorScheduleMapping(q)
+        for bad in (0, q + 1):
+            with pytest.raises(MappingError, match=f"color {bad} outside"):
+                m.rounds([1, bad])
 
 
 class TestScheduleSemantics:

@@ -7,6 +7,7 @@ the n = 65536 scale cases (marked slow), the UnknownNameError contract
 for bad engine names, and the sweep/cache behavior of the engines axis.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.algorithms import ALGORITHMS, ENGINE_VECTORIZED, ENGINES
@@ -267,6 +268,63 @@ class TestEngineAxis:
         out = capsys.readouterr().out
         assert code == 0
         assert "engine" in out and "vectorized" in out
+
+
+# -- BM21 decides in Kahn waves, not one call per color class ----------------
+
+
+def _per_class_oracle(graph, problem, colors):
+    """BM21's decisions made one ``decide_wave`` call per color class."""
+    from repro.model.vectorized import make_wave_decider
+
+    decider = make_wave_decider(graph, problem, problem.make_inputs(graph))
+    order = np.argsort(colors, kind="stable")
+    bounds = np.flatnonzero(np.diff(colors[order])) + 1
+    for color_class in np.split(order, bounds):
+        decider.decide_wave(color_class)
+    return decider.outputs()
+
+
+def _longest_increasing_path(graph, colors):
+    """Nodes on the longest color-increasing path: the Kahn wave count."""
+    offsets, flat = graph.arrays.offsets.tolist(), graph.arrays.flat.tolist()
+    c = colors.tolist()
+    depth = [0] * graph.n
+    for s in np.argsort(colors, kind="stable").tolist():
+        lower = [depth[t] for t in flat[offsets[s] : offsets[s + 1]] if c[t] < c[s]]
+        depth[s] = 1 + max(lower, default=0)
+    return max(depth)
+
+
+@pytest.mark.parametrize("pname", ["coloring", "mis"])
+def test_bm21_decides_in_kahn_waves(pname, monkeypatch):
+    from repro.core.bm21_vectorized import solve_with_baseline_vectorized
+    from repro.core.linial import reduction_schedule
+    from repro.model.vectorized import make_wave_decider
+
+    n = 2**12
+    graph = gnp(n, 32 / n, seed=0, method="fast")
+    problem = PROBLEMS.get(pname)
+    # Identity IDs at this degree: no Linial step, so the colors are the
+    # IDs and every node is its own color class.
+    assert reduction_schedule(graph.id_space, graph.max_degree) == []
+    colors = graph.arrays.ids
+    expected = _per_class_oracle(graph, problem, colors)
+    waves = _longest_increasing_path(graph, colors)
+
+    kernel = type(make_wave_decider(graph, problem, {}))
+    decide_wave = kernel.decide_wave
+    sizes = []
+
+    def spy(self, ready):
+        sizes.append(len(ready))
+        return decide_wave(self, ready)
+
+    monkeypatch.setattr(kernel, "decide_wave", spy)
+    result = solve_with_baseline_vectorized(graph, problem)
+    assert len(sizes) == waves <= 128 < n
+    assert sum(sizes) == n
+    assert result.outputs == expected
 
 
 # -- scale (marked slow) -----------------------------------------------------
