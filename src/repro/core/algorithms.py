@@ -499,17 +499,16 @@ def _run_greedy(
     (:func:`repro.model.vectorized.greedy_by_id_vectorized`),
     bit-identical metrics at n ≥ 10⁶ scale.
     """
-    inputs = problem.make_inputs(graph)
     if engine != ENGINE_REFERENCE:
         if engine == ENGINE_VECTORIZED:
             from repro.model.vectorized import greedy_by_id_vectorized
 
-            result = greedy_by_id_vectorized(graph, problem, inputs=inputs)
+            result = greedy_by_id_vectorized(graph, problem)
         else:
             from repro.model.lockstep import greedy_by_id_local
 
-            result = greedy_by_id_local(graph, problem, inputs=inputs)
-        problem.check(graph, result.outputs, inputs)
+            result = greedy_by_id_local(graph, problem)
+        problem.check(graph, result.outputs)
         return _simulation_outcome(
             "greedy",
             result.outputs,
@@ -519,8 +518,8 @@ def _run_greedy(
         )
     from repro.olocal.problem import id_priority, sequential_greedy
 
-    outputs = sequential_greedy(graph, problem, priority=id_priority, inputs=inputs)
-    problem.check(graph, outputs, inputs)
+    outputs = sequential_greedy(graph, problem, priority=id_priority)
+    problem.check(graph, outputs)
     return SolveOutcome(
         algorithm="greedy",
         engine=ENGINE_REFERENCE,

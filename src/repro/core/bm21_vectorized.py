@@ -75,9 +75,6 @@ def solve_with_baseline_vectorized(
     (:func:`~repro.core.theorem1.check_baseline_awake_bound`).
     """
     delta = max(graph.max_degree, 1)
-    node_inputs = (
-        dict(inputs) if inputs is not None else problem.make_inputs(graph)
-    )
     palette = final_palette(graph.id_space, delta)
     if graph.n == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -102,9 +99,9 @@ def solve_with_baseline_vectorized(
     with span("bm21.calendar", n=ga.n, palette=palette):
         rank = np.empty(ga.n, dtype=np.int64)
         rank[np.argsort(colors, kind="stable")] = np.arange(ga.n)
-        decider, _ = decide_by_priority(graph, problem, node_inputs, rank)
+        decider, _ = decide_by_priority(graph, problem, inputs, rank)
         outputs = decider.outputs()
-        problem.check(graph, outputs, node_inputs)
+        problem.check(graph, outputs, inputs)
 
     # Closed-form accounting from one Lemma 10 table over the present
     # colors: row i is r(present[i]), and φ(c) = 2c - 1.

@@ -150,7 +150,7 @@ def _theorem9_closed_form(
 def _run_theorem9_kernel(
     graph: StaticGraph,
     problem: OLocalProblem,
-    node_inputs: Mapping[NodeId, Any],
+    inputs: Mapping[NodeId, Any] | None,
     color: Any,
     dist: Any,
     palette: int,
@@ -161,7 +161,8 @@ def _run_theorem9_kernel(
     Args:
         graph: the network.
         problem: the O-LOCAL problem to solve.
-        node_inputs: per-node problem inputs.
+        inputs: per-node problem inputs, or ``None`` for the problem's
+            own.
         color: int64 per-slot cluster colors γ, in ``[1, palette]``.
         dist: int64 per-slot BFS depths δ.
         palette: the common-knowledge palette size c.
@@ -189,7 +190,7 @@ def _run_theorem9_kernel(
         order = np.lexsort((-np.arange(ga.n), -dist, color))
         rank = np.empty(ga.n, dtype=np.int64)
         rank[order] = np.arange(ga.n)
-        decider, _ = decide_by_priority(graph, problem, node_inputs, rank)
+        decider, _ = decide_by_priority(graph, problem, inputs, rank)
 
     with span("theorem9.accounting", n=ga.n, palette=palette):
         accounting = _theorem9_closed_form(
@@ -236,9 +237,6 @@ def solve_with_clustering_vectorized(
     """
     color, dist = canonical_columns(graph, clustering)
     c = palette if palette is not None else int(color.max(initial=0))
-    node_inputs = (
-        dict(inputs) if inputs is not None else problem.make_inputs(graph)
-    )
     with span("theorem9.solve", n=graph.n, palette=c) as sp:
         cast_end = 1 + bfs_cast_duration(graph.n)
         sp.event(
@@ -247,13 +245,13 @@ def solve_with_clustering_vectorized(
             calendar_rounds=(cast_end + 1, theorem9_duration(graph.n, c)),
         )
         outputs, accounting = _run_theorem9_kernel(
-            graph, problem, node_inputs, color, dist, c, t0=1
+            graph, problem, inputs, color, dist, c, t0=1
         )
         accounting.charge()
         result = accounting.result(graph, outputs)
     with span("theorem9.validate", n=graph.n):
         if validate:
-            problem.check(graph, result.outputs, node_inputs)
+            problem.check(graph, result.outputs, inputs)
             check_theorem9_awake_bound(
                 graph, c, int(accounting.awake.max(initial=0))
             )
@@ -294,16 +292,13 @@ def solve_vectorized(
         the simulator engine's.
     """
     chosen_b = b if b is not None else default_b(graph.n)
-    node_inputs = (
-        dict(inputs) if inputs is not None else problem.make_inputs(graph)
-    )
     with span("theorem1.vectorized", n=graph.n, b=chosen_b):
         clustered, color, dist, stage13 = _clustering_columns(
             graph, chosen_b, validate
         )
         t9_start = 1 + theorem13_duration(graph.n, graph.id_space, chosen_b)
         outputs, stage9 = _run_theorem9_kernel(
-            graph, problem, node_inputs, color, dist,
+            graph, problem, inputs, color, dist,
             clustered.palette_bound, t0=t9_start,
         )
         composed = Accounting(
@@ -326,7 +321,7 @@ def solve_vectorized(
 
     with span("theorem1.validate", n=graph.n):
         if validate:
-            problem.check(graph, outputs, node_inputs)
+            problem.check(graph, outputs, inputs)
             check_awake_bound(
                 graph, chosen_b, int(composed.awake.max(initial=0))
             )

@@ -23,10 +23,11 @@ decide round is ``D(v) = 1 + max D(u)`` over smaller neighbors u
 (``D = 1`` with none), the length of the longest increasing-ID path
 into v. The decide rounds are computed as Kahn waves over the
 increasing-ID orientation (:func:`decide_by_priority` with rank = slot
-order, since slot order is ID order): a frontier of ready slots, a
-per-node count of undecided smaller neighbors decremented by scattered
-subtraction, segment reductions over the CSR neighbor array for the
-decisions themselves. Each wave is an independent set (two adjacent nodes cannot
+order, since slot order is ID order): a frontier of ready slots whose
+neighbor lists are gathered once per wave, and that one gather serves
+both the decisions (segment reductions over it) and the scattered
+decrement of each larger neighbor's count of undecided smaller
+neighbors. Each wave is an independent set (two adjacent nodes cannot
 both have all smaller neighbors decided while the smaller of the two is
 undecided), so a whole wave decides in one batched kernel. The
 finish round replays :func:`~repro.model.lockstep.run_local`'s
@@ -45,11 +46,16 @@ everything else — still exactly one call per node total, with exactly
 the decided-neighbor mapping the sequential engines would pass, so
 plugin problems are automatically supported (their ``decide`` must be a
 pure, order-insensitive function of that mapping, which the O-LOCAL
-definition already requires).
+definition already requires). The deciders read neighbors only from
+the Kahn loop's one gather per wave. The array kernels read no inputs;
+the fallback resolves the problem's default inputs
+(:meth:`~repro.olocal.problem.OLocalProblem.make_inputs`) only when the
+caller passes none.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Mapping, NamedTuple
 
 import numpy as np
@@ -58,6 +64,7 @@ from repro.graphs.arrays import (
     ColumnMap,
     ragged_gather,
     segment_any,
+    segment_sum,
     sorted_unique,
 )
 from repro.graphs.graph import StaticGraph
@@ -86,76 +93,66 @@ class _WaveDecider:
     slots that (a) is independent and (b) has every decided neighbor
     already processed in an earlier wave. Under any increasing-priority
     schedule the decided neighbors of a deciding node are exactly its
-    smaller-priority neighbors, so ``decided`` flags plus the CSR
-    adjacency reconstruct the exact mapping ``problem.decide`` sees.
+    smaller-priority neighbors, so ``decided`` flags plus the wave's
+    gathered neighbor lists reconstruct the exact mapping
+    ``problem.decide`` sees.
+
+    The state is two per-slot columns: ``decided`` and ``value``, the
+    decided output (of the class's :attr:`dtype`; zero until decided).
     """
+
+    #: dtype of the per-slot ``value`` column
+    dtype: Any = bool
 
     def __init__(
         self,
         graph: StaticGraph,
         problem: OLocalProblem,
-        node_inputs: Mapping[NodeId, Any],
+        inputs: Mapping[NodeId, Any] | None,
     ) -> None:
         """Bind the graph's CSR arrays and an all-undecided state."""
-        self.graph = graph
         self.arrays = graph.arrays
         self.problem = problem
-        self.node_inputs = node_inputs
+        self.inputs = inputs
         self.decided = np.zeros(self.arrays.n, dtype=bool)
+        self.value = np.zeros(self.arrays.n, dtype=self.dtype)
 
-    def decide_wave(self, ready: Any) -> None:
-        """Decide every slot in ``ready`` and mark them decided."""
+    def decide_wave(self, ready: Any, nbrs: Any, counts: Any) -> None:
+        """Decide every slot in ``ready`` and mark them decided.
+
+        ``nbrs``/``counts`` are ``ready``'s neighbor lists, as
+        :func:`~repro.graphs.arrays.ragged_gather` returns them.
+        """
+        self._decide(ready, nbrs, counts)
+        self.decided[ready] = True
+
+    def _decide(self, ready: Any, nbrs: Any, counts: Any) -> None:
+        """Write ``value[ready]``; the neighbors' state is read-only."""
         raise NotImplementedError
 
     def outputs(self) -> dict[NodeId, Any]:
-        """Per-node outputs as plain Python objects, keyed by ID."""
-        raise NotImplementedError
+        """ID → decided output, as plain Python objects."""
+        return dict(zip(self.arrays.ids.tolist(), self.value.tolist()))
 
 
 class _MISDecider(_WaveDecider):
     """Greedy MIS: join iff no decided neighbor joined."""
 
-    def __init__(self, graph, problem, node_inputs) -> None:
-        """Add the per-slot joined flags to the base state."""
-        super().__init__(graph, problem, node_inputs)
-        self.joined = np.zeros(self.arrays.n, dtype=bool)
-
-    def decide_wave(self, ready: Any) -> None:
+    def _decide(self, ready: Any, nbrs: Any, counts: Any) -> None:
         """Join each ready slot iff no neighbor joined before it."""
-        nbrs, counts = ragged_gather(
-            self.arrays.offsets, self.arrays.flat, ready
-        )
         # Only decided nodes can have joined, so no decided-mask needed.
-        blocked = segment_any(self.joined[nbrs], counts)
-        self.joined[ready] = ~blocked
-        self.decided[ready] = True
-
-    def outputs(self) -> dict[NodeId, Any]:
-        """ID → joined (bool), matching the sequential greedy MIS."""
-        return dict(zip(self.arrays.ids.tolist(), self.joined.tolist()))
+        joined = self.value
+        joined[ready] = ~segment_any(joined[nbrs], counts)
 
 
 class _VertexCoverDecider(_WaveDecider):
     """Greedy minimal vertex cover: the MIS complement rule — enter the
     cover iff some decided neighbor stayed out of it."""
 
-    def __init__(self, graph, problem, node_inputs) -> None:
-        """Add the per-slot cover flags to the base state."""
-        super().__init__(graph, problem, node_inputs)
-        self.cover = np.zeros(self.arrays.n, dtype=bool)
-
-    def decide_wave(self, ready: Any) -> None:
+    def _decide(self, ready: Any, nbrs: Any, counts: Any) -> None:
         """Cover each ready slot iff a decided neighbor stayed out."""
-        nbrs, counts = ragged_gather(
-            self.arrays.offsets, self.arrays.flat, ready
-        )
-        exposed = self.decided[nbrs] & ~self.cover[nbrs]
-        self.cover[ready] = segment_any(exposed, counts)
-        self.decided[ready] = True
-
-    def outputs(self) -> dict[NodeId, Any]:
-        """ID → in-cover (bool), matching the sequential greedy rule."""
-        return dict(zip(self.arrays.ids.tolist(), self.cover.tolist()))
+        cover = self.value
+        cover[ready] = segment_any(self.decided[nbrs] & ~cover[nbrs], counts)
 
 
 class _ColoringDecider(_WaveDecider):
@@ -166,36 +163,26 @@ class _ColoringDecider(_WaveDecider):
     wave's i-th node, and the first unmarked column ≥ 1 is its color.
     """
 
-    def __init__(self, graph, problem, node_inputs) -> None:
-        """Add the per-slot color array (0 = undecided) to the state."""
-        super().__init__(graph, problem, node_inputs)
-        self.color = np.zeros(self.arrays.n, dtype=np.int64)  # 0 = undecided
+    dtype = np.int64  # 1-based colors; 0 = undecided
 
-    def decide_wave(self, ready: Any) -> None:
+    def _decide(self, ready: Any, nbrs: Any, counts: Any) -> None:
         """Color each ready slot with the mex of its decided neighbors."""
-        nbrs, counts = ragged_gather(
-            self.arrays.offsets, self.arrays.flat, ready
-        )
         # mex(v) <= #decided neighbors + 1 <= deg(v) + 1, so a window of
         # max(counts) + 2 columns always contains the answer.
         width = int(counts.max()) + 2 if len(counts) else 2
         if len(ready) * width > _MEX_MATRIX_BUDGET and len(ready) > 1:
             half = len(ready) // 2
-            self.decide_wave(ready[:half])
-            self.decide_wave(ready[half:])
+            cut = int(counts[:half].sum())
+            self._decide(ready[:half], nbrs[:cut], counts[:half])
+            self._decide(ready[half:], nbrs[cut:], counts[half:])
             return
         used = np.zeros((len(ready), width), dtype=bool)
         rows = np.repeat(np.arange(len(ready)), counts)
-        vals = self.color[nbrs]  # undecided neighbors contribute 0
+        vals = self.value[nbrs]  # undecided neighbors contribute 0
         # Colors beyond the window cannot affect the mex; fold them onto
         # the ignored column 0.
         used[rows, np.where(vals < width, vals, 0)] = True
-        self.color[ready] = used[:, 1:].argmin(axis=1) + 1
-        self.decided[ready] = True
-
-    def outputs(self) -> dict[NodeId, Any]:
-        """ID → color (1-based int), matching the sequential mex rule."""
-        return dict(zip(self.arrays.ids.tolist(), self.color.tolist()))
+        self.value[ready] = used[:, 1:].argmin(axis=1) + 1
 
 
 class _GenericDecider(_WaveDecider):
@@ -204,43 +191,43 @@ class _GenericDecider(_WaveDecider):
     Still vastly faster than the per-round engines — ``decide`` runs
     exactly once per node instead of the node being re-dispatched every
     round — and exact by construction: each call receives precisely the
-    decided-neighbor mapping the sequential engines would build.
+    decided-neighbor mapping the sequential engines would build, its
+    entries in CSR neighbor order. The one decider that reads the
+    per-node inputs, so the one that resolves them: ``None`` means
+    :meth:`~repro.olocal.problem.OLocalProblem.make_inputs`.
     """
 
-    def __init__(self, graph, problem, node_inputs) -> None:
-        """Add the per-slot output list to the base state."""
-        super().__init__(graph, problem, node_inputs)
-        self._out: list[Any] = [None] * self.arrays.n
+    dtype = object
+
+    def __init__(self, graph, problem, inputs) -> None:
+        """Resolve the inputs: ``None`` means the problem's defaults."""
+        if inputs is None:
+            inputs = problem.make_inputs(graph)
+        super().__init__(graph, problem, inputs)
+
+    def _decide(self, ready: Any, nbrs: Any, counts: Any) -> None:
+        """Call ``problem.decide`` once per ready slot, in slot order."""
         from repro.olocal.problem import NodeView
 
-        self._view = NodeView
-
-    def decide_wave(self, ready: Any) -> None:
-        """Call ``problem.decide`` once per ready slot, in slot order."""
-        index = self.graph._index
-        nodes, offsets, flat = index.nodes, index.offsets, index.flat_slots
-        decided, out, inputs = self.decided, self._out, self.node_inputs
-        decide, NodeView = self.problem.decide, self._view
-        for s in ready.tolist():
-            lo, hi = offsets[s], offsets[s + 1]
+        ids, value, get = self.arrays.ids, self.value, self.inputs.get
+        decide = self.problem.decide
+        rows = zip(
+            ids[nbrs].tolist(), value[nbrs].tolist(), self.decided[nbrs].tolist()
+        )
+        for s, v, degree in zip(
+            ready.tolist(), ids[ready].tolist(), counts.tolist()
+        ):
             decided_neighbors = {
-                nodes[t]: out[t] for t in flat[lo:hi] if decided[t]
+                u: out for u, out, done in islice(rows, degree) if done
             }
-            view = NodeView(
-                id=nodes[s], degree=hi - lo, input=inputs.get(nodes[s])
-            )
-            out[s] = decide(view, decided_neighbors)
-        decided[ready] = True
-
-    def outputs(self) -> dict[NodeId, Any]:
-        """ID → whatever ``problem.decide`` returned for that node."""
-        return dict(zip(self.arrays.ids.tolist(), self._out))
+            view = NodeView(id=v, degree=degree, input=get(v))
+            value[s] = decide(view, decided_neighbors)
 
 
 def make_wave_decider(
     graph: StaticGraph,
     problem: OLocalProblem,
-    node_inputs: Mapping[NodeId, Any],
+    inputs: Mapping[NodeId, Any] | None,
 ) -> _WaveDecider:
     """Pick the fastest exact decider for ``problem``.
 
@@ -257,13 +244,13 @@ def make_wave_decider(
         DeltaPlusOneColoring: _ColoringDecider,
         MinimalVertexCover: _VertexCoverDecider,
     }.get(type(problem), _GenericDecider)
-    return kernel(graph, problem, node_inputs)
+    return kernel(graph, problem, inputs)
 
 
 def decide_by_priority(
     graph: StaticGraph,
     problem: OLocalProblem,
-    node_inputs: Mapping[NodeId, Any],
+    inputs: Mapping[NodeId, Any] | None,
     rank: Any,
 ) -> tuple[_WaveDecider, Any]:
     """Run the greedy decision process in ``rank`` order, as Kahn waves.
@@ -273,16 +260,27 @@ def decide_by_priority(
     ascending rank (ID order for the greedy strawman, the Theorem 9
     priority order ``(color, -dist, -ID)``, BM21's color order, say). A
     wave is the set of undecided slots whose smaller-rank neighbors have
-    all decided — an independent set whose decided neighbors are
-    precisely its smaller-rank neighbors — so each wave decides in one
-    batched kernel regardless of within-wave order. Work is proportional
-    to each wave's out-edges, so the whole loop is O(E) regardless of
+    all decided. It is an independent set: of two adjacent slots, the
+    larger-rank one waits for the other. So its decided neighbors are
+    precisely its smaller-rank neighbors, and it decides in one batched
+    kernel regardless of within-wave order.
+
+    This loop is the only reader of the adjacency and of ``inputs`` on
+    the array path: each wave gathers its slots' neighbor lists once
+    and hands them to the decider. The same gather yields the Kahn
+    targets. Once the wave has decided, the undecided neighbors of its
+    slots are exactly their larger-rank neighbors: a smaller-rank
+    neighbor decided in an earlier wave, no neighbor is in the same
+    wave, and a larger-rank neighbor cannot decide before the slot.
+    Each slot is gathered once, so the whole loop is O(E) regardless of
     the wave count.
 
     Args:
         graph: the substrate graph (its CSR mirror is used).
         problem: the O-LOCAL problem whose greedy rule decides nodes.
-        node_inputs: per-node problem inputs, keyed by node ID.
+        inputs: per-node problem inputs, keyed by node ID; ``None``
+            means the problem's own (resolved only by a decider that
+            reads them).
         rank: integer array of shape ``(n,)``; ``rank[s]`` is slot s's
             position in the sequential decision order.
 
@@ -293,28 +291,23 @@ def decide_by_priority(
         than the largest wave among its smaller-rank neighbors.
     """
     ga = graph.arrays
-    decider = make_wave_decider(graph, problem, node_inputs)
+    decider = make_wave_decider(graph, problem, inputs)
+    decided = decider.decided
     wave = np.zeros(ga.n, dtype=np.int64)
-    # The rank-up CSR: per slot, its neighbors of strictly larger rank.
-    # int32 ranks halve the random-access gather; one cumsum over the
-    # mask yields the CSR offsets directly.
+    # Undecided smaller-rank neighbors per slot. int32 ranks halve the
+    # random-access gather.
     rank = rank.astype(np.int32 if ga.n < 2**31 else np.int64)
-    up = rank[ga.flat] > np.repeat(rank, ga.degrees)
-    cum = np.empty(up.size + 1, dtype=np.int64)
-    cum[0] = 0
-    np.cumsum(up, out=cum[1:])
-    up_offsets = cum[ga.offsets]
-    up_flat = ga.flat[up]
-
-    # Undecided smaller-rank neighbors per slot.
-    remaining = ga.degrees - np.diff(up_offsets)
+    remaining = segment_sum(
+        rank[ga.flat] < np.repeat(rank, ga.degrees), ga.offsets
+    )
     ready = np.flatnonzero(remaining == 0)
     number = 0
     while ready.size:
         number += 1
-        decider.decide_wave(ready)
+        nbrs, counts = ragged_gather(ga.offsets, ga.flat, ready)
+        decider.decide_wave(ready, nbrs, counts)
         wave[ready] = number
-        targets, _ = ragged_gather(up_offsets, up_flat, ready)
+        targets = nbrs[~decided[nbrs]]
         # int64 counters keep np.subtract.at on its fast path; only the
         # targets that reached zero are sorted and deduplicated.
         np.subtract.at(remaining, targets, 1)
@@ -377,11 +370,10 @@ def greedy_by_id_vectorized(
     closed-form round accounting — but with O(V + E) total array work
     instead of O(V · rounds) Python dispatch.
     """
-    node_inputs = inputs if inputs is not None else problem.make_inputs(graph)
     ga = graph.arrays
     with span("vectorized.waves", n=ga.n):
         decider, decide_round = decide_by_priority(
-            graph, problem, node_inputs, np.arange(ga.n, dtype=np.int64)
+            graph, problem, inputs, np.arange(ga.n, dtype=np.int64)
         )
 
     waves = int(decide_round.max(initial=0))

@@ -65,22 +65,16 @@ class OLocalProblem(ABC):
         problem takes no input."""
         return None
 
-    def make_inputs(self, graph: StaticGraph) -> Mapping[NodeId, Any]:
-        """Every node's :meth:`default_input`.
+    def make_inputs(self, graph: StaticGraph) -> dict[NodeId, Any]:
+        """Every node's :meth:`default_input`, keyed by ID.
 
-        A dict, or, when the graph's CSR columns are already built
-        (:attr:`StaticGraph.built_arrays
-        <repro.graphs.graph.StaticGraph.built_arrays>`), a
-        :class:`~repro.graphs.arrays.ColumnMap` over them, so the array
-        engine never makes a per-node dict.
+        Callers that take ``inputs=None`` resolve it here only where the
+        inputs are read: the per-node engines, :meth:`validate`, and the
+        array engine's generic decider. The array kernels for MIS,
+        coloring and vertex cover read no inputs, so a vectorized solve
+        of those problems never calls this.
         """
-        arrays = graph.built_arrays
-        if arrays is None:
-            return {v: self.default_input(graph, v) for v in graph.nodes}
-        from repro.graphs.arrays import ColumnMap
-
-        column = [self.default_input(graph, v) for v in arrays.ids.tolist()]
-        return ColumnMap(arrays.ids, (column,))
+        return {v: self.default_input(graph, v) for v in graph.nodes}
 
     def check(
         self,

@@ -148,17 +148,11 @@ class TestGraphView:
 
 
 class TestInputs:
-    def test_make_inputs_is_a_view_on_built_arrays(self):
-        graph = fast_graph()
-        inputs = PROBLEMS.get("mis").make_inputs(graph)
-        assert isinstance(inputs, ColumnMap)
-        assert inputs == {v: None for v in twin(graph).nodes}
-
     def test_list_coloring_keeps_per_node_palettes(self):
         graph = fast_graph()
         problem = PROBLEMS.get("degree_plus_one_list_coloring")
         inputs = problem.make_inputs(graph)
-        assert isinstance(inputs, ColumnMap)
+        assert type(inputs) is dict
         assert inputs == problem.make_inputs(twin(graph))
         v = graph.nodes[7]
         assert len(inputs[v]) == graph.degree(v) + 1
@@ -220,11 +214,11 @@ def test_scale_path_builds_no_per_node_dict(algorithm, made_inputs):
     result = run_scenario(scenario)
     assert result.ok
     graph, outcome = result.graph, result.outcome
-    views = [graph.adjacency, *made_inputs]
+    views = [graph.adjacency]
     clustering = outcome.extras.get("clustering")
     if clustering is not None:
         views += [clustering.color, clustering.dist]
-    assert made_inputs
+    assert not made_inputs
     assert "_index_cache" not in graph.__dict__
     assert unbuilt(views)
 
@@ -260,12 +254,11 @@ def test_vectorized_results_leave_every_view_unbuilt(made_inputs):
         clustered.clustering.dist,
         clustered.simulation.outputs,
         theorem1.simulation.outputs,
-        *made_inputs,
     ]
     for result in (clustered, theorem1, theorem9, baseline):
         metrics = result.simulation.metrics
         metrics.summary()
         views += [metrics.awake_rounds, metrics.termination_round]
-    assert len(made_inputs) == 3
+    assert not made_inputs
     assert "_index_cache" not in graph.__dict__
     assert unbuilt(views)

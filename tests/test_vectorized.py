@@ -275,13 +275,16 @@ class TestEngineAxis:
 
 def _per_class_oracle(graph, problem, colors):
     """BM21's decisions made one ``decide_wave`` call per color class."""
+    from repro.graphs.arrays import ragged_gather
     from repro.model.vectorized import make_wave_decider
 
+    ga = graph.arrays
     decider = make_wave_decider(graph, problem, problem.make_inputs(graph))
     order = np.argsort(colors, kind="stable")
     bounds = np.flatnonzero(np.diff(colors[order])) + 1
     for color_class in np.split(order, bounds):
-        decider.decide_wave(color_class)
+        nbrs, counts = ragged_gather(ga.offsets, ga.flat, color_class)
+        decider.decide_wave(color_class, nbrs, counts)
     return decider.outputs()
 
 
@@ -316,15 +319,121 @@ def test_bm21_decides_in_kahn_waves(pname, monkeypatch):
     decide_wave = kernel.decide_wave
     sizes = []
 
-    def spy(self, ready):
+    def spy(self, ready, nbrs, counts):
         sizes.append(len(ready))
-        return decide_wave(self, ready)
+        assert counts.tolist() == graph.arrays.degrees[ready].tolist()
+        assert len(nbrs) == counts.sum()
+        return decide_wave(self, ready, nbrs, counts)
 
     monkeypatch.setattr(kernel, "decide_wave", spy)
     result = solve_with_baseline_vectorized(graph, problem)
     assert len(sizes) == waves <= 128 < n
     assert sum(sizes) == n
     assert result.outputs == expected
+
+
+# -- the Kahn loop reads the graph and the inputs, and nothing else does ------
+
+
+@pytest.mark.parametrize(
+    "pname", ["mis", "coloring", "vertex-cover", "degree_plus_one_list_coloring"]
+)
+def test_one_neighbor_gather_per_kahn_wave(pname, monkeypatch):
+    """Each wave gathers its neighbor lists once, for the decider and the
+    Kahn targets alike; no decider gathers on its own."""
+    from repro.model import vectorized
+
+    n = 2**12
+    graph = gnp(n, 32 / n, seed=0, method="fast")
+    problem = PROBLEMS.get(pname)
+    waves = _longest_increasing_path(graph, graph.arrays.ids)
+    gather = vectorized.ragged_gather
+    calls = []
+
+    def spy(offsets, flat, slots):
+        calls.append(len(slots))
+        return gather(offsets, flat, slots)
+
+    monkeypatch.setattr(vectorized, "ragged_gather", spy)
+    result = vectorized.greedy_by_id_vectorized(graph, problem)
+    # The strawman's last round is one past its last wave.
+    assert result.metrics.last_round - 1 == waves
+    assert len(calls) == waves
+    assert sum(calls) == n
+
+
+def _with_clustering(solver):
+    """A Theorem 9 solver bound to the graph's Theorem 13 clustering."""
+    from repro.core.clustering_vectorized import compute_clustering_vectorized
+
+    def run(graph, problem, inputs):
+        clustering = compute_clustering_vectorized(graph).clustering
+        return solver(graph, problem, clustering, inputs=inputs)
+
+    return run
+
+
+def _twins():
+    """Each vectorized solver and its per-node twin, by algorithm name."""
+    from repro.core.bm21 import solve_with_baseline
+    from repro.core.bm21_vectorized import solve_with_baseline_vectorized
+    from repro.core.theorem1 import solve
+    from repro.core.theorem1_vectorized import (
+        solve_vectorized,
+        solve_with_clustering_vectorized,
+    )
+    from repro.core.theorem9 import solve_with_clustering
+    from repro.model.lockstep import greedy_by_id_local
+    from repro.model.vectorized import greedy_by_id_vectorized
+
+    return {
+        "greedy": (greedy_by_id_vectorized, greedy_by_id_local),
+        "baseline": (solve_with_baseline_vectorized, solve_with_baseline),
+        "theorem9": (
+            _with_clustering(solve_with_clustering_vectorized),
+            _with_clustering(solve_with_clustering),
+        ),
+        "theorem1": (solve_vectorized, solve),
+    }
+
+
+def _shifted_palettes(graph, problem):
+    """Per-node (deg+1)-palettes unlike ``default_input``'s: each +3."""
+    return {
+        v: tuple(c + 3 for c in palette)
+        for v, palette in problem.make_inputs(graph).items()
+    }
+
+
+@pytest.mark.parametrize("algorithm", VECTORIZED_ADAPTERS)
+def test_given_palettes_match_the_per_node_twin(algorithm, monkeypatch):
+    """Inputs the caller passes reach the generic decider unchanged, and
+    no default inputs are made beside them."""
+    from repro.olocal.problem import OLocalProblem
+
+    graph = gnp(80, 0.08, seed=4)
+    problem = PROBLEMS.get("degree_plus_one_list_coloring")
+    palettes = _shifted_palettes(graph, problem)
+    vectorized, per_node = _twins()[algorithm]
+    defaults = vectorized(graph, problem, inputs=None)
+    made = []
+    make_inputs = OLocalProblem.make_inputs
+
+    def spy(self, g):
+        made.append(g)
+        return make_inputs(self, g)
+
+    monkeypatch.setattr(OLocalProblem, "make_inputs", spy)
+    vec = vectorized(graph, problem, inputs=palettes)
+    assert made == []
+    ref = per_node(graph, problem, inputs=palettes)
+    assert vec.outputs == ref.outputs != defaults.outputs
+    assert all(vec.outputs[v] in palettes[v] for v in graph.nodes)
+    vec = getattr(vec, "simulation", vec)
+    ref = getattr(ref, "simulation", ref)
+    assert vec.metrics.awake_rounds == ref.metrics.awake_rounds
+    assert vec.metrics.termination_round == ref.metrics.termination_round
+    assert vec.metrics.summary() == ref.metrics.summary()
 
 
 # -- scale (marked slow) -----------------------------------------------------
