@@ -101,7 +101,7 @@ def solve_with_baseline_vectorized(
         rank[np.argsort(colors, kind="stable")] = np.arange(ga.n)
         decider, _ = decide_by_priority(graph, problem, inputs, rank)
         outputs = decider.outputs()
-        problem.check(graph, outputs, inputs)
+        problem.check(graph, outputs, decider.inputs)
 
     # Closed-form accounting from one Lemma 10 table over the present
     # colors: row i is r(present[i]), and φ(c) = 2c - 1.

@@ -9,8 +9,11 @@ c2, the BFS depths δ and δ', and the deterministic Linial/cast
 durations).  This module replays the whole pipeline as numpy kernels
 over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
 
-- **the virtual graph H** of each phase is a cluster-level CSR built
-  with ``np.unique`` over inter-cluster edge keys;
+- **the virtual graph H** of each phase is a cluster-level CSR. Phase 1
+  starts from singleton clusters labelled by ID, and slot order is ID
+  order, so its H is G's own CSR; each Lemma 14 merge that leaves a
+  residual builds the next phase's H from the deduplicated
+  inter-cluster edge keys (:func:`_virtual_graph`);
 - **Linial reductions** (the distance-2 prologue, and the distance-1
   coloring of G[U]) run whole-frontier over explicit conflict-pair
   CSRs — the distance-2 conflicts are the direct edges plus the relayed
@@ -233,7 +236,7 @@ def _member_offsets(n: int, d: int) -> Any:
 
 
 def _lemma15_parents(
-    hoff: Any, hflat: Any, c1: Any, labels: Any
+    hoff: Any, hflat: Any, hes: Any, c1: Any, labels: Any
 ) -> tuple[Any, Any, Any, Any]:
     """The three-case parent rule of Lemma 15 (steps 3-4) on H's CSR.
 
@@ -254,6 +257,7 @@ def _lemma15_parents(
         hoff: H's CSR row pointers.
         hflat: H's CSR neighbor indices (sorted within each row, so the
             smallest index is the smallest ID).
+        hes: the row of every ``hflat`` entry.
         c1: int64 per-vertex colors, unique on every 2-ball.
         labels: per-vertex IDs, for error messages only.
 
@@ -265,8 +269,6 @@ def _lemma15_parents(
     Raises:
         ProtocolError: if a case-3 vertex shares no neighbor with p1.
     """
-    num_h = len(hoff) - 1
-    hes = np.repeat(np.arange(num_h, dtype=np.int64), np.diff(hoff))
     cn = c1[hflat]
     m1 = _segment_min(cn, hoff, _BIG)
     a1 = _segment_min(np.where(cn == m1[hes], hflat, _BIG), hoff, _BIG)
@@ -304,6 +306,41 @@ def _lemma15_parents(
     return p1, p2, c2, root_h
 
 
+def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
+    """The virtual graph H of the clustering ``label`` on ``active`` slots.
+
+    H has one vertex per active cluster; two clusters are adjacent iff
+    some G edge joins them, and the inter-cluster edge keys are
+    deduplicated with one sort.
+
+    Args:
+        graph: the network.
+        label: per-slot cluster labels ℓ.
+        active: per-slot participation mask.
+
+    Returns:
+        ``(hlabels, hidx, hoff, hflat, hdeg, hes)`` — the cluster labels
+        ascending (H vertex j is cluster ``hlabels[j]``), every G slot's
+        H vertex (0 where inactive), and H's CSR in the
+        :class:`~repro.graphs.arrays.GraphArrays` layout: row pointers,
+        neighbors (unique and ascending per row), degrees and the row
+        of every neighbor entry.
+    """
+    ga = graph.arrays
+    esrc, edst = ga.edge_sources, ga.flat
+    hlabels = sorted_unique(label[active])
+    num_h = hlabels.size
+    hidx = np.zeros(ga.n, dtype=np.int64)
+    hidx[active] = np.searchsorted(hlabels, label[active])
+    e_x = active[esrc] & active[edst] & (label[esrc] != label[edst])
+    ukey = sorted_unique(hidx[esrc[e_x]] * np.int64(num_h) + hidx[edst[e_x]])
+    hdeg = np.bincount(ukey // num_h, minlength=num_h).astype(np.int64)
+    hoff = np.zeros(num_h + 1, dtype=np.int64)
+    np.cumsum(hdeg, out=hoff[1:])
+    hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
+    return hlabels, hidx, hoff, ukey % num_h, hdeg, hes
+
+
 def _clustering_kernel(
     graph: StaticGraph, b: int
 ) -> tuple[Any, Any, Any, Accounting]:
@@ -336,14 +373,20 @@ def _clustering_kernel(
     out_dist = np.zeros(ga.n, dtype=np.int64)
     round_chunks: list[Any] = []
 
+    # Phase 1 starts from singleton clusters labelled by ID, and slot
+    # order is ID order: its virtual graph H is G itself.
+    h = (
+        ga.ids, np.arange(ga.n, dtype=np.int64), ga.offsets, ga.flat,
+        ga.degrees, ga.edge_sources,
+    )
     clock = 1
     for i in range(1, phases + 1):
         ls = phase_label_space(id_space, b, i)
         window15 = virtual_duration(n, lemma15_duration(n, ls, b))
         if active.any():
             clock_14 = clock + window15
-            label, delta, active = _run_phase(
-                graph, b, i, ls, clock, clock_14,
+            label, delta, active, h = _run_phase(
+                graph, b, i, ls, clock, clock_14, h,
                 label, delta, active,
                 awake, msgs, termination,
                 out_phase, out_gamma, out_dist, round_chunks,
@@ -369,6 +412,7 @@ def _run_phase(
     ls: int,
     clock: int,
     clock_14: int,
+    h: tuple,
     label: Any,
     delta: Any,
     active: Any,
@@ -379,11 +423,22 @@ def _run_phase(
     out_gamma: Any,
     out_dist: Any,
     round_chunks: list[Any],
-) -> tuple[Any, Any, Any]:
+) -> tuple[Any, Any, Any, tuple | None]:
     """One Theorem 13 phase: Lemma 15 on H, then the Lemma 14 merge.
 
     Mutates the accounting accumulators in place and returns the next
-    phase's ``(label, delta, active)`` G-state.
+    phase's ``(label, delta, active)`` G-state and its virtual graph H
+    (``None`` when no cluster is left).
+
+    Every F2 tree must be connected in H. Only the merge reads the
+    induced tree distances δ', and only for residual trees, so only
+    those get an H-level BFS. A tree rooted at a low-degree cluster is
+    checked instead by p2[v] ∈ N_H(v) for every non-root v, one O(m_H)
+    pass. Given that F2 is a forest (checked first), it implies the
+    connectivity: the p2 chain from v is then an H path to v's root
+    inside v's tree. The parent rule picks p2 among v's H neighbors, so
+    on the rule's own parents both checks accept alike; a p2 off H fails
+    this one even where a BFS would still find the tree connected.
 
     Args:
         graph: the network.
@@ -392,6 +447,8 @@ def _run_phase(
         ls: the phase's cluster-label space.
         clock: first round of the phase's Lemma 15 window.
         clock_14: first round of the phase's Lemma 14 window.
+        h: the virtual graph H of ``label`` on the ``active`` slots,
+            as :func:`_virtual_graph` returns it.
         label: per-slot cluster labels ℓ entering the phase.
         delta: per-slot BFS depths δ entering the phase.
         active: per-slot participation mask.
@@ -404,7 +461,7 @@ def _run_phase(
         round_chunks: global active-round chunks (appended to).
 
     Returns:
-        ``(label, delta, active)`` for the next phase.
+        ``(label, delta, active, h)`` for the next phase.
     """
     ga = graph.arrays
     n = graph.n
@@ -412,22 +469,13 @@ def _run_phase(
     window = 2 * n + 3
     esrc, edst = ga.edge_sources, ga.flat
 
-    # ---- the virtual graph H of the current clustering -------------------
+    # ---- G's edges against the virtual graph H of the clustering ---------
+    hlabels, hidx, hoff, hflat, hdeg, hes = h
+    num_h = hlabels.size
     with span("theorem13.h_build", phase=i):
-        hlabels = sorted_unique(label[active])
-        num_h = hlabels.size
-        hidx = np.zeros(ga.n, dtype=np.int64)
-        hidx[active] = np.searchsorted(hlabels, label[active])
         e_act = active[esrc] & active[edst]
         same_lab = label[esrc] == label[edst]
         e_x = e_act & ~same_lab
-        hkey = hidx[esrc[e_x]] * np.int64(num_h) + hidx[edst[e_x]]
-        ukey = sorted_unique(hkey)
-        hdeg = np.bincount(ukey // num_h, minlength=num_h).astype(np.int64)
-        hoff = np.zeros(num_h + 1, dtype=np.int64)
-        np.cumsum(hdeg, out=hoff[1:])
-        hflat = ukey % num_h
-        hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
 
     # ---- Lemma 15, steps 1-4: colors c1/c2 and parents p1/p2 -------------
     k = distance2_palette(n, ls)
@@ -458,7 +506,7 @@ def _run_phase(
                 )
             del rw, roff
         c1 = np.where(hdeg <= b, c0 + 1 + k, c0 + 1)
-        _, p2, c2, root_h = _lemma15_parents(hoff, hflat, c1, hlabels)
+        _, p2, c2, root_h = _lemma15_parents(hoff, hflat, hes, c1, hlabels)
         if int(c2.max(initial=0)) > big_b:
             v = int(hlabels[int(np.argmax(c2))])
             raise ProtocolError(
@@ -485,12 +533,16 @@ def _run_phase(
                 f"node {int(hlabels[v])}: in a low-degree-rooted cluster but "
                 f"deg = {int(hdeg[v])} > b = {b} — contradicts Lemma 15"
             )
+        # Connected in H: a BFS over the residual trees, whose δ' the
+        # merge reads, and p2[v] ∈ N_H(v) for the low-degree-rooted ones.
+        res_h = ~singleton_h
         d_h = _masked_bfs(
-            hoff, hflat, np.flatnonzero(p2 < 0), rootidx,
-            np.ones(num_h, dtype=bool),
+            hoff, hflat, np.flatnonzero(res_h & (p2 < 0)), rootidx, res_h
         )
-        if (d_h < 0).any():
-            v = np.flatnonzero(d_h < 0)[0]
+        p2_adjacent = segment_any(hflat == p2[hes], hdeg)
+        cut = np.where(singleton_h, (p2 >= 0) & ~p2_adjacent, d_h < 0)
+        if cut.any():
+            v = np.flatnonzero(cut)[0]
             raise ProtocolError(
                 f"node {int(hlabels[v])}: cluster of root "
                 f"{int(hlabels[rootidx[v]])} is not connected in G"
@@ -607,9 +659,8 @@ def _run_phase(
     # ---- Lemma 14: merge the residual clusters ---------------------------
     residual = active & ~sing_s
     if not residual.any():
-        return label, delta, residual
+        return label, delta, residual, None
     with span("theorem13.merge", phase=i):
-        res_h = ~singleton_h
         hres_e = res_h[hes] & res_h[hflat]
         same_super = hres_e & (rootidx[hes] == rootidx[hflat])
         parent2_h = _segment_min(
@@ -694,7 +745,7 @@ def _run_phase(
             )
         label = np.where(residual, hlabels[rt_s] + ab2, label)
         delta = np.where(residual, dist_new, delta)
-        return label, delta, residual
+        return label, delta, residual, _virtual_graph(graph, label, residual)
 
 
 def compute_clustering_vectorized(

@@ -155,7 +155,7 @@ def _run_theorem9_kernel(
     dist: Any,
     palette: int,
     t0: int,
-) -> tuple[dict[NodeId, Any], Accounting]:
+) -> tuple[dict[NodeId, Any], Accounting, Mapping[NodeId, Any] | None]:
     """Theorem 9 as array kernels: outputs plus closed-form metrics.
 
     Args:
@@ -169,14 +169,16 @@ def _run_theorem9_kernel(
         t0: first round of the Theorem 9 window.
 
     Returns:
-        ``(outputs, accounting)`` — the per-node outputs and the
+        ``(outputs, accounting, inputs)`` — the per-node outputs, the
         :class:`Accounting` of simulating
-        :func:`repro.core.theorem9.theorem9_protocol` from round ``t0``,
-        bit-identical to the simulator run.
+        :func:`repro.core.theorem9.theorem9_protocol` from round ``t0``
+        (bit-identical to the simulator run), and the inputs the
+        decider read: the given ones, or the defaults it resolved, so
+        the caller's check does not build them again.
     """
     if graph.n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return {}, Accounting(empty, empty, 0, 0)
+        return {}, Accounting(empty, empty, 0, 0), inputs
     ga = graph.arrays
     low, high = int(color.min()), int(color.max())
     if low < 1 or high > palette:
@@ -196,7 +198,7 @@ def _run_theorem9_kernel(
         accounting = _theorem9_closed_form(
             ga, color, dist, palette, t0, graph.n
         )
-    return decider.outputs(), accounting
+    return decider.outputs(), accounting, decider.inputs
 
 
 def _output_and_assignment(
@@ -244,7 +246,7 @@ def solve_with_clustering_vectorized(
             cast_rounds=(1, cast_end),
             calendar_rounds=(cast_end + 1, theorem9_duration(graph.n, c)),
         )
-        outputs, accounting = _run_theorem9_kernel(
+        outputs, accounting, inputs = _run_theorem9_kernel(
             graph, problem, inputs, color, dist, c, t0=1
         )
         accounting.charge()
@@ -297,7 +299,7 @@ def solve_vectorized(
             graph, chosen_b, validate
         )
         t9_start = 1 + theorem13_duration(graph.n, graph.id_space, chosen_b)
-        outputs, stage9 = _run_theorem9_kernel(
+        outputs, stage9, inputs = _run_theorem9_kernel(
             graph, problem, inputs, color, dist,
             clustered.palette_bound, t0=t9_start,
         )

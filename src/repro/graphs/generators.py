@@ -136,7 +136,7 @@ def _fast_gnp(
         minima = component_minima(n, higher, lower)
         higher = np.concatenate((higher, minima[1:]))
         lower = np.concatenate((lower, minima[:-1]))
-    with span("graphs.index", n=n):
+    with span("graphs.csr", n=n):
         if ids is None:
             node_ids, space = np.arange(1, n + 1, dtype=np.int64), max(n, 1)
         else:
@@ -161,10 +161,10 @@ def _skip_walk_pairs(n: int, p: float, seed: int, batch: int = 0):
     linear index ``v(v-1)/2 + w`` and jumps ``1 + int(log(1 - r) /
     log(1 - p))`` each step, ``r`` drawn by ``random.Random(seed)``. A
     numpy ``RandomState`` seeded with that generator's Mersenne Twister
-    state yields the same doubles; the logs go through :func:`math.log`,
-    as networkx's do (``np.log`` may differ in the last ulp and so move
-    an edge). Draws come ``batch`` at a time; the default is enough for
-    the whole walk with overwhelming probability.
+    state yields the same doubles, and :func:`_skip_jumps` truncates
+    their quotients exactly as networkx's :func:`math.log` does. Draws
+    come ``batch`` at a time; the default is enough for the whole walk
+    with overwhelming probability.
     """
     import numpy as np
 
@@ -181,16 +181,41 @@ def _skip_walk_pairs(n: int, p: float, seed: int, batch: int = 0):
         batch = int(mean + 6.0 * math.sqrt(mean)) + 64
     chunks, last = [], -1
     while True:
-        rest = (1.0 - stream.random_sample(batch)).tolist()
-        jumps = np.fromiter(map(math.log, rest), np.float64, batch) / log_q
-        np.minimum(jumps, float(total), out=jumps)  # any jump past the end ends it
-        index = np.cumsum(jumps.astype(np.int64) + 1) + last
+        rest = 1.0 - stream.random_sample(batch)
+        jumps = _skip_jumps(rest, np.log(rest), log_q, total)
+        index = np.cumsum(jumps + 1) + last
         inside = int(np.searchsorted(index, total))
         chunks.append(index[:inside])
         if inside < batch:
             break
         last = int(index[-1])
     return _unrank_pairs(np.concatenate(chunks))
+
+
+#: Relative distance to the nearest integer below which a skip-walk
+#: quotient is recomputed with :func:`math.log`; far wider than the
+#: last-ulp difference of any libm or SIMD ``log``.
+_LOG_MARGIN = 2.0**-30
+
+
+def _skip_jumps(rest, logs, log_q: float, total: int):
+    """``int(math.log(r) / log_q)`` for every draw ``r`` in ``rest``,
+    capped at ``total`` (any jump past the end ends the walk).
+
+    ``logs`` is ``np.log(rest)``, which may differ from :func:`math.log`
+    in the last ulp. That can only change the truncated quotient where
+    it lies next to an integer, so exactly those draws are redone with
+    :func:`math.log`, and every jump equals networkx's.
+    """
+    import numpy as np
+
+    jumps = logs / log_q
+    near = np.abs(jumps - np.rint(jumps)) <= jumps * _LOG_MARGIN
+    if near.any():
+        exact = map(math.log, rest[near].tolist())
+        jumps[near] = np.fromiter(exact, np.float64) / log_q
+    np.minimum(jumps, float(total), out=jumps)
+    return jumps.astype(np.int64)
 
 
 def _unrank_pairs(index):

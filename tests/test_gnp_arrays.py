@@ -20,7 +20,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graphs import gnp
 from repro.graphs.arrays import GraphArrays, component_minima
-from repro.graphs.generators import _connect, _skip_walk_pairs
+from repro.graphs.generators import _connect, _skip_jumps, _skip_walk_pairs
 from repro.graphs.graph import StaticGraph
 from repro.util.idspace import identity_ids, permuted_ids, polynomial_ids
 
@@ -145,6 +145,57 @@ class TestSameGraphs:
         assert_same_graph(graph, again)
         assert graph._index.slot_of == again._index.slot_of
         assert graph._index.node_set == again._index.node_set
+
+
+class TestSkipJumps:
+    """``_skip_jumps`` truncates every quotient as networkx's
+    ``math.log`` path does, even where ``np.log`` is an ulp off."""
+
+    LOG_Q = math.log(1.0 - 0.013)
+    TOTAL = 10**12
+
+    def exact(self, rest):
+        logs = np.fromiter(map(math.log, rest.tolist()), np.float64, rest.size)
+        return np.minimum(logs / self.LOG_Q, float(self.TOTAL)).astype(np.int64)
+
+    def test_quotients_next_to_an_integer(self):
+        # rest = q^k puts log(rest) / log(q) within a few ulps of k; step
+        # a few ulps either side, and hand in logs one ulp off either way
+        # as a libm or SIMD log may return them.
+        base = np.exp(np.arange(1, 400) * self.LOG_Q)
+        rest = [base]
+        for direction in (0.0, 2.0):
+            step = base
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                rest.append(step)
+        rest = np.concatenate(rest)
+        want = self.exact(rest)
+        moved = 0
+        for logs in (
+            np.log(rest),
+            np.nextafter(np.log(rest), -np.inf),
+            np.nextafter(np.log(rest), 0.0),
+        ):
+            got = _skip_jumps(rest, logs, self.LOG_Q, self.TOTAL)
+            assert np.array_equal(got, want)
+            moved += int(((logs / self.LOG_Q).astype(np.int64) != want).sum())
+        # The off-by-an-ulp logs alone would move some jumps.
+        assert moved > 0
+
+    def test_draws_where_numpy_and_math_log_differ(self):
+        rest = 1.0 - np.random.RandomState(0).random_sample(200_000)
+        numpy_logs = np.log(rest)
+        differ = numpy_logs != np.fromiter(map(math.log, rest.tolist()), float)
+        for sample in (rest, rest[differ]):
+            got = _skip_jumps(sample, np.log(sample), self.LOG_Q, self.TOTAL)
+            assert np.array_equal(got, self.exact(sample))
+
+    def test_jumps_past_the_end_are_capped(self):
+        rest = np.array([1e-300, 0.5, 1.0])
+        got = _skip_jumps(rest, np.log(rest), self.LOG_Q, 100)
+        assert got.tolist() == [100, 52, 0]
+        assert np.array_equal(got, np.minimum(self.exact(rest), 100))
 
 
 class TestComponentMinima:

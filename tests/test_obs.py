@@ -442,11 +442,11 @@ class TestGraphBuildSpans:
         assert check_trace(records, bad) == []
         by_name = {r["name"]: r for r in records}
         build = by_name["scenario.build_graph"]
-        for name in ("graphs.sample", "graphs.index"):
+        for name in ("graphs.sample", "graphs.csr"):
             assert by_name[name]["parent"] == build["id"]
             assert by_name[name]["attrs"] == {"n": 64}
         assert (by_name["graphs.sample"]["t0"]
-                <= by_name["graphs.index"]["t0"])
+                <= by_name["graphs.csr"]["t0"])
 
 
 class TestVectorizedTheorem1Spans:

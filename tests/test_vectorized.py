@@ -436,6 +436,29 @@ def test_given_palettes_match_the_per_node_twin(algorithm, monkeypatch):
     assert vec.metrics.summary() == ref.metrics.summary()
 
 
+@pytest.mark.parametrize("algorithm", VECTORIZED_ADAPTERS)
+def test_default_palettes_are_made_once(algorithm, monkeypatch):
+    """With ``inputs=None`` the decider resolves the default palettes,
+    and the output check reads those same ones: one ``make_inputs``
+    call per solve, checks on."""
+    from repro.olocal.problem import OLocalProblem
+
+    graph = gnp(80, 0.08, seed=4)
+    problem = PROBLEMS.get("degree_plus_one_list_coloring")
+    vectorized, _ = _twins()[algorithm]
+    made = []
+    make_inputs = OLocalProblem.make_inputs
+
+    def spy(self, g):
+        made.append(g)
+        return make_inputs(self, g)
+
+    monkeypatch.setattr(OLocalProblem, "make_inputs", spy)
+    result = vectorized(graph, problem, inputs=None)
+    assert len(made) == 1 and made[0] is graph
+    problem.check(graph, result.outputs, make_inputs(problem, graph))
+
+
 # -- scale (marked slow) -----------------------------------------------------
 
 
