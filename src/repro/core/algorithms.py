@@ -86,7 +86,10 @@ class SolveOutcome:
     Attributes:
         algorithm: canonical registry name of the algorithm that ran.
         engine: engine that produced the accounting.
-        outputs: per-node problem outputs (validated).
+        outputs: per-node problem outputs (validated); on the
+            ``vectorized`` engine a
+            :class:`~repro.graphs.arrays.ColumnMap` over the decided
+            column.
         awake_complexity: max awake rounds over all nodes.
         average_awake: mean awake rounds per node.
         round_complexity: last round in which any node was awake.
@@ -97,7 +100,7 @@ class SolveOutcome:
 
     algorithm: str
     engine: str
-    outputs: dict[NodeId, Any]
+    outputs: Mapping[NodeId, Any]
     awake_complexity: int
     average_awake: float
     round_complexity: int
@@ -197,7 +200,7 @@ def register_algorithm(
 
 def _simulation_outcome(
     algorithm: str,
-    outputs: dict[NodeId, Any],
+    outputs: Mapping[NodeId, Any],
     simulation: Any,
     extras: dict[str, Any],
     engine: str = ENGINE_SIMULATOR,
@@ -498,35 +501,44 @@ def _run_greedy(
     undercut. ``vectorized`` is its array-kernel twin
     (:func:`repro.model.vectorized.greedy_by_id_vectorized`),
     bit-identical metrics at n ≥ 10⁶ scale.
+
+    Every engine checks the outputs with the inputs its solve read, so
+    default inputs are built at most once: up front on the per-node
+    engines, which read every node's, and by the array decider only if
+    it reads any.
     """
-    if engine != ENGINE_REFERENCE:
-        if engine == ENGINE_VECTORIZED:
-            from repro.model.vectorized import greedy_by_id_vectorized
+    if engine == ENGINE_REFERENCE:
+        from repro.olocal.problem import id_priority, sequential_greedy
 
-            result = greedy_by_id_vectorized(graph, problem)
-        else:
-            from repro.model.lockstep import greedy_by_id_local
-
-            result = greedy_by_id_local(graph, problem)
-        problem.check(graph, result.outputs)
-        return _simulation_outcome(
-            "greedy",
-            result.outputs,
-            result,
-            extras={"priority": "increasing ID", "schedule": "lockstep"},
-            engine=engine,
+        inputs = problem.make_inputs(graph)
+        outputs = sequential_greedy(
+            graph, problem, priority=id_priority, inputs=inputs
         )
-    from repro.olocal.problem import id_priority, sequential_greedy
+        problem.check(graph, outputs, inputs)
+        return SolveOutcome(
+            algorithm="greedy",
+            engine=ENGINE_REFERENCE,
+            outputs=outputs,
+            awake_complexity=1,
+            average_awake=1.0,
+            round_complexity=graph.n,
+            messages_sent=graph.num_edges,
+            extras={"priority": "increasing ID"},
+        )
+    if engine == ENGINE_VECTORIZED:
+        from repro.model.vectorized import greedy_by_id_vectorized
 
-    outputs = sequential_greedy(graph, problem, priority=id_priority)
-    problem.check(graph, outputs)
-    return SolveOutcome(
-        algorithm="greedy",
-        engine=ENGINE_REFERENCE,
-        outputs=outputs,
-        awake_complexity=1,
-        average_awake=1.0,
-        round_complexity=graph.n,
-        messages_sent=graph.num_edges,
-        extras={"priority": "increasing ID"},
+        result = greedy_by_id_vectorized(graph, problem, validate=True)
+    else:
+        from repro.model.lockstep import greedy_by_id_local
+
+        inputs = problem.make_inputs(graph)
+        result = greedy_by_id_local(graph, problem, inputs)
+        problem.check(graph, result.outputs, inputs)
+    return _simulation_outcome(
+        "greedy",
+        result.outputs,
+        result,
+        extras={"priority": "increasing ID", "schedule": "lockstep"},
+        engine=engine,
     )

@@ -176,7 +176,7 @@ def baseline_program(
 
 @dataclass(frozen=True)
 class BaselineResult:
-    outputs: dict[NodeId, Any]
+    outputs: Mapping[NodeId, Any]
     simulation: SimulationResult
     palette: int
 

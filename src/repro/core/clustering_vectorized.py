@@ -20,7 +20,7 @@ over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
   triples ``(v, mid, w)`` with ``w != v``, exactly the colors
   :func:`repro.core.linial.linial_coloring` collects;
 - **the parent rule** reads every 2-hop color minimum from each H row's
-  two smallest colors (:func:`_lemma15_parents`), with no triples;
+  two smallest color ranks (:func:`_lemma15_parents`), with no triples;
 - **the F2 forest** (parents p2) roots via pointer doubling, and all
   BFS distances (induced cluster distances, Lemma 14 merges) run as
   masked frontier waves;
@@ -112,8 +112,9 @@ def _linial_step_pairs(
     x ∈ F_q where its degree-d color polynomial differs from every
     conflict partner's — the exact rule of
     :func:`repro.core.linial._reduce_one`, with the per-x safety check
-    batched over the still-undecided frontier. Conflicts come from one
-    or more CSR pair lists, so the same kernel serves the distance-2
+    batched over the still-undecided frontier (at x = 0, every vertex:
+    the CSRs are read as they stand, with no gather). Conflicts come
+    from one or more CSR pair lists, so the same kernel serves the distance-2
     prologue (direct ∪ relayed pairs), the distance-1 coloring of an
     induced subgraph, and the BM21 baseline (the graph adjacency, in
     :mod:`repro.core.bm21_vectorized`).
@@ -142,10 +143,18 @@ def _linial_step_pairs(
             f"node {bad}: color does not fit in {width} base-{q} digits"
         )
 
-    values = np.zeros(nv, dtype=np.int64)
-    new_colors = np.empty(nv, dtype=np.int64)
-    undecided = np.arange(nv, dtype=np.int64)
-    for x in range(q):
+    # x = 0, where p(0) is the lowest digit and every vertex is still
+    # undecided, reads each conflict CSR as it stands: no gather, and
+    # every vertex's value is needed.
+    values = digits[:, 0].copy()
+    conflicted = np.zeros(nv, dtype=bool)
+    for off, dst in csrs:
+        counts = np.diff(off)
+        clash = values[dst] == np.repeat(values, counts)
+        conflicted |= segment_any(clash, counts)
+    new_colors = values.copy()
+    undecided = np.flatnonzero(conflicted)
+    for x in range(1, q):
         if not undecided.size:
             return new_colors
         gathered = [ragged_gather(off, dst, undecided) for off, dst in csrs]
@@ -243,22 +252,29 @@ def _lemma15_parents(
     A vertex v with a smaller color on its 2-ball picks p1 = the
     smallest-colored neighbor if that one is smaller than c1(v) (case
     2, p2 = p1), else the smallest-colored distance-2 vertex (case 3,
-    p2 = the smallest-ID common neighbor) — the rule of
-    :func:`repro.core.lemma15._select_p1`. c1 is unique on every
-    2-ball, so what v hears through a neighbor u is the smallest color
-    on N(u) other than v's: u's row minimum, or its runner-up when
-    that minimum is v itself. Each row's two smallest colors therefore
-    give every 2-hop minimum in O(n + m_H) segment-min passes, with no
-    relayed (v, u, w) triple built. What v hears may be a direct
-    neighbor's color, which never wins case 3 (all direct colors exceed
-    c1 there).
+    p2 = the smallest-ID common neighbor), ties broken by ID — the rule
+    of :func:`repro.core.lemma15._select_p1`. c1 is a distance-2
+    coloring, so the neighbors of any u differ pairwise, and what v
+    hears through a neighbor u is the smallest color on N(u) other than
+    v's: u's row minimum, or its runner-up when that minimum is v
+    itself. Each row's two smallest colors therefore give every 2-hop
+    minimum in O(n + m_H) segment-min passes, with no relayed (v, u, w)
+    triple built. What v hears may be a direct neighbor's color, which
+    never wins case 3 (all direct colors exceed c1 there).
+
+    The passes run over ranks, not colors: a stable argsort ranks c1
+    once, so rank order is the rule's (c1, ID) order (slot order is ID
+    order) and one row minimum of ``rank[hflat]`` names both the
+    smallest color and its vertex. The common-neighbor pass reads the
+    case-3 rows only.
 
     Args:
         hoff: H's CSR row pointers.
         hflat: H's CSR neighbor indices (sorted within each row, so the
             smallest index is the smallest ID).
         hes: the row of every ``hflat`` entry.
-        c1: int64 per-vertex colors, unique on every 2-ball.
+        c1: int64 per-vertex colors, a distance-2 coloring of H (equal
+            colors only on vertices at least 3 apart).
         labels: per-vertex IDs, for error messages only.
 
     Returns:
@@ -269,40 +285,46 @@ def _lemma15_parents(
     Raises:
         ProtocolError: if a case-3 vertex shares no neighbor with p1.
     """
-    cn = c1[hflat]
-    m1 = _segment_min(cn, hoff, _BIG)
-    a1 = _segment_min(np.where(cn == m1[hes], hflat, _BIG), hoff, _BIG)
-    m2 = _segment_min(np.where(hflat == a1[hes], _BIG, cn), hoff, _BIG)
-    a2 = _segment_min(np.where(cn == m2[hes], hflat, _BIG), hoff, _BIG)
-    # Per H edge (v, u): the color v hears through u, and whose it is.
-    hit = a1[hflat] == hes
-    heard_c = np.where(hit, m2[hflat], m1[hflat])
-    heard = np.where(hit, a2[hflat], a1[hflat])
+    # num_h, past every rank, stands for nobody (an empty row's minimum).
+    num_h = c1.size
+    order = np.argsort(c1, kind="stable")
+    rank = np.empty(num_h, dtype=np.int64)
+    rank[order] = np.arange(num_h, dtype=np.int64)
+    rn = rank[hflat]
+    r1 = _segment_min(rn, hoff, num_h)
+    r2 = _segment_min(np.where(rn == r1[hes], num_h, rn), hoff, num_h)
+    del rn
+    # Per H edge (v, u): the rank of the vertex v hears through u.
+    r1u = r1[hflat]
+    heard = np.where(r1u == rank[hes], r2[hflat], r1u)
+    del r1u
+    rmin = _segment_min(heard, hoff, num_h)
 
-    rmin_c = _segment_min(heard_c, hoff, _BIG)
-    root_h = (m1 > c1) & (rmin_c > c1)
-    case2 = ~root_h & (m1 < c1)
+    root_h = (r1 > rank) & (rmin > rank)
+    case2 = r1 < rank
     case3 = ~root_h & ~case2
-    rarg = _segment_min(
-        np.where(heard_c == rmin_c[hes], heard, _BIG), hoff, _BIG
-    )
-    p1 = np.where(case2, a1, np.where(case3, rarg, -1))
-    parent_c1 = np.where(root_h, 0, np.where(case2, m1, rmin_c))
-    c2 = np.where(root_h, 0, 2 * parent_c1 + case3)
+    p1 = np.append(order, -1)[np.where(case2, r1, np.where(case3, rmin, num_h))]
+    c2 = np.where(root_h, 0, 2 * c1[p1] + case3)
     p2 = np.where(case2, p1, np.int64(-1))
-    if case3.any():
+    c3 = np.flatnonzero(case3)
+    if c3.size:
+        # p2 = the smallest-ID neighbor through which v hears p1, read
+        # over the case-3 rows only.
+        nbrs, counts = ragged_gather(hoff, hflat, c3)
+        said, _ = ragged_gather(hoff, heard, c3)
+        coff = np.zeros(c3.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=coff[1:])
         common = _segment_min(
-            np.where(case3[hes] & (heard == p1[hes]), hflat, _BIG),
-            hoff,
+            np.where(said == np.repeat(rmin[c3], counts), nbrs, _BIG),
+            coff,
             _BIG,
         )
-        bad = case3 & (common >= _BIG)
-        if bad.any():
-            v = int(labels[np.flatnonzero(bad)[0]])
+        if (common >= _BIG).any():
+            v = int(labels[c3[np.flatnonzero(common >= _BIG)[0]]])
             raise ProtocolError(
                 f"node {v}: 2-hop parent shares no common neighbor"
             )
-        p2 = np.where(case3, common, p2)
+        p2[c3] = common
     return p1, p2, c2, root_h
 
 
@@ -551,24 +573,27 @@ def _run_phase(
         gamma_h = np.zeros(num_h, dtype=np.int64)
         uid = np.flatnonzero(singleton_h)
         if uid.size:
-            upair = singleton_h[hes] & singleton_h[hflat]
-            udeg = segment_sum(upair.astype(np.int64), hoff)
+            if uid.size == num_h:
+                # Every tree is low-degree-rooted: G[U] is H itself.
+                udeg, ucsr = hdeg, (hoff, hflat)
+            else:
+                upair = singleton_h[hes] & singleton_h[hflat]
+                udeg = segment_sum(upair.astype(np.int64), hoff)
+                uofv = np.zeros(num_h, dtype=np.int64)
+                uofv[uid] = np.arange(uid.size, dtype=np.int64)
+                ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
+                uoff = np.zeros(uid.size + 1, dtype=np.int64)
+                np.cumsum(ucnt, out=uoff[1:])
+                ucsr = (uoff, uofv[hflat[upair]])
             if (udeg[uid] > b).any():
                 v = uid[np.flatnonzero(udeg[uid] > b)[0]]
                 raise ProtocolError(
                     f"node {int(hlabels[v])}: {int(udeg[v])} U-neighbors "
                     f"> b = {b}"
                 )
-            uofv = np.zeros(num_h, dtype=np.int64)
-            uofv[uid] = np.arange(uid.size, dtype=np.int64)
-            ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
-            uoff = np.zeros(uid.size + 1, dtype=np.int64)
-            np.cumsum(ucnt, out=uoff[1:])
             ucol = hlabels[uid] - 1
             for d, q in sched_u:
-                ucol = _linial_step_pairs(
-                    ucol, hlabels[uid], [(uoff, uofv[hflat[upair]])], d, q
-                )
+                ucol = _linial_step_pairs(ucol, hlabels[uid], [ucsr], d, q)
             gamma_u = ucol + 1
             if (gamma_u > ab2).any() or (gamma_u < 1).any():
                 v = uid[np.flatnonzero((gamma_u > ab2) | (gamma_u < 1))[0]]

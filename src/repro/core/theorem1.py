@@ -108,7 +108,7 @@ def theorem1_program(problem: OLocalProblem, b: int | None = None):
 class Theorem1Result:
     """Outputs plus the intermediate clustering and the run's metrics."""
 
-    outputs: dict[NodeId, Any]
+    outputs: Mapping[NodeId, Any]
     clustering: ColoredBFSClustering
     simulation: SimulationResult
     b: int

@@ -155,7 +155,7 @@ def _run_theorem9_kernel(
     dist: Any,
     palette: int,
     t0: int,
-) -> tuple[dict[NodeId, Any], Accounting, Mapping[NodeId, Any] | None]:
+) -> tuple[ColumnMap, Accounting, Mapping[NodeId, Any] | None]:
     """Theorem 9 as array kernels: outputs plus closed-form metrics.
 
     Args:
@@ -169,7 +169,9 @@ def _run_theorem9_kernel(
         t0: first round of the Theorem 9 window.
 
     Returns:
-        ``(outputs, accounting, inputs)`` — the per-node outputs, the
+        ``(outputs, accounting, inputs)`` — the per-node outputs (a
+        :class:`~repro.graphs.arrays.ColumnMap` over the decided
+        column), the
         :class:`Accounting` of simulating
         :func:`repro.core.theorem9.theorem9_protocol` from round ``t0``
         (bit-identical to the simulator run), and the inputs the
@@ -178,7 +180,8 @@ def _run_theorem9_kernel(
     """
     if graph.n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return {}, Accounting(empty, empty, 0, 0), inputs
+        outputs = ColumnMap(graph.arrays.ids, (empty,))
+        return outputs, Accounting(empty, empty, 0, 0), inputs
     ga = graph.arrays
     low, high = int(color.min()), int(color.max())
     if low < 1 or high > palette:
@@ -310,13 +313,13 @@ def solve_vectorized(
             active_rounds=stage13.active_rounds + stage9.active_rounds,
         )
         composed.charge()
-        # The decider keys its outputs in slot order, so their values
-        # line up with the assignment columns.
+        # The outputs' column is in slot order, as the assignment
+        # columns are.
         simulation = composed.result(
             graph,
             ColumnMap(
                 graph.arrays.ids,
-                (list(outputs.values()), *clustered.assignments.columns),
+                (*outputs.columns, *clustered.assignments.columns),
                 row=_output_and_assignment,
             ),
         )

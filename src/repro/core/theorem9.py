@@ -175,7 +175,7 @@ def _make_cluster_solver(
 
 @dataclass(frozen=True)
 class Theorem9Result:
-    outputs: dict[NodeId, Any]
+    outputs: Mapping[NodeId, Any]
     simulation: SimulationResult
     palette: int
 

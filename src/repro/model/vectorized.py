@@ -130,9 +130,13 @@ class _WaveDecider:
         """Write ``value[ready]``; the neighbors' state is read-only."""
         raise NotImplementedError
 
-    def outputs(self) -> dict[NodeId, Any]:
-        """ID → decided output, as plain Python objects."""
-        return dict(zip(self.arrays.ids.tolist(), self.value.tolist()))
+    def outputs(self) -> ColumnMap:
+        """ID → decided output: a view over the ``value`` column.
+
+        Values come out as plain Python objects; the output checks of
+        :mod:`repro.olocal.arrays` read the column itself.
+        """
+        return ColumnMap(self.arrays.ids, (self.value,))
 
 
 class _MISDecider(_WaveDecider):
@@ -362,13 +366,16 @@ def greedy_by_id_vectorized(
     graph: StaticGraph,
     problem: OLocalProblem,
     inputs: Mapping[NodeId, Any] | None = None,
+    validate: bool = False,
 ) -> SimulationResult:
     """The always-awake greedy strawman as array kernels.
 
     Bit-identical to :func:`repro.model.lockstep.greedy_by_id_local`
     (outputs and every metric) — see the module docstring for the
     closed-form round accounting — but with O(V + E) total array work
-    instead of O(V · rounds) Python dispatch.
+    instead of O(V · rounds) Python dispatch. With ``validate``, the
+    outputs go through ``problem.check`` with the inputs the decider
+    read, so defaults it resolved are not built twice.
     """
     ga = graph.arrays
     with span("vectorized.waves", n=ga.n):
@@ -389,4 +396,7 @@ def greedy_by_id_vectorized(
             active_rounds=int(finish.max(initial=0)),
         )
     accounting.charge()
-    return accounting.result(graph, decider.outputs())
+    outputs = decider.outputs()
+    if validate:
+        problem.check(graph, outputs, decider.inputs)
+    return accounting.result(graph, outputs)

@@ -3,9 +3,12 @@
 :meth:`OLocalProblem.check <repro.olocal.problem.OLocalProblem.check>`
 comes here only for a graph whose
 :class:`~repro.graphs.arrays.GraphArrays` are already built, so numpy is
-loaded by then. Each check makes one O(n) Python pass over
-``outputs.get(v)`` in slot order for the per-node type and range tests;
-every per-edge test is numpy over the CSR columns.
+loaded by then. Outputs that are a
+:class:`~repro.graphs.arrays.ColumnMap` over the graph's own ``ids``, as
+a vectorized solve returns them, are read as their slot column, whose
+dtype settles the per-node type test. Any other mapping costs one O(n)
+Python pass over ``outputs.get(v)`` in slot order for the type and
+range tests. Every per-edge test is numpy over the CSR columns.
 
 A check returns only a verdict. ``True`` means ``validate`` would return
 no violation, so ``check`` is done; ``False`` sends ``check`` to
@@ -24,7 +27,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.graphs.arrays import GraphArrays, segment_any
+from repro.graphs.arrays import ColumnMap, GraphArrays, segment_any
 from repro.olocal.coloring import DeltaPlusOneColoring
 from repro.olocal.mis import MaximalIndependentSet
 from repro.olocal.problem import OLocalProblem
@@ -35,6 +38,20 @@ from repro.types import NodeId
 def _slot_values(ga: GraphArrays, outputs: Mapping[NodeId, Any]) -> list[Any]:
     """``outputs.get(v)`` per slot (``None`` for a node with no output)."""
     return list(map(outputs.get, ga.ids.tolist()))
+
+
+def _own_column(ga: GraphArrays, outputs: Mapping[NodeId, Any], dtype: Any) -> Any:
+    """The slot column behind ``outputs`` if it has ``dtype``, else ``None``.
+
+    Only a :class:`ColumnMap` keyed by exactly ``ga.ids`` has one; its
+    values are that column's elements as Python scalars, so a ``bool``
+    column holds only ``bool`` values and an ``int64`` one only ``int``.
+    """
+    if isinstance(outputs, ColumnMap):
+        column = outputs.column_over(ga.ids)
+        if isinstance(column, np.ndarray) and column.dtype == dtype:
+            return column
+    return None
 
 
 def _truthy(values: list[Any]) -> Any:
@@ -51,6 +68,9 @@ def _maximal_independent(ga: GraphArrays, member: Any) -> bool:
 
 
 def _mis_valid(ga: GraphArrays, outputs: Mapping[NodeId, Any]) -> bool:
+    member = _own_column(ga, outputs, bool)
+    if member is not None:
+        return _maximal_independent(ga, member)
     values = _slot_values(ga, outputs)
     if not set(map(type, values)) <= {bool}:
         return False
@@ -61,17 +81,22 @@ def _vertex_cover_valid(ga: GraphArrays, outputs: Mapping[NodeId, Any]) -> bool:
     # validate() reads membership by truthiness, and the complement
     # V \ cover must be a maximal IS (which also means every edge is
     # covered).
-    return _maximal_independent(ga, ~_truthy(_slot_values(ga, outputs)))
+    cover = _own_column(ga, outputs, bool)
+    if cover is None:
+        cover = _truthy(_slot_values(ga, outputs))
+    return _maximal_independent(ga, ~cover)
 
 
 def _coloring_valid(ga: GraphArrays, outputs: Mapping[NodeId, Any]) -> bool:
-    values = _slot_values(ga, outputs)
-    if not set(map(type, values)) <= {int}:
-        return False
-    try:
-        color = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return False
+    color = _own_column(ga, outputs, np.int64)
+    if color is None:
+        values = _slot_values(ga, outputs)
+        if not set(map(type, values)) <= {int}:
+            return False
+        try:
+            color = np.array(values, dtype=np.int64)
+        except OverflowError:
+            return False
     if ((color < 1) | (color > ga.degrees + 1)).any():
         return False
     return not (color[ga.edge_sources] == color[ga.flat]).any()

@@ -1,7 +1,11 @@
 """Internals of the Theorem 13 array kernel.
 
 - the Lemma 15 parent rule (``_lemma15_parents``) against a dict-based
-  brute force over explicit 2-balls;
+  brute force over explicit 2-balls, with empty rows and with c1 a
+  distance-2 coloring whose colors repeat;
+- the batched Linial step (``_linial_step_pairs``) against the scalar
+  rule of :mod:`repro.core.linial`, on one conflict CSR and on two; its
+  first evaluation point reads the CSRs as they stand, with no gather;
 - the kernel's working set stays linear in the graph size: no array of
   Σ deg_H² relayed triples on the default ID schemes;
 - phase 1 runs on G's own CSR, each later phase on the H its
@@ -15,7 +19,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.clustering_vectorized import _clustering_kernel, _lemma15_parents
+from repro.core.clustering_vectorized import (
+    _clustering_kernel,
+    _lemma15_parents,
+    _linial_step_pairs,
+)
+from repro.core.linial import _reduce_one, step_parameters
 from repro.core.theorem13 import default_b
 from repro.errors import ProtocolError
 from repro.graphs import gnp
@@ -50,28 +59,78 @@ def _brute_force_parents(adj, c1):
             p1[v] = p2[v] = min(nbrs, key=lambda u: c1[u])
             c2[v] = 2 * c1[p1[v]]
         else:
-            p1[v] = min(two_hop, key=lambda w: c1[w])
+            # Two distance-2 vertices may share a color: ties go to the
+            # smaller ID, as in lemma15._select_p1.
+            p1[v] = min(two_hop, key=lambda w: (c1[w], w))
             p2[v] = min(u for u in nbrs if p1[v] in adj[u])
             c2[v] = 2 * c1[p1[v]] + 1
     return p1, p2, c2
 
 
-def test_lemma15_parents_match_brute_force():
+def _with_empty_rows(rng, adj):
+    """``adj`` plus a few isolated vertices, all relabelled at random so
+    the empty rows fall anywhere in the CSR."""
+    n = len(adj) + rng.randrange(1, 4)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = {perm[v]: set() for v in range(n)}
+    for v, nbrs in adj.items():
+        out[perm[v]] = {perm[u] for u in nbrs}
+    return out
+
+
+def _two_hop(adj, v):
+    """v's conflict partners at distance 1 and 2."""
+    return (adj[v] | {w for u in adj[v] for w in adj[u]}) - {v}
+
+
+def _distance2_coloring(rng, adj, palette):
+    """A greedy distance-2 coloring, in random vertex order with a
+    random free color from ``range(palette)``: vertices within distance
+    2 differ, and colors repeat farther apart, as the distance-2
+    prologue leaves them."""
+    color = {}
+    order = list(adj)
+    rng.shuffle(order)
+    for v in order:
+        taken = {color[w] for w in _two_hop(adj, v) if w in color}
+        color[v] = rng.choice([c for c in range(palette) if c not in taken])
+    return color
+
+
+def _csr(adj):
+    """``(offsets, flat, edge_sources)`` of adjacency sets over 0..n-1."""
+    n = len(adj)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(adj[v]) for v in range(n)], out=off[1:])
+    flat = np.array([u for v in range(n) for u in sorted(adj[v])], dtype=np.int64)
+    return off, flat, np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+
+
+@pytest.mark.parametrize("kind", ["permutation", "empty_rows", "repeated"])
+def test_lemma15_parents_match_brute_force(kind):
+    """``permutation``: c1 distinct everywhere. ``empty_rows``: isolated
+    vertices among the rest. ``repeated``: c1 a distance-2 coloring, as
+    the prologue leaves it, so colors repeat across the graph and even
+    on a 2-ball (two vertices at distance 2 from v, 3 or 4 apart); the
+    rank of equal colors is broken by index."""
     rng = random.Random(0)
     cases = {"root": 0, "direct": 0, "two_hop": 0}
+    empty_rows = repeats = 0
     for _ in range(300):
-        n = rng.randrange(1, 30)
-        adj = _random_graph(rng, n)
-        # A random permutation: distinct everywhere, so on every 2-ball.
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        c1 = np.array(perm, dtype=np.int64)
-        hoff = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(adj[v]) for v in range(n)], out=hoff[1:])
-        hflat = np.array(
-            [u for v in range(n) for u in sorted(adj[v])], dtype=np.int64
-        )
-        hes = np.repeat(np.arange(n, dtype=np.int64), np.diff(hoff))
+        adj = _random_graph(rng, rng.randrange(1, 30))
+        if kind == "empty_rows":
+            adj = _with_empty_rows(rng, adj)
+        n = len(adj)
+        if kind == "repeated":
+            palette = 1 + max(len(_two_hop(adj, v)) for v in adj)
+            coloring = _distance2_coloring(rng, adj, palette)
+            c1 = np.array([1 + coloring[v] for v in range(n)], dtype=np.int64)
+        else:
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            c1 = np.array(perm, dtype=np.int64)
+        hoff, hflat, hes = _csr(adj)
         labels = np.arange(1, n + 1, dtype=np.int64)
 
         p1, p2, c2, root_h = _lemma15_parents(hoff, hflat, hes, c1, labels)
@@ -80,6 +139,8 @@ def test_lemma15_parents_match_brute_force():
         assert p2.tolist() == [want_p2[v] for v in range(n)]
         assert c2.tolist() == [want_c2[v] for v in range(n)]
         assert root_h.tolist() == [want_p1[v] < 0 for v in range(n)]
+        empty_rows += int((np.diff(hoff) == 0).sum())
+        repeats += int(np.unique(c1).size < n)
         for v in range(n):
             if want_p1[v] < 0:
                 cases["root"] += 1
@@ -89,6 +150,125 @@ def test_lemma15_parents_match_brute_force():
                 cases["two_hop"] += 1
     # Every branch of the rule is exercised, case 3 included.
     assert min(cases.values()) >= 50, cases
+    if kind == "empty_rows":
+        assert empty_rows >= 300
+    if kind == "repeated":
+        assert repeats >= 100
+
+
+def test_case3_parent_without_common_neighbor_is_rejected(monkeypatch):
+    """A mutation: the case-3 rows' gathered entries are all shifted by
+    one, so no neighbor relays p1 and the common-neighbor check fires.
+    On the path 0 - 1 - 2 with c1 = (2, 3, 1), vertex 0 is case 3."""
+    from repro.core import clustering_vectorized as cv
+
+    real = cv.ragged_gather
+
+    def lossy(offsets, flat, slots):
+        values, counts = real(offsets, flat, slots)
+        return values + 1, counts
+
+    monkeypatch.setattr(cv, "ragged_gather", lossy)
+    hoff, hflat, hes = _csr({0: {1}, 1: {0, 2}, 2: {1}})
+    c1 = np.array([2, 3, 1], dtype=np.int64)
+    labels = np.array([10, 11, 12], dtype=np.int64)
+    with pytest.raises(ProtocolError, match="node 10: 2-hop parent shares"):
+        cv._lemma15_parents(hoff, hflat, hes, c1, labels)
+
+
+# -- the batched Linial step against the scalar rule -------------------------
+
+
+def _relayed(adj):
+    """The relayed conflict rows: (v, w) for every path v - u - w, w != v,
+    with repeats, as the distance-2 prologue builds them."""
+    return {v: [w for u in sorted(adj[v]) for w in sorted(adj[u]) if w != v]
+            for v in adj}
+
+
+def _rows_csr(rows):
+    """``(offsets, dst)`` of per-vertex conflict lists over 0..n-1."""
+    n = len(rows)
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(rows[v]) for v in range(n)], out=off[1:])
+    dst = np.array([w for v in range(n) for w in rows[v]], dtype=np.int64)
+    return off, dst
+
+
+def _linial_cases(distance):
+    """Random graphs, proper colorings at ``distance``, the conflict CSRs
+    and one step's (d, q): yields ``(colors, csrs, d, q, conflicts)``."""
+    rng = random.Random(distance)
+    for _ in range(150):
+        adj = _random_graph(rng, rng.randrange(2, 40))
+        n = len(adj)
+        if distance == 1:
+            conflicts = {v: set(adj[v]) for v in adj}
+            csrs = [_rows_csr({v: sorted(adj[v]) for v in adj})]
+        else:
+            conflicts = {v: _two_hop(adj, v) for v in adj}
+            relayed = _relayed(adj)
+            csrs = [_rows_csr({v: sorted(adj[v]) for v in adj}),
+                    _rows_csr(relayed)]
+        degree = max(len(c) for c in conflicts.values())
+        palette = rng.choice([(degree + 2) ** 3, (degree + 2) ** 5, 10**9])
+        coloring = {}
+        for v in rng.sample(range(n), n):
+            taken = {coloring[u] for u in conflicts[v] if u in coloring}
+            while (c := rng.randrange(palette)) in taken:
+                pass
+            coloring[v] = c
+        params = step_parameters(palette, degree)
+        if params is None:
+            continue
+        d, q = params
+        colors = np.array([coloring[v] for v in range(n)], dtype=np.int64)
+        yield colors, csrs, d, q, conflicts
+
+
+@pytest.mark.parametrize("distance", [1, 2], ids=["one_csr", "two_csrs"])
+def test_linial_step_pairs_matches_the_scalar_rule(distance):
+    seen = 0
+    for colors, csrs, d, q, conflicts in _linial_cases(distance):
+        labels = np.arange(1, len(colors) + 1, dtype=np.int64)
+        got = _linial_step_pairs(colors, labels, csrs, d, q)
+        want = [
+            _reduce_one(v, int(colors[v]),
+                        {int(colors[u]) for u in conflicts[v]}, d, q)
+            for v in range(len(colors))
+        ]
+        assert got.tolist() == want
+        seen += 1
+    assert seen >= 100
+
+
+@pytest.mark.parametrize("distance", [1, 2], ids=["one_csr", "two_csrs"])
+def test_linial_first_point_gathers_nothing(distance, monkeypatch):
+    """x = 0 reads the CSRs as they stand; each later point gathers its
+    frontier once per CSR and deduplicates it once."""
+    gathers = _spy_on(monkeypatch, "ragged_gather")
+    uniques = _spy_on(monkeypatch, "sorted_unique")
+    later = 0
+    for colors, csrs, d, q, _ in _linial_cases(distance):
+        gathers.clear()
+        uniques.clear()
+        labels = np.arange(1, len(colors) + 1, dtype=np.int64)
+        got = _linial_step_pairs(colors, labels, csrs, d, q)
+        points = int((got // q).max()) + 1
+        assert len(gathers) == (points - 1) * len(csrs)
+        assert len(uniques) == points - 1
+        later += points > 1
+    # Enough steps go past x = 0 for the counts to mean something.
+    assert later >= 50
+
+
+def test_linial_improper_coloring_is_rejected():
+    """Two neighbors with one color share every evaluation point."""
+    off, dst = _rows_csr({0: [1], 1: [0, 2], 2: [1]})
+    colors = np.array([5, 5, 7], dtype=np.int64)
+    labels = np.array([10, 11, 12], dtype=np.int64)
+    with pytest.raises(ProtocolError, match="node 10: no safe evaluation"):
+        _linial_step_pairs(colors, labels, [(off, dst)], 1, 5)
 
 
 def test_kernel_working_set_is_linear_in_graph_size():

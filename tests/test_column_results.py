@@ -173,7 +173,7 @@ class TestVectorizedResults:
         assert vec.simulation.metrics.summary() == ref.simulation.metrics.summary()
         assert vec.simulation.outputs == ref.simulation.outputs
         assert vec.clustering == ref.clustering
-        assert type(vec.outputs) is dict and vec.outputs == ref.outputs
+        assert isinstance(vec.outputs, ColumnMap) and vec.outputs == ref.outputs
 
     def test_theorem1_result_pickle_round_trip(self):
         graph = fast_graph(48, seed=5)

@@ -6,7 +6,10 @@ asks the array checks of ``repro/olocal/arrays.py`` for MIS,
 runs it, so the ``ValidationError`` text is ``validate``'s on both
 paths. The array verdict must therefore never accept what ``validate``
 rejects, and on every case here it accepts exactly what ``validate``
-accepts, so valid outputs stay on the fast path.
+accepts, so valid outputs stay on the fast path. Outputs shaped as a
+vectorized solve returns them, a ``ColumnMap`` over the graph's ``ids``
+whose column the check reads directly, get the same verdict and the
+same error text as the dict a per-node engine would hand back.
 """
 
 import pytest
@@ -15,6 +18,7 @@ np = pytest.importorskip("numpy")
 
 from repro.errors import ValidationError
 from repro.graphs import StaticGraph, gnp, path, random_tree
+from repro.graphs.arrays import ColumnMap
 from repro.olocal import (
     DeltaPlusOneColoring,
     MaximalIndependentSet,
@@ -59,6 +63,40 @@ def assert_paths_agree(problem, graph, outputs):
     assert "_arrays_cache" not in per_node.__dict__
     assert check_message(problem, with_arrays, outputs) == message
     assert (message is None) == valid
+    return message
+
+
+def column_view(problem, arrays, outputs):
+    """``outputs`` as a vectorized solve returns them: a ``ColumnMap``
+    over ``arrays.ids`` with the decider's dtype (bool, or int64 for
+    coloring). ``None`` when no such column holds them exactly."""
+    ids = arrays.ids.tolist()
+    if set(outputs) != set(ids):
+        return None
+    kind = int if isinstance(problem, DeltaPlusOneColoring) else bool
+    values = [outputs[v] for v in ids]
+    if any(type(value) is not kind for value in values):
+        return None
+    try:
+        column = np.array(values, dtype=np.int64 if kind is int else bool)
+    except OverflowError:
+        return None
+    return ColumnMap(arrays.ids, (column,))
+
+
+def assert_column_view_agrees(problem, graph, outputs):
+    """The column view gets the verdict and the error text of the dict a
+    per-node engine would return (keyed in slot order); returns the
+    text, or ``False`` when ``outputs`` fit no column."""
+    with_arrays = without_arrays(graph)
+    arrays = with_arrays.arrays
+    view = column_view(problem, arrays, outputs)
+    if view is None:
+        return False
+    as_dict = dict(zip(arrays.ids.tolist(), view.columns[0].tolist()))
+    message = check_message(problem, with_arrays, as_dict)
+    assert passes_array_check(problem, arrays, view) == (message is None)
+    assert check_message(problem, with_arrays, view) == message
     return message
 
 
@@ -127,11 +165,14 @@ def test_array_check_matches_validate(problem_class, corruptions, graph_name):
     graph = GRAPHS[graph_name]()
     valid = sequential_greedy(graph, problem, id_priority)
     assert assert_paths_agree(problem, graph, valid) is None
-    rejected = 0
+    assert assert_column_view_agrees(problem, graph, valid) is None
+    rejected = rejected_views = 0
     for label, outputs in corruptions(graph, valid):
         message = assert_paths_agree(problem, graph, outputs)
         rejected += message is not None
+        rejected_views += bool(assert_column_view_agrees(problem, graph, outputs))
     assert rejected >= (1 if graph.n > 1 else 0)
+    assert rejected_views >= (1 if graph.n > 1 else 0)
 
 
 @pytest.mark.parametrize(

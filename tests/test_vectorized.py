@@ -459,6 +459,27 @@ def test_default_palettes_are_made_once(algorithm, monkeypatch):
     problem.check(graph, result.outputs, make_inputs(problem, graph))
 
 
+@pytest.mark.parametrize("engine", ["reference", "simulator", ENGINE_VECTORIZED])
+def test_greedy_adapter_makes_default_palettes_once(engine, monkeypatch):
+    """The greedy adapter checks its outputs with the inputs its solve
+    read: one ``make_inputs`` call per solve on every engine."""
+    from repro.olocal.problem import OLocalProblem
+
+    graph = gnp(80, 0.08, seed=4)
+    problem = PROBLEMS.get("degree_plus_one_list_coloring")
+    made = []
+    make_inputs = OLocalProblem.make_inputs
+
+    def spy(self, g):
+        made.append(g)
+        return make_inputs(self, g)
+
+    monkeypatch.setattr(OLocalProblem, "make_inputs", spy)
+    outcome = ALGORITHMS.get("greedy").solve(graph, problem, engine=engine)
+    assert len(made) == 1 and made[0] is graph
+    problem.check(graph, outcome.outputs, make_inputs(problem, graph))
+
+
 # -- scale (marked slow) -----------------------------------------------------
 
 
