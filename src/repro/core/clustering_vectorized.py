@@ -333,7 +333,9 @@ def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
 
     H has one vertex per active cluster; two clusters are adjacent iff
     some G edge joins them, and the inter-cluster edge keys are
-    deduplicated with one sort.
+    deduplicated with one sort. This is the only place G's edges are
+    classified: the phase reads its inter-cluster G edges and
+    intra-cluster degrees from what it returns.
 
     Args:
         graph: the network.
@@ -341,12 +343,15 @@ def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
         active: per-slot participation mask.
 
     Returns:
-        ``(hlabels, hidx, hoff, hflat, hdeg, hes)`` — the cluster labels
-        ascending (H vertex j is cluster ``hlabels[j]``), every G slot's
-        H vertex (0 where inactive), and H's CSR in the
-        :class:`~repro.graphs.arrays.GraphArrays` layout: row pointers,
-        neighbors (unique and ascending per row), degrees and the row
-        of every neighbor entry.
+        ``(hlabels, hidx, hoff, hflat, hdeg, hes, xoff, xdst, xsrc,
+        intra)`` — the cluster labels ascending (H vertex j is cluster
+        ``hlabels[j]``), every G slot's H vertex (0 where inactive), H's
+        CSR in the :class:`~repro.graphs.arrays.GraphArrays` layout (row
+        pointers, neighbors unique and ascending per row, degrees and
+        the row of every neighbor entry), the inter-cluster G edges
+        between active slots in the same layout (row pointers over G's
+        slots, neighbor and source slots), and every slot's number of
+        active same-cluster neighbors.
     """
     ga = graph.arrays
     esrc, edst = ga.edge_sources, ga.flat
@@ -354,13 +359,19 @@ def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
     num_h = hlabels.size
     hidx = np.zeros(ga.n, dtype=np.int64)
     hidx[active] = np.searchsorted(hlabels, label[active])
-    e_x = active[esrc] & active[edst] & (label[esrc] != label[edst])
-    ukey = sorted_unique(hidx[esrc[e_x]] * np.int64(num_h) + hidx[edst[e_x]])
+    e_x = active[esrc] & active[edst]
+    intra = segment_sum(e_x, ga.offsets)
+    e_x &= label[esrc] != label[edst]
+    xoff = np.zeros(ga.n + 1, dtype=np.int64)
+    np.cumsum(segment_sum(e_x, ga.offsets), out=xoff[1:])
+    intra -= np.diff(xoff)
+    xsrc, xdst = esrc[e_x], edst[e_x]
+    ukey = sorted_unique(hidx[xsrc] * np.int64(num_h) + hidx[xdst])
     hdeg = np.bincount(ukey // num_h, minlength=num_h).astype(np.int64)
     hoff = np.zeros(num_h + 1, dtype=np.int64)
     np.cumsum(hdeg, out=hoff[1:])
     hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
-    return hlabels, hidx, hoff, ukey % num_h, hdeg, hes
+    return hlabels, hidx, hoff, ukey % num_h, hdeg, hes, xoff, xdst, xsrc, intra
 
 
 def _clustering_kernel(
@@ -396,10 +407,12 @@ def _clustering_kernel(
     round_chunks: list[Any] = []
 
     # Phase 1 starts from singleton clusters labelled by ID, and slot
-    # order is ID order: its virtual graph H is G itself.
+    # order is ID order: its virtual graph H is G itself, and every G
+    # edge is inter-cluster.
     h = (
         ga.ids, np.arange(ga.n, dtype=np.int64), ga.offsets, ga.flat,
-        ga.degrees, ga.edge_sources,
+        ga.degrees, ga.edge_sources, ga.offsets, ga.flat, ga.edge_sources,
+        np.zeros(ga.n, dtype=np.int64),
     )
     clock = 1
     for i in range(1, phases + 1):
@@ -489,15 +502,8 @@ def _run_phase(
     n = graph.n
     ab2 = singleton_palette(b)
     window = 2 * n + 3
-    esrc, edst = ga.edge_sources, ga.flat
-
-    # ---- G's edges against the virtual graph H of the clustering ---------
-    hlabels, hidx, hoff, hflat, hdeg, hes = h
+    hlabels, hidx, hoff, hflat, hdeg, hes, xoff, xdst, xsrc, intra = h
     num_h = hlabels.size
-    with span("theorem13.h_build", phase=i):
-        e_act = active[esrc] & active[edst]
-        same_lab = label[esrc] == label[edst]
-        e_x = e_act & ~same_lab
 
     # ---- Lemma 15, steps 1-4: colors c1/c2 and parents p1/p2 -------------
     k = distance2_palette(n, ls)
@@ -578,7 +584,7 @@ def _run_phase(
                 udeg, ucsr = hdeg, (hoff, hflat)
             else:
                 upair = singleton_h[hes] & singleton_h[hflat]
-                udeg = segment_sum(upair.astype(np.int64), hoff)
+                udeg = segment_sum(upair, hoff)
                 uofv = np.zeros(num_h, dtype=np.int64)
                 uofv[uid] = np.arange(uid.size, dtype=np.int64)
                 ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
@@ -605,22 +611,19 @@ def _run_phase(
     # ---- Lemma 15 accounting over the G-members --------------------------
     with span("theorem13.accounting", phase=i):
         hv = hidx  # per-slot H-vertex (garbage where inactive; always masked)
-        intra = segment_sum((e_act & same_lab).astype(np.int64), ga.offsets)
-        foreign = segment_sum(e_x.astype(np.int64), ga.offsets)
+        foreign = np.diff(xoff)
         nev_a = (
             2 * steps2 + 2
             + np.where(root_h, 8, 12)
             + np.where(singleton_h, 1 + steps_u, 0)
         )
         n_all = 2 * steps2 + 8 + singleton_h.astype(np.int64)
-        plab_h = np.where(p2 >= 0, hlabels[np.maximum(p2, 0)], np.int64(-1))
-        pd_edge = e_x & (label[edst] == plab_h[hv][esrc])
-        parent_deg = segment_sum(pd_edge.astype(np.int64), ga.offsets)
-        sing_dst = np.zeros(ga.n, dtype=bool)
-        sing_dst[active] = singleton_h[hidx[active]]
-        deg_u = segment_sum((e_x & sing_dst[edst]).astype(np.int64), ga.offsets)
+        # Per inter-cluster edge (v, u): is u in v's F2 parent cluster, or
+        # in a singleton cluster?
+        parent_deg = segment_sum(hv[xdst] == p2[hv][xsrc], xoff)
+        deg_u = segment_sum(singleton_h[hv][xdst], xoff)
 
-        sing_s = active & sing_dst
+        sing_s = active & singleton_h[hv]
         s_flag = (delta > 0).astype(np.int64)
         w15_awake = (1 + nev_a[hv]) * np.where(delta == 0, 3, 5)
         w15_msgs = (
@@ -702,29 +705,18 @@ def _run_phase(
             )
         nev_b = 3 + 2 * (d_h > 0).astype(np.int64)
 
-        e_res = residual[esrc] & residual[edst]
-        intra_r = segment_sum((e_res & same_lab).astype(np.int64), ga.offsets)
-        e_rx = e_res & ~same_lab
-        foreign_r = segment_sum(e_rx.astype(np.int64), ga.offsets)
-        p2lab_h = np.where(
-            parent2_h < _BIG,
-            hlabels[np.minimum(parent2_h, num_h - 1)],
-            np.int64(-1),
-        )
-        parent2_deg = segment_sum(
-            (e_rx & (label[edst] == p2lab_h[hv][esrc])).astype(np.int64),
-            ga.offsets,
-        )
+        # Only residual rows are read: their same-cluster neighbors are
+        # residual, their foreign ones unless in a singleton cluster, and
+        # those in the parent2 cluster or the same super-cluster always.
         rt_s = rootidx[hv]
-        samesuper_deg = segment_sum(
-            (e_rx & (rt_s[edst] == rt_s[esrc])).astype(np.int64), ga.offsets
-        )
+        parent2_deg = segment_sum(hv[xdst] == parent2_h[hv][xsrc], xoff)
+        samesuper_deg = segment_sum(rt_s[xdst] == rt_s[xsrc], xoff)
         d2_s = d_h[hv]
         w14_awake = (1 + nev_b[hv]) * np.where(delta == 0, 3, 5)
         w14_msgs = (
             ga.degrees
-            + (1 + nev_b[hv]) * (s_flag + intra_r)
-            + foreign_r
+            + (1 + nev_b[hv]) * (s_flag + intra)
+            + foreign - deg_u
             + (d2_s > 0).astype(np.int64) * parent2_deg
             + samesuper_deg
         )
@@ -973,11 +965,15 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
         )
 
     # δ must be the induced BFS distance from the component's root: one
-    # multi-source wave, each root flooding only its own component.
+    # multi-source wave, each root flooding only its own component. A
+    # root with no monochromatic edge is its whole component, at depth 0,
+    # and seeds nothing.
+    seeded = roots & (np.bincount(msrc, minlength=n) > 0)
     depth = _masked_bfs(
-        ga.offsets, ga.flat, np.flatnonzero(roots), comp,
+        ga.offsets, ga.flat, np.flatnonzero(seeded), comp,
         np.ones(n, dtype=bool),
     )
+    depth[roots] = 0
     mismatch = np.flatnonzero(depth != dist)
     if mismatch.size:
         slot = int(mismatch[0])

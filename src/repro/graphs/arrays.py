@@ -309,10 +309,11 @@ class NeighborMap(ColumnMap):
 
 # -- segment helpers ---------------------------------------------------------
 #
-# All reductions use the cumsum-difference trick rather than
+# Sums and ORs use the cumsum-difference trick rather than
 # ``np.ufunc.reduceat``: reduceat returns ``x[start]`` (not the identity)
 # for zero-length segments, which would silently corrupt isolated- or
-# zero-degree-node rows.
+# zero-degree-node rows (minima, in ``core.clustering_vectorized``'s
+# ``_segment_min``, run reduceat over the nonempty segments only).
 
 
 def segment_sum(values: Any, offsets: Any) -> Any:

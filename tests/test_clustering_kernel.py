@@ -10,7 +10,10 @@
   Σ deg_H² relayed triples on the default ID schemes;
 - phase 1 runs on G's own CSR, each later phase on the H its
   predecessor's merge built, and only residual F2 trees get an H-level
-  BFS; a low-degree-rooted tree whose parent edge leaves H is rejected.
+  BFS; a low-degree-rooted tree whose parent edge leaves H is rejected;
+- ``_virtual_graph``'s H, inter-cluster edge CSR and intra-cluster
+  degrees against a per-node brute force, on random labels and random
+  active masks.
 """
 
 import random
@@ -23,11 +26,12 @@ from repro.core.clustering_vectorized import (
     _clustering_kernel,
     _lemma15_parents,
     _linial_step_pairs,
+    _virtual_graph,
 )
 from repro.core.linial import _reduce_one, step_parameters
 from repro.core.theorem13 import default_b
 from repro.errors import ProtocolError
-from repro.graphs import gnp
+from repro.graphs import gnp, random_tree
 from repro.graphs.families import build_family_graph
 
 
@@ -269,6 +273,44 @@ def test_linial_improper_coloring_is_rejected():
     labels = np.array([10, 11, 12], dtype=np.int64)
     with pytest.raises(ProtocolError, match="node 10: no safe evaluation"):
         _linial_step_pairs(colors, labels, [(off, dst)], 1, 5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "graph", [lambda s: gnp(70, 0.12, seed=s), lambda s: random_tree(50, seed=s)],
+    ids=["gnp70", "tree50"],
+)
+def test_virtual_graph_matches_per_node_brute_force(graph, seed):
+    """Few labels, so clusters have several (not necessarily connected)
+    members; inactive slots are in no cluster and no edge."""
+    g = graph(seed)
+    ga = g.arrays
+    rng = np.random.default_rng(seed)
+    label = rng.integers(1, 9, ga.n)
+    active = rng.random(ga.n) < 0.75
+    hlabels, hidx, hoff, hflat, hdeg, hes, xoff, xdst, xsrc, intra = (
+        _virtual_graph(g, label, active)
+    )
+    assert hlabels.tolist() == sorted(set(label[active].tolist()))
+    h_adj = {c: set() for c in hlabels.tolist()}
+    for v in range(ga.n):
+        nbrs = ga.flat[ga.offsets[v]:ga.offsets[v + 1]].tolist()
+        on = [u for u in nbrs if active[v] and active[u]]
+        foreign = [u for u in on if label[u] != label[v]]
+        row = slice(xoff[v], xoff[v + 1])
+        assert xdst[row].tolist() == foreign
+        assert (xsrc[row] == v).all()
+        assert intra[v] == len(on) - len(foreign)
+        if active[v]:
+            assert hlabels[hidx[v]] == label[v]
+            h_adj[int(label[v])].update(int(label[u]) for u in foreign)
+    assert xoff[-1] == xdst.size == xsrc.size
+    assert intra.any() and xdst.size
+    for j, c in enumerate(hlabels.tolist()):
+        row = hflat[hoff[j]:hoff[j + 1]]
+        assert hlabels[row].tolist() == sorted(h_adj[c])
+        assert hdeg[j] == row.size
+        assert (hes[hoff[j]:hoff[j + 1]] == j).all()
 
 
 def test_kernel_working_set_is_linear_in_graph_size():

@@ -174,6 +174,29 @@ class TestArrayPathDetails:
         with pytest.raises(ClusteringError, match="roots"):
             validate_clustering_arrays(graph, color, dist + 1)
 
+    def test_all_singleton_clustering_seeds_no_bfs(self, monkeypatch):
+        """Δ < b: every cluster is a singleton, so no edge is
+        monochromatic, every root is its whole component at depth 0,
+        and the depth BFS gets no source."""
+        from repro.core import clustering_vectorized as cv
+        from repro.graphs import gnp
+
+        n = 1 << 12
+        graph = gnp(n, 8 / n, seed=0, method="fast")
+        result = compute_clustering_vectorized(graph, b=32, validate=False)
+        color, dist = clustering_columns(graph, result.clustering)
+        assert (dist == 0).all()
+        sources = []
+        real = cv._masked_bfs
+
+        def spy(offsets, flat, seeds, group, member):
+            sources.append(seeds.size)
+            return real(offsets, flat, seeds, group, member)
+
+        monkeypatch.setattr(cv, "_masked_bfs", spy)
+        validate_clustering_arrays(graph, color, dist)
+        assert sources == [0]
+
     def test_wrong_length_rejected(self):
         graph = build_family_graph("path", 5, seed=0)
         with pytest.raises(ClusteringError, match="cover"):

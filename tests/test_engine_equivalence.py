@@ -410,6 +410,24 @@ def test_vectorized_clustering_b_ablations_bit_identical(b):
     assert_results_identical(vec.simulation, ref.simulation)
 
 
+@pytest.mark.parametrize(
+    "n,seed,b", [(60, 0, 2), (90, 2, 2), (400, 0, 3)],
+    ids=["tree60-b2", "tree90-b2", "tree400-b3"],
+)
+def test_vectorized_clustering_tree_merges_bit_identical(n, seed, b):
+    """Trees whose Lemma 14 merges have residual members with both
+    singleton-cluster neighbors and intra-cluster edges, so the merge's
+    message count reads every term of its formula."""
+    from repro.core.clustering_vectorized import compute_clustering_vectorized
+    from repro.core.theorem13 import compute_clustering
+
+    g = random_tree(n, seed=seed)
+    vec = compute_clustering_vectorized(g, b=b)
+    ref = compute_clustering(g, b=b)
+    assert vec.assignments == ref.assignments
+    assert_results_identical(vec.simulation, ref.simulation)
+
+
 @pytest.mark.parametrize("gname,factory", VEC_GRAPHS)
 @pytest.mark.parametrize("pname", ["mis", "coloring"])
 def test_vectorized_theorem1_bit_identical(gname, factory, pname):

@@ -489,12 +489,12 @@ class TestVectorizedTheorem1Spans:
         records, bad = load_trace(trace)
         assert check_trace(records, bad) == []
         (kernel,) = [r for r in records if r["name"] == "theorem13.vectorized"]
-        stages = ("h_build", "parents", "forest", "accounting", "merge")
+        stages = ("parents", "forest", "accounting", "merge")
         for name in [f"theorem13.{s}" for s in stages] + ["theorem13.validate"]:
             found = [r for r in records if r["name"] == name]
             assert found, name
             assert all(r["parent"] == kernel["id"] for r in found), name
-        phases = [r for r in records if r["name"] == "theorem13.h_build"]
+        phases = [r for r in records if r["name"] == "theorem13.parents"]
         assert len(phases) >= 2
         assert [r["attrs"]["phase"] for r in phases] == sorted(
             r["attrs"]["phase"] for r in phases
@@ -533,6 +533,24 @@ class TestDocsSync:
         assert not missing, (
             f"span/event names used in src/ but absent from the "
             f"docs/OBSERVABILITY.md taxonomy: {sorted(missing)}"
+        )
+
+    def test_every_documented_span_and_event_is_emitted(self):
+        """The reverse direction: a row whose span or event is gone
+        from src/ goes from the taxonomy too."""
+        doc = self.OBS_DOC.read_text(encoding="utf-8")
+        taxonomy = doc.split("## Span and event taxonomy")[1]
+        taxonomy = taxonomy.split("\n## ")[0]
+        documented = set()
+        for line in taxonomy.splitlines():
+            cells = line.split("|")
+            if line.startswith("|") and len(cells) > 2:
+                documented.update(re.findall(r"`([a-z0-9_.]+)`", cells[1]))
+        assert "theorem13.vectorized" in documented
+        stale = documented - self._source_names(self.SPAN_RE)
+        assert not stale, (
+            f"span/event names in the docs/OBSERVABILITY.md taxonomy but "
+            f"emitted nowhere in src/: {sorted(stale)}"
         )
 
     def test_every_counter_name_is_documented(self):
