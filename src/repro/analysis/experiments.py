@@ -39,6 +39,7 @@ from repro.core.lemma15 import lemma15_reference, singleton_palette
 from repro.core.mapping import ColorScheduleMapping, render_figure1
 from repro.core.theorem9 import solve_with_clustering
 from repro.core.theorem13 import (
+    _virtual_graph_of,
     color_palette_bound,
     compute_clustering,
     default_b,
@@ -207,27 +208,25 @@ def _e3(n: int = 96, seed: int = 7) -> ExperimentResult:
     b = default_b(graph.n)
     rows = []
     label = {v: v for v in graph.nodes}
-    active = set(graph.nodes)
     phase = 0
-    while active:
+    while label:
         phase += 1
         ls = phase_label_space(graph.id_space, b, phase)
-        h = _virtual_graph(graph, active, label, ls)
-        ref = lemma15_reference(h, b)
+        h = _virtual_graph_of(graph, label, ls)
+        ref = lemma15_reference(h, b, n=graph.n)
         finished = sum(
-            1 for lab in set(label[v] for v in active)
-            if ref.outputs[lab].singleton
+            1 for lab in set(label.values()) if ref.outputs[lab].singleton
         )
         residual = ref.residual_clusters
         rows.append(
             (phase, h.n, finished, residual, h.n // b,
              "ok" if residual <= h.n // b else "VIOLATED")
         )
-        new_active = {
-            v for v in active if not ref.outputs[label[v]].singleton
+        label = {
+            v: ref.outputs[lab].gamma
+            for v, lab in label.items()
+            if not ref.outputs[lab].singleton
         }
-        label = {v: ref.outputs[label[v]].gamma for v in new_active}
-        active = new_active
         if phase > num_phases(graph.n) + 2:
             break
     return ExperimentResult(
@@ -241,18 +240,6 @@ def _e3(n: int = 96, seed: int = 7) -> ExperimentResult:
             "phase budget k = 2·sqrt(log n)": num_phases(graph.n),
             "palette bound": color_palette_bound(graph.n, b),
         },
-    )
-
-
-def _virtual_graph(graph, active, label, label_space):
-    from repro.graphs.graph import StaticGraph
-
-    edges = set()
-    for u, v in graph.edges():
-        if u in active and v in active and label[u] != label[v]:
-            edges.add((min(label[u], label[v]), max(label[u], label[v])))
-    return StaticGraph.from_edges(
-        edges, nodes={label[v] for v in active}, id_space=label_space
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from repro.errors import ClusteringError
 from repro.graphs.graph import StaticGraph
@@ -238,15 +238,7 @@ def _components(graph: StaticGraph, members: set[NodeId]) -> list[set[NodeId]]:
     remaining = set(members)
     comps = []
     while remaining:
-        start = min(remaining)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if u in remaining and u not in comp:
-                    comp.add(u)
-                    queue.append(u)
+        comp = set(_induced_bfs(graph, remaining, min(remaining)))
         remaining -= comp
         comps.append(comp)
     return comps
@@ -262,6 +254,21 @@ def _induced_bfs(
         v = queue.popleft()
         for u in graph.neighbors(v):
             if u in members and u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def _bfs_over(
+    adjacency: Mapping[NodeId, Iterable[NodeId]], root: NodeId
+) -> dict[NodeId, int]:
+    """BFS distances from ``root`` over a gathered adjacency mapping."""
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for u in adjacency.get(v, ()):
+            if u not in dist:
                 dist[u] = dist[v] + 1
                 queue.append(u)
     return dist

@@ -60,11 +60,13 @@ from repro.core.theorem13 import (
     default_b,
     num_phases,
     phase_label_space,
+    theorem13_duration,
 )
 from repro.core.virtual import virtual_duration
 from repro.errors import ProtocolError, ReproError
 from repro.graphs.arrays import (
     ColumnMap,
+    component_minima,
     ragged_gather,
     segment_any,
     segment_sum,
@@ -372,6 +374,26 @@ def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
     np.cumsum(hdeg, out=hoff[1:])
     hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
     return hlabels, hidx, hoff, ukey % num_h, hdeg, hes, xoff, xdst, xsrc, intra
+
+
+def _require_int64_rounds(last_round: int) -> None:
+    """Refuse a run whose last round the int64 columns cannot hold.
+
+    Callers check before any array work. Large ID spaces get there: gnp
+    under ``poly5`` IDs needs 66 bits at n = 2048.
+
+    Args:
+        last_round: the run's last reserved round.
+
+    Raises:
+        ReproError: naming the int64 round limit and the simulator engine.
+    """
+    if last_round > np.iinfo(np.int64).max:
+        raise ReproError(
+            f"the run's last round needs {last_round.bit_length()} bits, "
+            f"past the vectorized engine's int64 round limit (2^63 - 1); "
+            f"use the simulator engine"
+        )
 
 
 def _clustering_kernel(
@@ -751,15 +773,20 @@ def _run_phase(
                 f"merged cluster {int(hlabels[h]) + ab2} has "
                 f"{int(root_counts[h])} roots"
             )
-        dist_new = _masked_bfs(
-            ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
-        )
-        if (dist_new[residual] < 0).any():
-            v = np.flatnonzero(residual & (dist_new < 0))[0]
-            raise ProtocolError(
-                f"merged cluster ℓ'' = {int(hlabels[rt_s[v]]) + ab2} is "
-                f"disconnected"
+        if i == 1:
+            # H is G: the forest's BFS already ran from these roots over
+            # these groups and members.
+            dist_new = d_h
+        else:
+            dist_new = _masked_bfs(
+                ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
             )
+            if (dist_new[residual] < 0).any():
+                v = np.flatnonzero(residual & (dist_new < 0))[0]
+                raise ProtocolError(
+                    f"merged cluster ℓ'' = {int(hlabels[rt_s[v]]) + ab2} is "
+                    f"disconnected"
+                )
         label = np.where(residual, hlabels[rt_s] + ab2, label)
         delta = np.where(residual, dist_new, delta)
         return label, delta, residual, _virtual_graph(graph, label, residual)
@@ -816,6 +843,7 @@ def _clustering_columns(
         (assignments, γ, δ, metrics) are
         :class:`~repro.graphs.arrays.ColumnMap` views over the columns.
     """
+    _require_int64_rounds(theorem13_duration(graph.n, graph.id_space, b))
     with span("theorem13.vectorized", n=graph.n, b=b):
         phase, gamma, dist, accounting = _clustering_kernel(graph, b)
         color = (phase - 1) * np.int64(singleton_palette(b)) + gamma
@@ -905,10 +933,12 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     are legal (each connected component is its own cluster), exactly as
     in the per-node validator.
 
-    Components are found by scatter-min label propagation with pointer
-    doubling (O((n + m)·log n) array work); depths by one multi-source
-    masked BFS — versus the per-node validator's Python walk, which
-    costs about twice the clustering kernel itself at n = 2¹⁷.
+    Components are labelled by
+    :func:`~repro.graphs.arrays.component_minima`, the min-label hooking
+    the gnp sampler also uses, over each monochromatic edge once; depths
+    by one multi-source masked BFS — versus the per-node validator's
+    Python walk, which costs about twice the clustering kernel itself at
+    n = 2¹⁷.
 
     Args:
         graph: the network the clustering lives on.
@@ -930,27 +960,13 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     color = np.asarray(color, dtype=np.int64)
     dist = np.asarray(dist, dtype=np.int64)
 
-    # Connected components of each color class: iterate scatter-min of
-    # neighbor labels over monochromatic edges + full path compression
-    # until a fixpoint; every slot ends labeled with the smallest slot
-    # index of its component.
-    esrc = ga.edge_sources
-    edst = ga.flat
-    mono = color[esrc] == color[edst]
-    msrc = esrc[mono]
-    mdst = edst[mono]
-    comp = np.arange(n, dtype=np.int64)
-    while True:
-        prev = comp.copy()
-        np.minimum.at(comp, mdst, comp[msrc])
-        np.minimum.at(comp, msrc, comp[mdst])
-        while True:
-            hopped = comp[comp]
-            if np.array_equal(hopped, comp):
-                break
-            comp = hopped
-        if np.array_equal(comp, prev):
-            break
+    # Connected components of each color class: every slot is labelled
+    # with the smallest slot index of its component.
+    mono = color[ga.edge_sources] == color[ga.flat]
+    msrc = ga.edge_sources[mono]
+    mdst = ga.flat[mono]
+    once = msrc < mdst
+    comp = component_minima(n, msrc[once], mdst[once])
 
     # Exactly one root (δ = 0) per component.
     roots = dist == 0

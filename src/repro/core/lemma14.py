@@ -19,11 +19,11 @@ replica computes the new BFS distances locally.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Mapping
 
 from repro.core.cast import gather_bfs, gather_duration
+from repro.core.clustering import _bfs_over, _induced_bfs
 from repro.core.virtual import run_on_virtual_graph, virtual_duration
 from repro.errors import ProtocolError
 from repro.model.actions import AwakeAt
@@ -171,14 +171,7 @@ def _flatten_vprogram(vinfo: NodeInfo) -> Proto:
             f"{len(roots)} roots"
         )
     root = roots[0]
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in sorted(adjacency[v]):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    dist = _bfs_over(adjacency, root)
     missing = set(nodes) - set(dist)
     if missing:
         raise ProtocolError(
@@ -233,14 +226,7 @@ def lemma14_reference(
                 f"merged cluster {l2} has {len(roots)} roots"
             )
         root = roots[0]
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if u in members and u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
+        dist = _induced_bfs(graph, members, root)
         missing = members - set(dist)
         if missing:
             raise ProtocolError(

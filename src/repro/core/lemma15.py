@@ -31,7 +31,6 @@ distance-2 palette (O(n⁴) in general, O(n^s) for IDs from [n^s]).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Generator, Iterable, Mapping
 
@@ -40,10 +39,13 @@ from repro.core.cast import (
     convergecast_labeled,
     labeled_cast_duration,
 )
+from repro.core.clustering import _bfs_over, _induced_bfs
 from repro.core.linial import (
+    _reduce_one,
     final_palette,
     linial_coloring,
     linial_duration,
+    reduction_schedule,
 )
 from repro.errors import ProtocolError
 from repro.graphs.graph import StaticGraph
@@ -306,18 +308,6 @@ def _merge_dicts(a: dict, b: dict) -> dict:
     return merged
 
 
-def _bfs_over(edges: Mapping[NodeId, tuple[NodeId, ...]], root: NodeId) -> dict[NodeId, int]:
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in edges.get(v, ()):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Centralized reference (oracle for tests; fast path for large-n statistics).
 # ---------------------------------------------------------------------------
@@ -342,21 +332,29 @@ class Lemma15Reference:
         return {v: out.delta for v, out in self.outputs.items()}
 
 
-def lemma15_reference(graph: StaticGraph, b: int) -> Lemma15Reference:
+def lemma15_reference(
+    graph: StaticGraph, b: int, n: int | None = None
+) -> Lemma15Reference:
     """Compute the same phase centrally, with identical tie-breaking.
 
     Used as the equality oracle for the distributed protocol and to gather
     large-n statistics (cluster-count decay) without simulation overhead.
+    ``n`` is the common-knowledge network size the protocol runs with
+    (default ``graph.n``); on a virtual graph H it is the n of G, which
+    fixes the distance-2 conflict degree and palette.
     """
-    n, id_space = graph.n, graph.id_space
-    d2_degree = distance2_conflict_degree(n)
+    n = graph.n if n is None else n
+    id_space = graph.id_space
     k = distance2_palette(n, id_space)
 
     # The distance-2 balls are the hot data of the whole phase: compute
     # them once and share across the coloring iterations and parent rule.
     two_hop = {v: graph.distance_2_neighbors(v) for v in graph.nodes}
 
-    c0 = _reference_distance2_coloring(graph, d2_degree, two_hop)
+    c0 = _replay_linial(
+        {v: graph.neighbors(v) + two_hop[v] for v in graph.nodes},
+        id_space, distance2_conflict_degree(n),
+    )
     c1 = {
         v: (c0[v] + 1) + k if graph.degree(v) <= b else (c0[v] + 1)
         for v in graph.nodes
@@ -414,7 +412,12 @@ def lemma15_reference(graph: StaticGraph, b: int) -> Lemma15Reference:
                 )
             continue
         residual += 1
-        dist = _induced_bfs_distances(graph, member_set, root)
+        dist = _induced_bfs(graph, member_set, root)
+        missing = member_set - set(dist)
+        if missing:
+            raise ProtocolError(
+                f"cluster of root {root} is disconnected: {sorted(missing)[:5]}"
+            )
         for v in members:
             outputs[v] = Lemma15Output(
                 singleton=False, gamma=root + ab2, delta=dist[v], root=root,
@@ -423,7 +426,13 @@ def lemma15_reference(graph: StaticGraph, b: int) -> Lemma15Reference:
             )
 
     if u_nodes:
-        u_colors = _reference_u_coloring(graph, u_nodes, b)
+        u_colors = _replay_linial(
+            {
+                v: [u for u in graph.neighbors(v) if u in u_nodes]
+                for v in sorted(u_nodes)
+            },
+            id_space, b,
+        )
         for v in u_nodes:
             old = outputs[v]
             outputs[v] = Lemma15Output(
@@ -437,73 +446,17 @@ def lemma15_reference(graph: StaticGraph, b: int) -> Lemma15Reference:
     )
 
 
-def _reference_distance2_coloring(
-    graph: StaticGraph,
-    conflict_degree: int,
-    two_hop: Mapping[NodeId, tuple[NodeId, ...]] | None = None,
+def _replay_linial(
+    partners: Mapping[NodeId, Iterable[NodeId]], palette: int, degree: int
 ) -> dict[NodeId, int]:
-    """Replays the distributed Linial distance-2 reduction centrally
-    (identical (d, q) schedule and evaluation-point choices)."""
-    from repro.core.linial import _reduce_one, step_parameters
-
-    if two_hop is None:
-        two_hop = {v: graph.distance_2_neighbors(v) for v in graph.nodes}
-    ball = {v: graph.neighbors(v) + two_hop[v] for v in graph.nodes}
-    colors = {v: v - 1 for v in graph.nodes}
-    k = graph.id_space
-    while True:
-        params = step_parameters(k, conflict_degree)
-        if params is None:
-            return colors
-        d, q = params
-        new = {}
-        for v in graph.nodes:
-            conflicts = {colors[u] for u in ball[v]}
-            new[v] = _reduce_one(v, colors[v], conflicts, d, q)
-        colors = new
-        k = q * q
-
-
-def _reference_u_coloring(
-    graph: StaticGraph, u_nodes: set[NodeId], b: int
-) -> dict[NodeId, int]:
-    """Replays Linial's distance-1 reduction on G[U] centrally."""
-    from repro.core.linial import _reduce_one, step_parameters
-
-    members = sorted(u_nodes)
-    u_nbrs = {
-        v: tuple(u for u in graph.neighbors(v) if u in u_nodes)
-        for v in members
-    }
-    colors = {v: v - 1 for v in u_nodes}
-    k = graph.id_space
-    while True:
-        params = step_parameters(k, b)
-        if params is None:
-            return colors
-        d, q = params
-        new = {}
-        for v in members:
-            conflicts = {colors[u] for u in u_nbrs[v]}
-            new[v] = _reduce_one(v, colors[v], conflicts, d, q)
-        colors = new
-        k = q * q
-
-
-def _induced_bfs_distances(
-    graph: StaticGraph, members: frozenset[NodeId], root: NodeId
-) -> dict[NodeId, int]:
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in graph.neighbors(v):
-            if u in members and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    missing = members - set(dist)
-    if missing:
-        raise ProtocolError(
-            f"cluster of root {root} is disconnected: {sorted(missing)[:5]}"
-        )
-    return dist
+    """Replays :func:`~repro.core.linial.linial_coloring` centrally for
+    every node of ``partners`` against its conflict partners: colors start
+    at ``v - 1`` in ``palette``, with the identical (d, q) schedule for
+    conflict degree ``degree`` and the same evaluation-point choices."""
+    colors = {v: v - 1 for v in partners}
+    for d, q in reduction_schedule(palette, degree):
+        colors = {
+            v: _reduce_one(v, colors[v], {colors[u] for u in nbrs}, d, q)
+            for v, nbrs in partners.items()
+        }
+    return colors

@@ -28,6 +28,7 @@ from repro.core.clustering import ColoredBFSClustering
 from repro.core.lemma14 import (
     lemma14_duration,
     lemma14_protocol,
+    lemma14_reference,
 )
 from repro.core.lemma15 import (
     Lemma15Output,
@@ -240,93 +241,60 @@ def theorem13_reference(
 ) -> ClusteringResult:
     """Centralized mirror of the pipeline (same tie-breaking, no simulator):
     the oracle for :func:`compute_clustering` and the fast path for
-    large-n statistics."""
+    large-n statistics. Each phase is :func:`lemma15_reference` on the
+    virtual graph, run with G's n as the protocol does, then
+    :func:`lemma14_reference` on the residual clusters."""
     chosen_b = b if b is not None else default_b(graph.n)
     phases = num_phases(graph.n)
     assignments: dict[NodeId, Theorem13Assignment] = {}
 
-    label = {v: v for v in graph.nodes}
+    # (ℓ, δ) of the still-active nodes.
+    label: dict[NodeId, ClusterLabel] = {v: v for v in graph.nodes}
     dist = {v: 0 for v in graph.nodes}
-    active = set(graph.nodes)
 
     for i in range(1, phases + 1):
-        if not active:
+        if not label:
             break
         ls = phase_label_space(graph.id_space, chosen_b, i)
-        h_graph = _virtual_graph_of(graph, active, label, ls)
-        ref15 = lemma15_reference(h_graph, chosen_b)
-
-        new_active: set[NodeId] = set()
-        new_label: dict[NodeId, ClusterLabel] = {}
-        for v in active:
-            out15 = ref15.outputs[label[v]]
+        ref15 = lemma15_reference(
+            _virtual_graph_of(graph, label, ls), chosen_b, n=graph.n
+        )
+        residual: dict[NodeId, ClusterLabel] = {}
+        for v, lab in label.items():
+            out15 = ref15.outputs[lab]
             if out15.singleton:
                 assignments[v] = Theorem13Assignment(
                     phase=i, gamma=out15.gamma, dist=dist[v]
                 )
             else:
-                new_active.add(v)
-                new_label[v] = out15.gamma
+                residual[v] = lab
+        flattened = lemma14_reference(
+            graph, residual, dist, ref15.gamma(), ref15.delta()
+        )
+        label = {v: out.label for v, out in flattened.items()}
+        dist = {v: out.dist for v, out in flattened.items()}
 
-        # Lemma 14 flattening: new BFS distances inside merged clusters.
-        new_dist: dict[NodeId, int] = {}
-        for l2 in sorted(set(new_label.values())):
-            members = {v for v in new_active if new_label[v] == l2}
-            roots = [
-                v
-                for v in members
-                if dist[v] == 0
-                and ref15.outputs[label[v]].delta == 0
-            ]
-            if len(roots) != 1:
-                raise ProtocolError(
-                    f"phase {i}: merged cluster {l2} has {len(roots)} roots"
-                )
-            new_dist.update(_induced_bfs(graph, members, roots[0]))
-
-        label, dist, active = new_label, new_dist, new_active
-
-    if active:
+    if label:
         raise ProtocolError(
-            f"{len(active)} nodes unassigned after {phases} phases"
+            f"{len(label)} nodes unassigned after {phases} phases"
         )
     return _package(graph, assignments, None, chosen_b, validate)
 
 
 def _virtual_graph_of(
     graph: StaticGraph,
-    active: set[NodeId],
-    label: dict[NodeId, ClusterLabel],
+    label: Mapping[NodeId, ClusterLabel],
     label_space: int,
 ) -> StaticGraph:
+    """The virtual graph of the active nodes (the keys of ``label``): one
+    vertex per label, an edge between labels joined by a G edge."""
     edges = set()
     for u, v in graph.edges():
-        if u in active and v in active and label[u] != label[v]:
+        if u in label and v in label and label[u] != label[v]:
             edges.add((min(label[u], label[v]), max(label[u], label[v])))
     return StaticGraph.from_edges(
         edges, nodes=set(label.values()), id_space=label_space
     )
-
-
-def _induced_bfs(
-    graph: StaticGraph, members: set[NodeId], root: NodeId
-) -> dict[NodeId, int]:
-    from collections import deque
-
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in graph.neighbors(v):
-            if u in members and u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    missing = members - set(dist)
-    if missing:
-        raise ProtocolError(
-            f"merged cluster of root {root} is disconnected in G"
-        )
-    return dist
 
 
 def _package(

@@ -43,12 +43,14 @@ from repro.core.clustering_vectorized import (
     _clustering_columns,
     _member_offsets,
     canonical_columns,
+    _require_int64_rounds,
 )
 from repro.core.mapping import ColorScheduleMapping
 from repro.core.theorem1 import (
     Theorem1Result,
     check_awake_bound,
     check_theorem9_awake_bound,
+    theorem1_duration,
 )
 from repro.core.theorem9 import Theorem9Result, theorem9_duration
 from repro.core.theorem13 import (
@@ -297,6 +299,7 @@ def solve_vectorized(
         the simulator engine's.
     """
     chosen_b = b if b is not None else default_b(graph.n)
+    _require_int64_rounds(theorem1_duration(graph.n, graph.id_space, chosen_b))
     with span("theorem1.vectorized", n=graph.n, b=chosen_b):
         clustered, color, dist, stage13 = _clustering_columns(
             graph, chosen_b, validate

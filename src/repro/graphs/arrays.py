@@ -378,29 +378,33 @@ def ragged_gather(offsets: Any, flat: Any, slots: Any) -> tuple[Any, Any]:
 
 
 def component_minima(n: int, a: Any, b: Any) -> Any:
-    """The smallest slot of each connected component, ascending.
+    """Each slot's component label: the smallest slot of its component.
 
-    The graph is ``n`` slots plus undirected edges ``(a[i], b[i])``.
+    The graph is ``n`` slots plus undirected edges ``(a[i], b[i])``,
+    each passed once (a repeated or reversed pair only costs time).
     Min-label hooking with pointer jumping: every slot holds a label
     naming some slot of its own component, no larger than itself. Each
     round hooks, across every edge, the larger of the two endpoints'
     root labels onto the smaller, then follows ``label[label]`` until
     every label is a root. Once no edge joins two roots, each component
-    has one root — its minimum, the one slot labelled with itself.
+    has one root — its minimum, the one slot labelled with itself — and
+    that last round only gathers the edges' root labels.
+
+    Returns:
+        int64 per-slot labels; the component minima, ascending, are
+        ``np.flatnonzero(labels == np.arange(n))``.
     """
     label = np.arange(n, dtype=np.int64)
     while True:
         root_a, root_b = label[a], label[b]
-        hooked = label.copy()
-        np.minimum.at(hooked, root_a, root_b)
-        np.minimum.at(hooked, root_b, root_a)
-        jumped = hooked[hooked]
-        while not np.array_equal(jumped, hooked):
-            hooked = jumped
-            jumped = hooked[hooked]
-        if np.array_equal(hooked, label):
-            return np.flatnonzero(label == np.arange(n, dtype=np.int64))
-        label = hooked
+        if np.array_equal(root_a, root_b):
+            return label
+        np.minimum.at(label, root_a, root_b)
+        np.minimum.at(label, root_b, root_a)
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label = jumped
+            jumped = label[label]
 
 
 def csr_from_edges(n: int, a: Any, b: Any) -> tuple[Any, Any]:

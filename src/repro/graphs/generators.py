@@ -133,7 +133,11 @@ def _fast_gnp(
 
     with span("graphs.sample", n=n):
         higher, lower = _skip_walk_pairs(n, p, seed)
-        minima = component_minima(n, higher, lower)
+        # The per-slot labels die here: the build sets scale runs' peak.
+        minima = np.flatnonzero(
+            component_minima(n, higher, lower)
+            == np.arange(n, dtype=np.int64)
+        )
         higher = np.concatenate((higher, minima[1:]))
         lower = np.concatenate((lower, minima[:-1]))
     with span("graphs.csr", n=n):

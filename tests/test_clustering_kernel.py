@@ -10,10 +10,13 @@
   Σ deg_H² relayed triples on the default ID schemes;
 - phase 1 runs on G's own CSR, each later phase on the H its
   predecessor's merge built, and only residual F2 trees get an H-level
-  BFS; a low-degree-rooted tree whose parent edge leaves H is rejected;
+  BFS; phase 1's merge reuses that BFS; a low-degree-rooted tree whose
+  parent edge leaves H is rejected;
 - ``_virtual_graph``'s H, inter-cluster edge CSR and intra-cluster
   degrees against a per-node brute force, on random labels and random
-  active masks.
+  active masks;
+- a run whose last round does not fit in int64 is refused before any
+  array work.
 """
 
 import random
@@ -22,15 +25,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.api import Scenario, run_scenario
 from repro.core.clustering_vectorized import (
     _clustering_kernel,
     _lemma15_parents,
     _linial_step_pairs,
     _virtual_graph,
+    compute_clustering_vectorized,
 )
 from repro.core.linial import _reduce_one, step_parameters
 from repro.core.theorem13 import default_b
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReproError
 from repro.graphs import gnp, random_tree
 from repro.graphs.families import build_family_graph
 
@@ -378,9 +383,15 @@ def test_one_h_build_per_phase_after_a_residual(graph, b, monkeypatch):
     g = graph()
     b = b if b is not None else default_b(g.n)
     builds = _spy_on(monkeypatch, "_virtual_graph")
+    searches = _spy_on(monkeypatch, "_masked_bfs")
     phase, _, _, _ = _clustering_kernel(g, b)
-    assert int(phase.max()) >= 2
-    assert len(builds) == int(phase.max()) - 1
+    last = int(phase.max())
+    assert last >= 2
+    assert len(builds) == last - 1
+    # Over G's CSR: phase 1's forest BFS, which its merge reuses, and
+    # the merge BFS of each phase from 2 to last - 1.
+    on_g = [c for c in searches if c[0] is g.arrays.offsets]
+    assert len(on_g) == last - 1
 
 
 def test_singleton_tree_parent_off_h_is_rejected(monkeypatch):
@@ -412,3 +423,22 @@ def test_singleton_tree_parent_off_h_is_rejected(monkeypatch):
     with pytest.raises(ProtocolError, match="is not connected in G"):
         _clustering_kernel(g, b)
     assert moved
+
+
+def test_round_past_int64_is_refused_before_array_work(monkeypatch):
+    """gnp(2048) under ``poly5`` IDs: the Theorem 13 duration alone is 66
+    bits long, so the vectorized engine names its limit and the
+    simulator instead of overflowing inside the kernel."""
+    n = 2048
+    scenario = Scenario(
+        family="gnp", n=n, ids="poly5", problem="mis",
+        algorithm="theorem1", engine="vectorized",
+        params={"p": 8 / n, "method": "fast"},
+    )
+    kernel = _spy_on(monkeypatch, "_clustering_kernel")
+    refusal = r"int64 round limit .*simulator engine"
+    with pytest.raises(ReproError, match=refusal):
+        run_scenario(scenario)
+    with pytest.raises(ReproError, match=refusal):
+        compute_clustering_vectorized(scenario.build_graph())
+    assert kernel == []

@@ -146,6 +146,30 @@ class TestRejectsCorruptedClusterings:
         assert array == "coloring does not cover exactly the node set"
 
 
+class TestComponentLabelling:
+    def test_two_roots_on_a_shuffled_long_path(self):
+        """One monochromatic path whose IDs, and so slots, are shuffled
+        along it: the component labeller needs several hooking rounds
+        before the path's two far-apart roots share a label."""
+        n = 200
+        graph = build_family_graph("path", n, seed=5, ids="permuted")
+        end = min(v for v in graph.nodes if graph.degree(v) == 1)
+        order, prev = [end], None
+        while len(order) < n:
+            nxt = [u for u in graph.neighbors(order[-1]) if u != prev]
+            prev = order[-1]
+            order.append(nxt[0])
+        clustering = ColoredBFSClustering(
+            color={v: 1 for v in order},
+            dist={v: min(i, n - 1 - i) for i, v in enumerate(order)},
+        )
+        per_node, array = both_validate(graph, clustering)
+        assert per_node == array
+        assert per_node == (
+            "color 1 component has 2 roots (δ=0 nodes); expected exactly 1"
+        )
+
+
 class TestArrayPathDetails:
     def test_non_integer_palette_validates_per_node(self):
         """Tuple colors are the per-node validator's alone: the array

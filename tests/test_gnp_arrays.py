@@ -214,8 +214,18 @@ class TestComponentMinima:
         b = np.array([e[1] for e in edges], dtype=np.int64)
         g = nx.empty_graph(n)
         g.add_edges_from(edges)
-        expected = sorted(min(c) for c in nx.connected_components(g))
+        expected = [0] * n
+        for comp in nx.connected_components(g):
+            for v in comp:
+                expected[v] = min(comp)
         assert component_minima(n, a, b).tolist() == expected
+
+    def test_reversed_and_repeated_edges_change_nothing(self):
+        a = np.array([3, 1, 4, 2], dtype=np.int64)
+        b = np.array([1, 4, 2, 0], dtype=np.int64)
+        once = component_minima(6, a, b)
+        twice = component_minima(6, np.concatenate((a, b)), np.concatenate((b, a)))
+        assert once.tolist() == twice.tolist() == [0, 0, 0, 0, 0, 5]
 
     def test_no_edges(self):
         empty = np.zeros(0, dtype=np.int64)

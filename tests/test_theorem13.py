@@ -12,6 +12,7 @@ from repro.core.theorem13 import (
     theorem13_duration,
     theorem13_reference,
 )
+from repro.core.clustering_vectorized import compute_clustering_vectorized
 from repro.graphs import (
     caterpillar,
     complete_graph,
@@ -22,6 +23,7 @@ from repro.graphs import (
     random_tree,
     star,
 )
+from repro.graphs.families import build_family_graph
 from repro.util.idspace import permuted_ids, polynomial_ids
 from repro.util.mathx import iterated_log, sqrt_log_ceil
 
@@ -69,6 +71,23 @@ class TestDistributedMatchesReference:
         ref = theorem13_reference(g)
         assert res.clustering.color == ref.clustering.color
         assert res.clustering.dist == ref.clustering.dist
+
+    @pytest.mark.parametrize(
+        "n,engine",
+        [(128, compute_clustering), (1024, compute_clustering_vectorized)],
+        ids=["simulator-128", "vectorized-1024"],
+    )
+    def test_poly5_phases_use_the_network_n(self, n, engine):
+        """Lemma 15 on H runs with G's n, the protocol's common knowledge:
+        under ``poly5`` IDs it sets the distance-2 palette, so an oracle
+        that used |V(H)| disagreed from phase 2 on."""
+        g = build_family_graph(
+            "gnp", n, seed=0, ids="poly5", p=8 / n, method="fast"
+        )
+        ref = theorem13_reference(g, b=2)
+        assert max(a.phase for a in ref.assignments.values()) >= 3
+        res = engine(g, b=2)
+        assert {v: res.assignments[v] for v in g.nodes} == ref.assignments
 
     def test_round_complexity_within_duration(self):
         g = gnp(12, 0.25, seed=1)
