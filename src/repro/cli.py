@@ -125,7 +125,8 @@ def _run_solve(args: argparse.Namespace) -> int:
         result = run_scenario(scenario)
     except ReproError as exc:
         if not scenario.faults_active:
-            raise
+            # A refused or failed run ends in one line, not a traceback.
+            raise SystemExit(f"{type(exc).__name__}: {exc}") from exc
         # Failing loudly is the *expected* outcome of a fault scenario
         # that actually breaks the protocol — report it as a result,
         # not a traceback.

@@ -138,6 +138,9 @@ class ColoredBFSClustering:
         return sorted(set(self.color.values()), key=_color_sort_key)
 
     def num_colors(self) -> int:
+        if hasattr(self.color, "num_distinct"):
+            # A ColumnMap view counts its column in numpy.
+            return self.color.num_distinct()
         return len(set(self.color.values()))
 
     def max_color(self) -> int:

@@ -25,8 +25,9 @@ over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
   BFS distances (induced cluster distances, Lemma 14 merges) run as
   masked frontier waves;
 - **accounting** — per-member awake rounds, messages, termination
-  rounds and the global active-round set are evaluated in closed form
-  from the per-cluster event counts, **bit-identical** to the
+  rounds and the number of active rounds (counted per reserved window,
+  :func:`_window_rounds`) are evaluated in closed form from the
+  per-cluster event counts, **bit-identical** to the
   :class:`~repro.model.simulator.SleepingSimulator` run of
   :func:`repro.core.theorem13.compute_clustering` — the differential
   suite in ``tests/test_engine_equivalence.py`` is the gate.
@@ -246,6 +247,37 @@ def _member_offsets(n: int, d: int) -> Any:
     )
 
 
+def _window_rounds(chunks: list[tuple[Any, Any]], window: int) -> int:
+    """The number of distinct active rounds in one reserved window.
+
+    Each depth δ awake in the window adds one chunk ``(vrs, offs)``: its
+    virtual rounds (distinct) and its member offsets
+    (:func:`_member_offsets`: distinct, each below ``window``). Its
+    rounds ``vr·window + off`` are then distinct, |vrs|·|offs| of them,
+    so a one-depth window is counted without listing them. Depths share
+    rounds (the δ = 0 and δ = 1 gather offsets collide), so a window of
+    several is counted on the union of their rounds.
+
+    Args:
+        chunks: one ``(vrs, offs)`` pair of int64 arrays per depth.
+        window: the virtual round's length in G rounds.
+
+    Returns:
+        The number of distinct rounds, relative to the window's start.
+    """
+    if len(chunks) == 1:
+        vrs, offs = chunks[0]
+        return vrs.size * offs.size
+    return sorted_unique(np.concatenate([
+        (vrs[:, None] * window + offs[None, :]).ravel() for vrs, offs in chunks
+    ])).size
+
+
+def _per_slot(values: Any, hidx: Any) -> Any:
+    """A per-H-vertex column read at every G slot (``hidx`` None: H is G)."""
+    return values if hidx is None else values[hidx]
+
+
 def _lemma15_parents(
     hoff: Any, hflat: Any, hes: Any, c1: Any, labels: Any
 ) -> tuple[Any, Any, Any, Any]:
@@ -426,13 +458,13 @@ def _clustering_kernel(
     out_phase = np.zeros(ga.n, dtype=np.int64)
     out_gamma = np.zeros(ga.n, dtype=np.int64)
     out_dist = np.zeros(ga.n, dtype=np.int64)
-    round_chunks: list[Any] = []
+    window_rounds: list[int] = []
 
     # Phase 1 starts from singleton clusters labelled by ID, and slot
-    # order is ID order: its virtual graph H is G itself, and every G
-    # edge is inter-cluster.
+    # order is ID order: its virtual graph H is G itself (no slot-to-H
+    # index), and every G edge is inter-cluster.
     h = (
-        ga.ids, np.arange(ga.n, dtype=np.int64), ga.offsets, ga.flat,
+        ga.ids, None, ga.offsets, ga.flat,
         ga.degrees, ga.edge_sources, ga.offsets, ga.flat, ga.edge_sources,
         np.zeros(ga.n, dtype=np.int64),
     )
@@ -446,7 +478,7 @@ def _clustering_kernel(
                 graph, b, i, ls, clock, clock_14, h,
                 label, delta, active,
                 awake, msgs, termination,
-                out_phase, out_gamma, out_dist, round_chunks,
+                out_phase, out_gamma, out_dist, window_rounds,
             )
         clock += window15 + lemma14_duration(n)
 
@@ -455,10 +487,11 @@ def _clustering_kernel(
             f"{int(active.sum())} nodes unassigned after {phases} phases"
         )
 
-    active_rounds = (
-        sorted_unique(np.concatenate(round_chunks)).size if round_chunks else 0
+    # Lemma 8: the phases' Lemma 15 and Lemma 14 windows are disjoint,
+    # so their distinct rounds add.
+    accounting = Accounting(
+        awake, termination, int(msgs.sum()), sum(window_rounds)
     )
-    accounting = Accounting(awake, termination, int(msgs.sum()), active_rounds)
     return out_phase, out_gamma, out_dist, accounting
 
 
@@ -479,7 +512,7 @@ def _run_phase(
     out_phase: Any,
     out_gamma: Any,
     out_dist: Any,
-    round_chunks: list[Any],
+    window_rounds: list[int],
 ) -> tuple[Any, Any, Any, tuple | None]:
     """One Theorem 13 phase: Lemma 15 on H, then the Lemma 14 merge.
 
@@ -505,7 +538,8 @@ def _run_phase(
         clock: first round of the phase's Lemma 15 window.
         clock_14: first round of the phase's Lemma 14 window.
         h: the virtual graph H of ``label`` on the ``active`` slots,
-            as :func:`_virtual_graph` returns it.
+            as :func:`_virtual_graph` returns it; in phase 1 G's own
+            CSR, with ``hidx`` None (slot v is H vertex v).
         label: per-slot cluster labels ℓ entering the phase.
         delta: per-slot BFS depths δ entering the phase.
         active: per-slot participation mask.
@@ -515,7 +549,8 @@ def _run_phase(
         out_phase: per-slot assignment phase (mutated).
         out_gamma: per-slot assignment color γ' (mutated).
         out_dist: per-slot assignment depth (mutated).
-        round_chunks: global active-round chunks (appended to).
+        window_rounds: distinct active rounds per reserved window
+            (appended to: the Lemma 15 window, then the Lemma 14 one).
 
     Returns:
         ``(label, delta, active, h)`` for the next phase.
@@ -600,19 +635,25 @@ def _run_phase(
 
         gamma_h = np.zeros(num_h, dtype=np.int64)
         uid = np.flatnonzero(singleton_h)
+        # Every H vertex's neighbors in U (on U rows, its degree in G[U])
+        # and G[U]'s CSR.
+        if uid.size == num_h:
+            # Every tree is low-degree-rooted: G[U] is H itself.
+            udeg, ucsr = hdeg, (hoff, hflat)
+        elif uid.size:
+            in_u = singleton_h[hflat]
+            udeg = segment_sum(in_u, hoff)
+            upair = singleton_h[hes] & in_u
+            del in_u
+            uofv = np.zeros(num_h, dtype=np.int64)
+            uofv[uid] = np.arange(uid.size, dtype=np.int64)
+            ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
+            uoff = np.zeros(uid.size + 1, dtype=np.int64)
+            np.cumsum(ucnt, out=uoff[1:])
+            ucsr = (uoff, uofv[hflat[upair]])
+        else:
+            udeg = np.zeros(num_h, dtype=np.int64)
         if uid.size:
-            if uid.size == num_h:
-                # Every tree is low-degree-rooted: G[U] is H itself.
-                udeg, ucsr = hdeg, (hoff, hflat)
-            else:
-                upair = singleton_h[hes] & singleton_h[hflat]
-                udeg = segment_sum(upair, hoff)
-                uofv = np.zeros(num_h, dtype=np.int64)
-                uofv[uid] = np.arange(uid.size, dtype=np.int64)
-                ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
-                uoff = np.zeros(uid.size + 1, dtype=np.int64)
-                np.cumsum(ucnt, out=uoff[1:])
-                ucsr = (uoff, uofv[hflat[upair]])
             if (udeg[uid] > b).any():
                 v = uid[np.flatnonzero(udeg[uid] > b)[0]]
                 raise ProtocolError(
@@ -632,7 +673,6 @@ def _run_phase(
 
     # ---- Lemma 15 accounting over the G-members --------------------------
     with span("theorem13.accounting", phase=i):
-        hv = hidx  # per-slot H-vertex (garbage where inactive; always masked)
         foreign = np.diff(xoff)
         nev_a = (
             2 * steps2 + 2
@@ -642,65 +682,65 @@ def _run_phase(
         n_all = 2 * steps2 + 8 + singleton_h.astype(np.int64)
         # Per inter-cluster edge (v, u): is u in v's F2 parent cluster, or
         # in a singleton cluster?
-        parent_deg = segment_sum(hv[xdst] == p2[hv][xsrc], xoff)
-        deg_u = segment_sum(singleton_h[hv][xdst], xoff)
+        if hidx is None:
+            # H is G, and a G row holds each neighbor once: the forest
+            # has counted both per slot.
+            parent_deg = p2_adjacent.astype(np.int64)
+            deg_u = udeg
+        else:
+            parent_deg = segment_sum(hidx[xdst] == p2[hidx][xsrc], xoff)
+            deg_u = segment_sum(singleton_h[hidx][xdst], xoff)
 
-        sing_s = active & singleton_h[hv]
+        in_u_s = _per_slot(singleton_h, hidx)
+        nonroot_s = ~_per_slot(root_h, hidx)
+        sing_s = active & in_u_s
         s_flag = (delta > 0).astype(np.int64)
-        w15_awake = (1 + nev_a[hv]) * np.where(delta == 0, 3, 5)
+        nev_a_s = _per_slot(nev_a, hidx)
+        w15_awake = (1 + nev_a_s) * np.where(delta == 0, 3, 5)
         w15_msgs = (
             ga.degrees
-            + (1 + nev_a[hv]) * (s_flag + intra)
-            + n_all[hv] * foreign
-            + 2 * (~root_h[hv]).astype(np.int64) * parent_deg
-            + singleton_h[hv].astype(np.int64) * steps_u * deg_u
+            + (1 + nev_a_s) * (s_flag + intra)
+            + _per_slot(n_all, hidx) * foreign
+            + 2 * nonroot_s.astype(np.int64) * parent_deg
+            + in_u_s.astype(np.int64) * steps_u * deg_u
         )
         awake[active] += w15_awake[active]
         msgs[active] += w15_msgs[active]
 
-        # Active rounds: the fixed calendar (setup, Linial, c1 exchange, the
-        # four cast anchors, and the singleton tail) plus the c2/c2p-keyed
-        # cast rounds, expanded per distinct depth δ — absolute rounds are
-        # deduplicated globally, never summed per category (the δ = 0 and
-        # δ = 1 gather offsets collide).
+        # Active rounds: per distinct depth δ, the virtual rounds its
+        # members wake in. First the fixed calendar (setup, Linial, c1
+        # exchange); then per cast anchor β the anchor, the c2/c2p-keyed
+        # rounds β + 1 + B − c (falling in c), the anchor β + cast_len,
+        # the rounds β + cast_len + 1 + c; last the singleton tail. Every
+        # key c lies in [0, B] (c2 <= B is checked above), so these ranges
+        # are disjoint and in this order: listed, they are the distinct
+        # rounds ascending, with no sort.
         vc2 = 3 + 2 * steps2
         vc4 = vc2 + 4 * cast_len
-        betas = np.array([vc2, vc2 + 2 * cast_len], dtype=np.int64)
-        fixed = np.concatenate((
-            np.arange(vc2, dtype=np.int64),
-            betas,
-            betas + cast_len,
-        ))
-        sing_rounds = np.concatenate((
-            np.array([vc4], dtype=np.int64),
-            vc4 + 1 + np.arange(steps_u, dtype=np.int64),
-        ))
-        c2_s = c2[hv]
-        c2p_s = np.where(p2 >= 0, c2[np.maximum(p2, 0)], 0)[hv]
+        sing_rounds = vc4 + np.arange(1 + steps_u, dtype=np.int64)
+        c2_s = _per_slot(c2, hidx)
+        c2p_s = _per_slot(np.where(p2 >= 0, c2[np.maximum(p2, 0)], 0), hidx)
+        chunks = []
         for dd in sorted_unique(delta[active]).tolist():
             sel = active & (delta == dd)
-            parts = [fixed]
-            cset = sorted_unique(c2_s[sel])
-            parts.append((betas[None, :] + 1 + big_b - cset[:, None]).ravel())
-            parts.append((betas[None, :] + cast_len + 1 + cset[:, None]).ravel())
-            nonroot_sel = sel & ~root_h[hv]
-            if nonroot_sel.any():
-                pset = sorted_unique(c2p_s[nonroot_sel])
-                parts.append((betas[None, :] + 1 + big_b - pset[:, None]).ravel())
-                parts.append(
-                    (betas[None, :] + cast_len + 1 + pset[:, None]).ravel()
-                )
+            keys = sorted_unique(
+                np.concatenate((c2_s[sel], c2p_s[sel & nonroot_s]))
+            )
+            falling, rising = 1 + big_b - keys[::-1], cast_len + 1 + keys
+            parts = [np.arange(vc2, dtype=np.int64)]
+            for beta in (vc2, vc2 + 2 * cast_len):
+                parts += [
+                    np.array([beta], dtype=np.int64), beta + falling,
+                    np.array([beta + cast_len], dtype=np.int64), beta + rising,
+                ]
             if (sel & sing_s).any():
                 parts.append(sing_rounds)
-            vrs = sorted_unique(np.concatenate(parts))
-            offs = _member_offsets(n, int(dd))
-            round_chunks.append(
-                (clock + vrs[:, None] * window + offs[None, :]).ravel()
-            )
+            chunks.append((np.concatenate(parts), _member_offsets(n, dd)))
+        window_rounds.append(_window_rounds(chunks, window))
 
         # ---- singleton members finish: γ = (i, γ'), δ kept -------------------
         out_phase[sing_s] = i
-        out_gamma[sing_s] = gamma_h[hv[sing_s]]
+        out_gamma[sing_s] = _per_slot(gamma_h, hidx)[sing_s]
         out_dist[sing_s] = delta[sing_s]
         termination[sing_s] = (
             clock + (vc4 + steps_u) * window + n + delta[sing_s] + 2
@@ -730,14 +770,23 @@ def _run_phase(
         # Only residual rows are read: their same-cluster neighbors are
         # residual, their foreign ones unless in a singleton cluster, and
         # those in the parent2 cluster or the same super-cluster always.
-        rt_s = rootidx[hv]
-        parent2_deg = segment_sum(hv[xdst] == parent2_h[hv][xsrc], xoff)
-        samesuper_deg = segment_sum(rt_s[xdst] == rt_s[xsrc], xoff)
-        d2_s = d_h[hv]
-        w14_awake = (1 + nev_b[hv]) * np.where(delta == 0, 3, 5)
+        rt_s = _per_slot(rootidx, hidx)
+        if hidx is None:
+            # H is G: parent2_h is a neighbor or none, and a residual
+            # row's same-super-cluster neighbors are its same_super edges.
+            parent2_deg = (parent2_h < _BIG).astype(np.int64)
+            samesuper_deg = segment_sum(same_super, hoff)
+        else:
+            parent2_deg = segment_sum(
+                hidx[xdst] == parent2_h[hidx][xsrc], xoff
+            )
+            samesuper_deg = segment_sum(rt_s[xdst] == rt_s[xsrc], xoff)
+        d2_s = _per_slot(d_h, hidx)
+        nev_b_s = _per_slot(nev_b, hidx)
+        w14_awake = (1 + nev_b_s) * np.where(delta == 0, 3, 5)
         w14_msgs = (
             ga.degrees
-            + (1 + nev_b[hv]) * (s_flag + intra)
+            + (1 + nev_b_s) * (s_flag + intra)
             + foreign - deg_u
             + (d2_s > 0).astype(np.int64) * parent2_deg
             + samesuper_deg
@@ -745,6 +794,7 @@ def _run_phase(
         awake[residual] += w14_awake[residual]
         msgs[residual] += w14_msgs[residual]
 
+        chunks = []
         for dd in sorted_unique(delta[residual]).tolist():
             sel = residual & (delta == dd)
             d2set = sorted_unique(d2_s[sel])
@@ -756,11 +806,10 @@ def _run_phase(
             pos = d2set[d2set > 0]
             if pos.size:
                 parts += [n - pos + 2, n + pos + 2]
-            vrs = sorted_unique(np.concatenate(parts))
-            offs = _member_offsets(n, int(dd))
-            round_chunks.append(
-                (clock_14 + vrs[:, None] * window + offs[None, :]).ravel()
+            chunks.append(
+                (sorted_unique(np.concatenate(parts)), _member_offsets(n, dd))
             )
+        window_rounds.append(_window_rounds(chunks, window))
 
         # Merge roots (δ = 0 and δ' = 0, unique per merged cluster), new
         # labels ℓ'' = root ID + a·b², and induced BFS distances in G.
@@ -773,7 +822,7 @@ def _run_phase(
                 f"merged cluster {int(hlabels[h]) + ab2} has "
                 f"{int(root_counts[h])} roots"
             )
-        if i == 1:
+        if hidx is None:
             # H is G: the forest's BFS already ran from these roots over
             # these groups and members.
             dist_new = d_h
@@ -846,7 +895,9 @@ def _clustering_columns(
     _require_int64_rounds(theorem13_duration(graph.n, graph.id_space, b))
     with span("theorem13.vectorized", n=graph.n, b=b):
         phase, gamma, dist, accounting = _clustering_kernel(graph, b)
-        color = (phase - 1) * np.int64(singleton_palette(b)) + gamma
+        color = phase - 1
+        color *= singleton_palette(b)
+        color += gamma
         bound = color_palette_bound(graph.n, b)
         if validate:
             with span("theorem13.validate", n=graph.n):

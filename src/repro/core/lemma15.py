@@ -32,6 +32,7 @@ distance-2 palette (O(n⁴) in general, O(n^s) for IDs from [n^s]).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Generator, Iterable, Mapping
 
 from repro.core.cast import (
@@ -62,6 +63,7 @@ Proto = Generator[AwakeAt, dict[NodeId, Payload], Any]
 A_CONSTANT = 64
 
 
+@lru_cache(maxsize=None)
 def singleton_palette(b: int) -> int:
     """The exact number of colors reserved for singleton clusters: the
     largest palette on which Linial's reduction with conflict degree b can

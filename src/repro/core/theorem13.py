@@ -22,6 +22,7 @@ the label space already fits).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Generator, Mapping
 
 from repro.core.clustering import ColoredBFSClustering
@@ -83,6 +84,7 @@ def phase_window(n: int, id_space: int, b: int, phase: int) -> int:
     return virtual_duration(n, lemma15_virtual) + lemma14_duration(n)
 
 
+@lru_cache(maxsize=256)
 def theorem13_duration(n: int, id_space: int, b: int | None = None) -> int:
     """Total reserved rounds of the whole pipeline (sum of phase windows)."""
     b = b if b is not None else default_b(n)

@@ -164,10 +164,12 @@ class ColumnMap(Mapping):
     ``row(columns[0][i], columns[1][i], ...)`` when a ``row`` callable is
     given. A column is a numpy array (values come out as Python scalars,
     via ``tolist``) or a list. ``len`` reads ``ids`` and :meth:`values`
-    reads the columns; the first keyed access or iteration builds the
-    dict, once. ``row`` must be a module-level callable, so the view
-    pickles (without its dict), and it compares equal to any mapping
-    with the same items, from either side of ``==``.
+    reads the columns; :meth:`max_value`, :meth:`sum_values` and
+    :meth:`num_distinct` reduce a single integer column in numpy; the
+    first keyed access or iteration builds the dict, once. ``row`` must
+    be a module-level callable, so the view pickles (without its dict),
+    and it compares equal to any mapping with the same items, from
+    either side of ``==``.
     """
 
     __slots__ = ("ids", "columns", "row", "_dict")
@@ -199,6 +201,45 @@ class ColumnMap(Mapping):
         if self.ids is ids and self.row is None and len(self.columns) == 1:
             return self.columns[0]
         return None
+
+    def _int_column(self) -> Any:
+        """The single signed-integer numpy column (no ``row``), else ``None``."""
+        if self.row is None and len(self.columns) == 1:
+            column = self.columns[0]
+            if isinstance(column, np.ndarray) and column.dtype.kind == "i":
+                return column
+        return None
+
+    def max_value(self) -> Any:
+        """``max(self.values(), default=0)``, in numpy on one int column."""
+        column = self._int_column()
+        if column is None:
+            return max(self.values(), default=0)
+        return column.max().item() if column.size else 0
+
+    def sum_values(self) -> Any:
+        """``sum(self.values())``, in numpy on one int column.
+
+        The Python sum is exact at any size; numpy's is used only where
+        ``size · max|value|`` fits int64, so it cannot wrap.
+        """
+        column = self._int_column()
+        if column is None or not column.size:
+            return sum(self.values())
+        bound = max(abs(column.max().item()), abs(column.min().item()))
+        if bound * column.size > np.iinfo(np.int64).max:
+            return sum(self.values())
+        return int(column.sum(dtype=np.int64))
+
+    def num_distinct(self) -> int:
+        """``len(set(self.values()))``, in numpy on one int column."""
+        column = self._int_column()
+        if column is None:
+            return len(set(self.values()))
+        if column.size and 0 <= column.min() and column.max() <= column.size:
+            # Small non-negative values (colors): count occupied bins.
+            return int(np.count_nonzero(np.bincount(column)))
+        return sorted_unique(column).size
 
     def _values(self) -> list:
         """The values in slot order; never builds the dict."""

@@ -61,22 +61,22 @@ class SimulationMetrics:
     @property
     def awake_complexity(self) -> int:
         """max_v #awake rounds of v (0 for an empty network)."""
-        return max(self.awake_rounds.values(), default=0)
+        return _max_value(self.awake_rounds)
 
     @property
     def average_awake(self) -> float:
         if not self.awake_rounds:
             return 0.0
-        return sum(self.awake_rounds.values()) / len(self.awake_rounds)
+        return self.total_awake / len(self.awake_rounds)
 
     @property
     def total_awake(self) -> int:
-        return sum(self.awake_rounds.values())
+        return _sum_values(self.awake_rounds)
 
     @property
     def round_complexity(self) -> int:
         """max_v termination round of v."""
-        return max(self.termination_round.values(), default=0)
+        return _max_value(self.termination_round)
 
     def summary(self) -> dict[str, float | int]:
         summary = {
@@ -90,6 +90,25 @@ class SimulationMetrics:
         if self.max_message_weight:
             summary["max_message_weight"] = self.max_message_weight
         return summary
+
+
+# A ColumnMap view (the vectorized engine's) reduces its column in numpy
+# through these methods; a plain dict is reduced in Python. Same values,
+# same Python types, and this module imports no numpy.
+
+
+def _max_value(values: Mapping[NodeId, int]) -> int:
+    """The largest value, 0 for an empty mapping."""
+    if hasattr(values, "max_value"):
+        return values.max_value()
+    return max(values.values(), default=0)
+
+
+def _sum_values(values: Mapping[NodeId, int]) -> int:
+    """The sum of the values."""
+    if hasattr(values, "sum_values"):
+        return values.sum_values()
+    return sum(values.values())
 
 
 def payload_weight(payload: object, _depth: int = 0) -> int:

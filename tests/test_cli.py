@@ -206,6 +206,19 @@ class TestCommands:
             main(["solve", "--family", "path", "--n", "8",
                   "--algorithm", "theorem1", "--engine", "reference"])
 
+    def test_refused_run_exits_with_one_line(self):
+        # gnp(2048) under poly5 IDs needs rounds past int64: the
+        # vectorized engine refuses the run, and the CLI says so in one
+        # line naming the engine to use instead of printing a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--family", "gnp", "--n", "2048", "--ids", "poly5",
+                  "--engine", "vectorized", "--param", "p=0.004",
+                  "--param", "method=fast"])
+        message = str(exc.value)
+        assert message.startswith("ReproError: ")
+        assert "\n" not in message
+        assert "use the simulator engine" in message
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(SystemExit, match="unknown engine"):
             main(["solve", "--family", "path", "--n", "8",

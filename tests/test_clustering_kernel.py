@@ -16,7 +16,9 @@
   degrees against a per-node brute force, on random labels and random
   active masks;
 - a run whose last round does not fit in int64 is refused before any
-  array work.
+  array work;
+- the active rounds, counted per reserved window and summed, equal one
+  global dedupe of every window's rounds.
 """
 
 import random
@@ -37,6 +39,7 @@ from repro.core.linial import _reduce_one, step_parameters
 from repro.core.theorem13 import default_b
 from repro.errors import ProtocolError, ReproError
 from repro.graphs import gnp, random_tree
+from repro.graphs.arrays import sorted_unique
 from repro.graphs.families import build_family_graph
 
 
@@ -392,6 +395,55 @@ def test_one_h_build_per_phase_after_a_residual(graph, b, monkeypatch):
     # the merge BFS of each phase from 2 to last - 1.
     on_g = [c for c in searches if c[0] is g.arrays.offsets]
     assert len(on_g) == last - 1
+
+
+@pytest.mark.parametrize(
+    "graph,b",
+    [
+        (lambda: random_tree(400, seed=0), 3),
+        (lambda: gnp(1 << 12, 64 / (1 << 12), seed=0, method="fast"), None),
+    ],
+    ids=["tree400-b3", "gnp4096-deg64"],
+)
+def test_active_rounds_add_over_windows(graph, b, monkeypatch):
+    """The kernel sums each reserved window's distinct rounds; one global
+    dedupe of every window's absolute rounds gives the same count, on
+    runs whose later Lemma 15 windows hold several depths and whose
+    merges fill Lemma 14 windows."""
+    from repro.core import clustering_vectorized as cv
+
+    g = graph()
+    b = b if b is not None else default_b(g.n)
+    real_phase, real_count = cv._run_phase, cv._window_rounds
+    starts = []
+    windows = []  # (lemma, first round, per-depth (vrs, offs), window)
+
+    def run_phase(*args):
+        clock, clock_14 = args[4], args[5]
+        starts.extend([(15, clock), (14, clock_14)])
+        return real_phase(*args)
+
+    def count(chunks, window):
+        lemma, start = starts.pop(0)
+        windows.append((lemma, start, chunks, window))
+        return real_count(chunks, window)
+
+    monkeypatch.setattr(cv, "_run_phase", run_phase)
+    monkeypatch.setattr(cv, "_window_rounds", count)
+    *_, accounting = _clustering_kernel(g, b)
+
+    rounds = np.concatenate([
+        (start + vrs[:, None] * window + offs[None, :]).ravel()
+        for _, start, chunks, window in windows
+        for vrs, offs in chunks
+    ])
+    assert accounting.active_rounds == sorted_unique(rounds).size
+    for _, _, chunks, window in windows:
+        for vrs, offs in chunks:
+            assert (np.diff(vrs) > 0).all() and (np.diff(offs) > 0).all()
+            assert 0 <= offs[0] and offs[-1] < window
+    assert any(lemma == 15 and len(chunks) > 1 for lemma, _, chunks, _ in windows)
+    assert any(lemma == 14 for lemma, _, _, _ in windows)
 
 
 def test_singleton_tree_parent_off_h_is_rejected(monkeypatch):

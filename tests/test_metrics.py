@@ -77,3 +77,73 @@ class TestMeasuredSizes:
         res = SleepingSimulator(g, program, measure_message_sizes=True).run()
         # the gather of the whole-cluster state must exceed the n atoms
         assert res.metrics.max_message_weight >= g.n
+
+
+class TestColumnReductions:
+    """The vectorized engine's metrics are ColumnMap views, reduced on
+    their int64 columns; the per-node engines' are dicts, reduced in
+    Python. Both give the same values with the same Python types."""
+
+    @staticmethod
+    def _both(awake, termination):
+        import numpy as np
+
+        from repro.graphs.arrays import ColumnMap
+
+        ids = np.arange(1, len(awake) + 1, dtype=np.int64)
+        columns = SimulationMetrics(
+            awake_rounds=ColumnMap(ids, (np.array(awake, dtype=np.int64),)),
+            termination_round=ColumnMap(
+                ids, (np.array(termination, dtype=np.int64),)
+            ),
+        )
+        dicts = SimulationMetrics(
+            awake_rounds=dict(zip(ids.tolist(), awake)),
+            termination_round=dict(zip(ids.tolist(), termination)),
+        )
+        return columns, dicts
+
+    def test_same_values_and_types(self):
+        cases = [
+            ([], []),
+            ([7], [1 << 62]),
+            ([3, 0, 5, 5, 1], [9, 2, 40, 40, 3]),
+            ([2, 2, 2], [5, 5, 5]),
+        ]
+        for awake, termination in cases:
+            columns, dicts = self._both(awake, termination)
+            for name in (
+                "awake_complexity", "average_awake", "total_awake",
+                "round_complexity",
+            ):
+                got, want = getattr(columns, name), getattr(dicts, name)
+                assert got == want and type(got) is type(want), (name, awake)
+            assert not columns.awake_rounds.built
+            assert not columns.termination_round.built
+
+    def test_sum_past_int64_stays_exact(self):
+        big = (1 << 62) + 1
+        columns, dicts = self._both([big, big, big], [0, 0, 0])
+        assert columns.total_awake == dicts.total_awake == 3 * big
+        assert columns.average_awake == dicts.average_awake
+
+    def test_num_colors(self):
+        import numpy as np
+
+        from repro.core.clustering import ColoredBFSClustering
+        from repro.graphs.arrays import ColumnMap
+
+        for colors in ([], [4], [3, 1, 3, 2, 900, 1], [-5, 7, -5], [0, 0]):
+            ids = np.arange(1, len(colors) + 1, dtype=np.int64)
+            zeros = [0] * len(colors)
+            column = ColoredBFSClustering(
+                color=ColumnMap(ids, (np.array(colors, dtype=np.int64),)),
+                dist=ColumnMap(ids, (np.array(zeros, dtype=np.int64),)),
+            )
+            plain = ColoredBFSClustering(
+                color=dict(zip(ids.tolist(), colors)),
+                dist=dict(zip(ids.tolist(), zeros)),
+            )
+            got, want = column.num_colors(), plain.num_colors()
+            assert got == want and type(got) is int, colors
+            assert not column.color.built

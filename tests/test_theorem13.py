@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.lemma15 import singleton_palette
+from repro.core.lemma15 import lemma15_reference, singleton_palette
 from repro.core.theorem13 import (
+    _virtual_graph_of,
     color_palette_bound,
     compute_clustering,
     default_b,
     num_phases,
+    phase_label_space,
     theorem13_duration,
     theorem13_reference,
 )
@@ -109,23 +111,26 @@ class TestTheorem13Guarantees:
         assert ref.clustering.max_color() <= ref.palette_bound
 
     def test_cluster_count_decays_geometrically(self):
-        """|V(H_i)| <= |V(H_{i-1})| / b — checked via phase indices: at
-        most n/b^{i-1} nodes can finish at phase i or later."""
+        """Lemma 15: at most |V(H)| / b clusters stay residual in each
+        phase, checked on every phase's virtual graph as E3 traces it."""
         g = gnp(60, 0.15, seed=9)
-        ref = theorem13_reference(g)
-        b = ref.b
-        by_phase: dict[int, int] = {}
-        for a in ref.assignments.values():
-            by_phase[a.phase] = by_phase.get(a.phase, 0) + 1
-        later = 0
-        phases = sorted(by_phase, reverse=True)
-        for i in phases:
-            later += by_phase[i]
-            if i >= 2:
-                assert later <= g.n // (b ** (i - 1)) * max(
-                    1, b
-                ) or later <= g.n  # coarse sanity; exact decay next
-        # exact check via the reference's own recursion is in bench E8
+        b = default_b(g.n)
+        assert g.max_degree > b  # clusters survive phase 1
+        label = {v: v for v in g.nodes}
+        phase = 0
+        while label:
+            phase += 1
+            assert phase <= num_phases(g.n)
+            ls = phase_label_space(g.id_space, b, phase)
+            h = _virtual_graph_of(g, label, ls)
+            ref = lemma15_reference(h, b, n=g.n)
+            assert ref.residual_clusters <= h.n // b
+            label = {
+                v: ref.outputs[lab].gamma
+                for v, lab in label.items()
+                if not ref.outputs[lab].singleton
+            }
+        assert phase >= 2
 
     def test_awake_complexity_sqrtlog_logstar(self):
         """Awake <= C · sqrt(log n) · log*(n) with an explicit constant —
