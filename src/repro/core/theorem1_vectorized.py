@@ -42,6 +42,7 @@ from repro.core.clustering import ColoredBFSClustering
 from repro.core.clustering_vectorized import (
     _clustering_columns,
     _member_offsets,
+    _window_rounds,
     canonical_columns,
     _require_int64_rounds,
 )
@@ -128,25 +129,28 @@ def _theorem9_closed_form(
     termination = vt0 + last_of[cidx] * window + n + dist + 2
 
     # Active rounds: the rooting stage occupies [t0, t0 + n + 1], every
-    # virtual window starts at vt0 = t0 + n + 2 — disjoint, so the
-    # global set is the union over present (γ, δ) pairs, deduplicated.
-    chunks = [np.array([t0], dtype=np.int64)]
+    # virtual window starts at vt0 = t0 + n + 2 — disjoint, so the two
+    # counts add: the cast's few rounds deduplicated, then per depth δ
+    # the virtual rounds of its present colors (:func:`_window_rounds`).
     ddist = sorted_unique(dist)
-    chunks.append(t0 + ddist[ddist > 0])  # non-root cast receive rounds
-    chunks.append(t0 + 1 + ddist)  # cast send rounds (root: t0 + 1)
+    cast_rounds = sorted_unique(np.concatenate((
+        np.array([t0], dtype=np.int64),
+        t0 + ddist[ddist > 0],  # non-root cast receive rounds
+        t0 + 1 + ddist,  # cast send rounds (root: t0 + 1)
+    )))
     pair_key = colors * np.int64(n + 1) + dist  # δ <= n - 1 < n + 1
     upairs = sorted_unique(pair_key)
     pair_colors = upairs // (n + 1)
     pair_dist = upairs % (n + 1)
+    chunks = []
     for d in sorted_unique(pair_dist).tolist():
         rows = np.searchsorted(distinct, pair_colors[pair_dist == d])
         vrs = sorted_unique(
             np.concatenate((np.zeros(1, dtype=np.int64), table[rows].ravel()))
         )
-        offs = _member_offsets(n, int(d))
-        chunks.append((vt0 + vrs[:, None] * window + offs[None, :]).ravel())
-    active = sorted_unique(np.concatenate(chunks))
-    return Accounting(awake, termination, int(msgs.sum()), active.size)
+        chunks.append((vrs, _member_offsets(n, int(d))))
+    active_rounds = cast_rounds.size + _window_rounds(chunks, window)
+    return Accounting(awake, termination, int(msgs.sum()), active_rounds)
 
 
 def _run_theorem9_kernel(

@@ -7,10 +7,11 @@ lazily and cached on the owning :class:`~repro.graphs.graph.StaticGraph`,
 exactly like the index itself, so graphs that never meet the vectorized
 engine never pay for it — and :mod:`repro.graphs.graph` never imports
 numpy.
-Array-native samplers go the other way: they build the columns first
-(:func:`csr_from_edges`, checked by :meth:`GraphArrays.from_csr`) and
-hand them to :meth:`StaticGraph.from_arrays
-<repro.graphs.graph.StaticGraph.from_arrays>`.
+Array-native samplers go the other way: they draw undirected edges as
+slot arrays and hand them to :meth:`StaticGraph.from_edge_arrays
+<repro.graphs.graph.StaticGraph.from_edge_arrays>`, whose
+:meth:`GraphArrays.from_edges` checks them and sorts them into the
+columns once.
 
 Slot order is ID order: ``_GraphIndex.nodes`` is sorted ascending, so
 ``slot_u < slot_v  ⇔  id_u < id_v`` and the kernels compare slots where
@@ -69,31 +70,27 @@ class GraphArrays:
         )
 
     @classmethod
-    def from_csr(
-        cls, ids: Any, offsets: Any, flat: Any, id_space: int
-    ) -> "GraphArrays":
-        """Check int64 CSR columns and wrap them (degrees derived).
+    def from_edges(cls, ids: Any, a: Any, b: Any, id_space: int) -> "GraphArrays":
+        """Check undirected edges over slots and build their CSR.
 
-        Raises :class:`~repro.errors.GraphError` unless the columns form
-        a simple undirected graph: IDs unique, ascending and in
-        ``[1, id_space]``; ``offsets`` delimiting ``flat`` row by row;
-        every neighbor slot in range, not a self-loop, unique and
-        ascending within its row; every edge present in both directions.
+        Each edge ``(a[i], b[i])`` joins slots ``a[i]`` and ``b[i]`` and
+        lands in both rows; one sort of the 2E directed ``src·n + dst``
+        keys lays the rows out ascending, so the CSR is symmetric and
+        row-sorted by construction.
+
+        Raises :class:`~repro.errors.GraphError` unless the input is a
+        simple undirected graph: IDs unique, ascending and in
+        ``[1, id_space]``; ``a`` and ``b`` 1-D and of equal length; every
+        endpoint a slot in ``[0, n)``; no self-loop; no pair given twice,
+        in either orientation.
         """
-        ids, offsets, flat = (
-            np.ascontiguousarray(a, dtype=np.int64) for a in (ids, offsets, flat)
-        )
+        ids, a, b = (np.ascontiguousarray(x, dtype=np.int64) for x in (ids, a, b))
         n = ids.size
-        if (
-            ids.ndim != 1 or flat.ndim != 1 or offsets.shape != (n + 1,)
-            or offsets[0] != 0 or offsets[-1] != flat.size
-            or (offsets[1:] < offsets[:-1]).any()
-        ):
+        if ids.ndim != 1 or a.ndim != 1 or a.shape != b.shape:
             raise GraphError(
-                f"CSR offsets do not match flat: {n} node IDs need "
-                f"{n + 1} non-decreasing offsets from 0 to {flat.size}"
+                f"need 1-D node IDs and two 1-D endpoint arrays of equal "
+                f"length, got shapes {ids.shape}, {a.shape} and {b.shape}"
             )
-        steps = np.diff(offsets)
         bad = np.flatnonzero(ids[1:] <= ids[:-1])
         if bad.size:
             i = int(bad[0])
@@ -106,32 +103,29 @@ class GraphArrays:
                 f"node IDs must lie in [1, {id_space}], "
                 f"got range [{ids[0]}, {ids[-1]}]"
             )
-        sources = np.repeat(np.arange(n, dtype=np.int64), steps)
-        bad = np.flatnonzero((flat < 0) | (flat >= n))
+        a_out, b_out = (a < 0) | (a >= n), (b < 0) | (b >= n)
+        bad = np.flatnonzero(a_out | b_out)
         if bad.size:
             j = int(bad[0])
+            missing = a[j] if a_out[j] else b[j]
             raise GraphError(
-                f"edge ({ids[sources[j]]}, slot {flat[j]}) dangles: "
-                f"slot {flat[j]} missing"
+                f"edge (slot {a[j]}, slot {b[j]}) dangles: "
+                f"slot {missing} missing"
             )
-        bad = np.flatnonzero(flat == sources)
+        bad = np.flatnonzero(a == b)
         if bad.size:
-            raise GraphError(f"self-loop at node {ids[sources[bad[0]]]}")
-        keys = sources * n + flat
-        bad = np.flatnonzero(keys[1:] <= keys[:-1])
+            raise GraphError(f"self-loop at node {ids[a[bad[0]]]}")
+        keys = np.concatenate((a * n + b, b * n + a))
+        keys.sort()
+        bad = np.flatnonzero(keys[1:] == keys[:-1])
         if bad.size:
-            raise GraphError(
-                f"neighbors of node {ids[sources[bad[0] + 1]]} must be "
-                f"unique and ascending"
-            )
-        reverse = np.sort(flat * n + sources)
-        if not np.array_equal(reverse, keys):
-            pos = np.minimum(np.searchsorted(reverse, keys), len(keys) - 1)
-            j = int(np.flatnonzero(reverse[pos] != keys)[0])
-            raise GraphError(
-                f"edge ({ids[sources[j]]}, {ids[flat[j]]}) is not symmetric"
-            )
-        return cls(ids=ids, offsets=offsets, flat=flat, degrees=steps)
+            u, v = divmod(int(keys[bad[0]]), n)
+            raise GraphError(f"edge ({ids[u]}, {ids[v]}) is given twice")
+        flat = np.remainder(keys, n, out=keys)
+        degrees = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        return cls(ids=ids, offsets=offsets, flat=flat, degrees=degrees)
 
     @property
     def n(self) -> int:
@@ -319,10 +313,11 @@ class _ColumnValues(ValuesView):
 class NeighborMap(ColumnMap):
     """``{ID: neighbor-ID tuple}`` over CSR columns.
 
-    The adjacency of a graph built by :meth:`StaticGraph.from_arrays
-    <repro.graphs.graph.StaticGraph.from_arrays>`. The tuples are made
-    on first use, under a ``graphs.index`` span, so a per-node consumer
-    that pays for them shows in a trace.
+    The adjacency of a graph built by
+    :meth:`StaticGraph.from_edge_arrays
+    <repro.graphs.graph.StaticGraph.from_edge_arrays>`. The tuples are
+    made on first use, under a ``graphs.index`` span, so a per-node
+    consumer that pays for them shows in a trace.
     """
 
     __slots__ = ()
@@ -415,7 +410,7 @@ def ragged_gather(offsets: Any, flat: Any, slots: Any) -> tuple[Any, Any]:
     return flat[idx], counts
 
 
-# -- building CSR from edge arrays --------------------------------------------
+# -- components of edge arrays -----------------------------------------------
 
 
 def component_minima(n: int, a: Any, b: Any) -> Any:
@@ -446,19 +441,3 @@ def component_minima(n: int, a: Any, b: Any) -> Any:
         while not np.array_equal(jumped, label):
             label = jumped
             jumped = label[label]
-
-
-def csr_from_edges(n: int, a: Any, b: Any) -> tuple[Any, Any]:
-    """Symmetric CSR ``(offsets, flat)`` of undirected edges over slots.
-
-    Each edge ``(a[i], b[i])`` lands in both rows; rows come out sorted
-    ascending, the order :class:`GraphArrays` keeps. Edges must be
-    distinct and loop-free (one sort of the 2E directed ``src·n + dst``
-    keys; no deduplication).
-    """
-    keys = np.concatenate((a * n + b, b * n + a))
-    keys.sort()
-    sources, flat = np.divmod(keys, n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
-    return offsets, flat

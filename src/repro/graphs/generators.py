@@ -129,7 +129,7 @@ def _fast_gnp(
     chain, ID relabelling, CSR."""
     import numpy as np
 
-    from repro.graphs.arrays import component_minima, csr_from_edges
+    from repro.graphs.arrays import component_minima
 
     with span("graphs.sample", n=n):
         higher, lower = _skip_walk_pairs(n, p, seed)
@@ -153,8 +153,7 @@ def _fast_gnp(
             slot[order] = np.arange(n, dtype=np.int64)
             node_ids, space = by_node[order], ids.space
             higher, lower = slot[higher], slot[lower]
-        offsets, flat = csr_from_edges(n, higher, lower)
-        return StaticGraph.from_arrays(node_ids, offsets, flat, space)
+        return StaticGraph.from_edge_arrays(node_ids, higher, lower, space)
 
 
 def _skip_walk_pairs(n: int, p: float, seed: int, batch: int = 0):

@@ -174,9 +174,9 @@ class StaticGraph:
 
         Built lazily on first access and cached like the index itself;
         see :class:`repro.graphs.arrays.GraphArrays`. A graph built by
-        :meth:`from_arrays` adopts the columns it was built from. numpy is
-        imported on first access only, so the per-node engines never load
-        it.
+        :meth:`from_edge_arrays` adopts the columns it was built from.
+        numpy is imported on first access only, so the per-node engines
+        never load it.
         """
         arrays = self.__dict__.get("_arrays_cache")
         if arrays is None:
@@ -225,23 +225,23 @@ class StaticGraph:
         return graph
 
     @staticmethod
-    def from_arrays(ids, offsets, flat, id_space: int) -> "StaticGraph":
-        """Build a graph from int64 CSR columns, without a per-node walk.
+    def from_edge_arrays(ids, a, b, id_space: int) -> "StaticGraph":
+        """Build a graph from int64 edge arrays, without a per-node walk.
 
-        ``ids`` are the node IDs, ascending (slot ``i`` holds ``ids[i]``);
-        ``flat[offsets[i]:offsets[i + 1]]`` are slot i's neighbor slots,
-        ascending — the :class:`~repro.graphs.arrays.GraphArrays` layout.
-        The columns are checked with numpy (see
-        :meth:`GraphArrays.from_csr
-        <repro.graphs.arrays.GraphArrays.from_csr>`, which raises
-        :class:`GraphError`) and kept on the graph, which adopts them as
-        its ``arrays``. ``n``, ``max_degree`` and ``num_edges`` read them;
+        The array twin of :meth:`from_edges`: ``ids`` are the node IDs,
+        ascending (slot ``i`` holds ``ids[i]``), and each ``(a[i], b[i])``
+        is an undirected edge between two slots. The input is checked
+        and turned into CSR columns with numpy (see
+        :meth:`GraphArrays.from_edges
+        <repro.graphs.arrays.GraphArrays.from_edges>`, which raises
+        :class:`GraphError`), and the graph adopts them as its
+        ``arrays``. ``n``, ``max_degree`` and ``num_edges`` read them;
         ``adjacency`` is a :class:`~repro.graphs.arrays.NeighborMap` over
         them, and it and the index are built from them on first use.
         """
         from repro.graphs.arrays import GraphArrays, NeighborMap
 
-        arrays = GraphArrays.from_csr(ids, offsets, flat, id_space)
+        arrays = GraphArrays.from_edges(ids, a, b, id_space)
         graph = StaticGraph._trusted(
             NeighborMap(arrays.ids, arrays.offsets, arrays.flat), id_space
         )

@@ -97,7 +97,7 @@ class TestColumnMap:
 
 
 class TestGraphView:
-    def test_from_arrays_equals_its_from_edges_twin(self):
+    def test_from_edge_arrays_equals_its_from_edges_twin(self):
         graph = fast_graph()
         other = twin(graph)
         assert isinstance(graph.adjacency, NeighborMap)

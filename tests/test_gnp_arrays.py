@@ -1,10 +1,12 @@
-"""The array-native ``gnp(method="fast")`` sampler and ``StaticGraph.from_arrays``.
+"""The array-native ``gnp(method="fast")`` sampler and ``StaticGraph.from_edge_arrays``.
 
 The sampler must draw, bit for bit, the graph networkx's
 ``fast_gnp_random_graph`` plus the component-chain patch gave: the oracle
 below is the skip walk and the chain in plain Python, and every graph is
-compared column by column against the oracle's index mirror. The failure
-modes of ``from_arrays`` use ``from_edges``' error vocabulary.
+compared column by column against the oracle's index mirror.
+``from_edge_arrays`` is the array twin of ``from_edges``: it builds the
+same graph from the same edges, and its failure modes use the same error
+vocabulary.
 """
 
 from __future__ import annotations
@@ -232,34 +234,39 @@ class TestComponentMinima:
         assert component_minima(4, empty, empty).tolist() == [0, 1, 2, 3]
 
 
-class TestFromArraysFailures:
-    # The triangle 1-2-3 plus the pendant edge 3-4, as valid CSR columns.
+class TestFromEdgeArraysFailures:
+    # The triangle 1-2-3 plus the pendant edge 3-4, as slot pairs.
     IDS = [1, 2, 3, 4]
-    OFFSETS = [0, 2, 4, 7, 8]
-    FLAT = [1, 2, 0, 2, 0, 1, 3, 2]
+    A = [0, 0, 1, 2]
+    B = [1, 2, 2, 3]
 
-    def build(self, ids=None, offsets=None, flat=None, id_space=4):
-        return StaticGraph.from_arrays(
+    def build(self, ids=None, a=None, b=None, id_space=4):
+        return StaticGraph.from_edge_arrays(
             np.array(self.IDS if ids is None else ids),
-            np.array(self.OFFSETS if offsets is None else offsets),
-            np.array(self.FLAT if flat is None else flat),
+            np.array(self.A if a is None else a),
+            np.array(self.B if b is None else b),
             id_space,
         )
 
-    def test_valid_columns_build(self):
+    def test_valid_edges_build(self):
         graph = self.build()
         assert graph.adjacency == {1: (2, 3), 2: (1, 3), 3: (1, 2, 4), 4: (3,)}
         assert graph.num_edges == 4 and graph.max_degree == 3
+        arrays = graph.arrays
+        assert arrays.offsets.tolist() == [0, 2, 4, 7, 8]
+        assert arrays.flat.tolist() == [1, 2, 0, 2, 0, 1, 3, 2]
+        assert arrays.degrees.tolist() == [2, 2, 3, 1]
+        assert all(getattr(arrays, c).dtype == np.int64 for c in COLUMNS)
 
     def test_empty_graph(self):
-        graph = StaticGraph.from_arrays(
-            np.zeros(0, np.int64), np.zeros(1, np.int64), np.zeros(0, np.int64), 1
-        )
-        assert graph.n == 0 and graph.num_edges == 0
+        empty = np.zeros(0, np.int64)
+        graph = StaticGraph.from_edge_arrays(empty, empty, empty, 1)
+        assert graph.n == 0 and graph.num_edges == 0 and graph.max_degree == 0
+        assert graph.arrays.offsets.tolist() == [0]
 
     def test_self_loop(self):
         with pytest.raises(GraphError, match="self-loop at node 4"):
-            self.build(offsets=[0, 2, 4, 7, 9], flat=[1, 2, 0, 2, 0, 1, 3, 2, 3])
+            self.build(a=[0, 0, 1, 2, 3], b=[1, 2, 2, 3, 3])
 
     def test_id_out_of_range(self):
         with pytest.raises(GraphError, match=r"must lie in \[1, 4\], got range \[1, 5\]"):
@@ -276,30 +283,60 @@ class TestFromArraysFailures:
             self.build(ids=[1, 3, 2, 4])
 
     @pytest.mark.parametrize(
-        "offsets",
+        "a,b,missing",
+        [([0, 0, 1, 2], [1, 2, 2, 9], 9), ([0, 0, 1, -1], [1, 2, 2, 3], -1)],
+    )
+    def test_dangling_endpoint(self, a, b, missing):
+        with pytest.raises(GraphError, match=f"dangles: slot {missing} missing"):
+            self.build(a=a, b=b)
+
+    @pytest.mark.parametrize(
+        "ids,a,b",
         [
-            [0, 2, 4, 7],  # one row short
-            [0, 2, 4, 7, 9],  # past the end of flat
-            [0, 2, 4, 7, 7],  # stops short of the end of flat
-            [1, 2, 4, 7, 8],  # does not start at 0
-            [0, 4, 2, 7, 8],  # decreasing
+            ([1, 2, 3, 4], [0, 0, 1], [1, 2, 2, 3]),  # one endpoint short
+            ([1, 2, 3, 4], [[0, 0], [1, 2]], [[1, 2], [2, 3]]),  # 2-D
+            ([[1, 2], [3, 4]], [0, 0, 1, 2], [1, 2, 2, 3]),  # 2-D IDs
         ],
     )
-    def test_offsets_not_matching_flat(self, offsets):
-        with pytest.raises(GraphError, match="CSR offsets do not match flat"):
-            self.build(offsets=offsets)
+    def test_endpoint_shapes(self, ids, a, b):
+        with pytest.raises(GraphError, match="1-D endpoint arrays of equal length"):
+            self.build(ids=ids, a=a, b=b)
 
-    def test_dangling_slot(self):
-        with pytest.raises(GraphError, match="edge \\(4, slot 9\\) dangles"):
-            self.build(flat=[1, 2, 0, 2, 0, 1, 3, 9])
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([0, 0, 1, 2, 2], [1, 2, 2, 3, 3]),  # (3, 4) twice
+            ([0, 0, 1, 2, 3], [1, 2, 2, 3, 2]),  # (3, 4) and (4, 3)
+        ],
+    )
+    def test_pair_given_twice(self, a, b):
+        with pytest.raises(GraphError, match=r"edge \(3, 4\) is given twice"):
+            self.build(a=a, b=b)
 
-    def test_unsorted_or_repeated_neighbors(self):
-        with pytest.raises(GraphError, match="neighbors of node 1 must be unique"):
-            self.build(flat=[2, 1, 0, 2, 0, 1, 3, 2])
-        with pytest.raises(GraphError, match="neighbors of node 3 must be unique"):
-            self.build(flat=[1, 2, 0, 2, 0, 1, 1, 2])
-
-    def test_asymmetric_edge(self):
-        # 4 lists 2 as a neighbor, but 2 does not list 4
-        with pytest.raises(GraphError, match="edge \\(4, 2\\) is not symmetric"):
-            self.build(offsets=[0, 2, 4, 7, 9], flat=[1, 2, 0, 2, 0, 1, 3, 1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("scheme", ["identity", "permuted"])
+    def test_equals_its_from_edges_twin(self, seed, scheme):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 40)
+        pairs = [(v, w) for v in range(n) for w in range(v) if rng.random() < 0.2]
+        rng.shuffle(pairs)
+        # each pair in a random orientation
+        pairs = [(v, w) if rng.random() < 0.5 else (w, v) for v, w in pairs]
+        assignment = identity_ids(n) if scheme == "identity" else permuted_ids(n, seed)
+        label, ids = assignment.ids, sorted(assignment.ids)
+        twin = StaticGraph.from_edges(
+            [(label[v], label[w]) for v, w in pairs],
+            nodes=ids,  # ascending, as the columns list them
+            id_space=assignment.space,
+        )
+        slot = [ids.index(label[v]) for v in range(n)]
+        graph = StaticGraph.from_edge_arrays(
+            np.array(ids, dtype=np.int64),
+            np.array([slot[v] for v, _ in pairs], dtype=np.int64),
+            np.array([slot[w] for _, w in pairs], dtype=np.int64),
+            assignment.space,
+        )
+        assert graph == twin and twin == graph
+        assert repr(graph) == repr(twin)
+        assert graph.n == twin.n
+        assert_same_graph(graph, twin)  # max_degree and num_edges too

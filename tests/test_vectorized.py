@@ -480,6 +480,54 @@ def test_greedy_adapter_makes_default_palettes_once(engine, monkeypatch):
     problem.check(graph, outcome.outputs, make_inputs(problem, graph))
 
 
+@pytest.mark.parametrize(
+    "graph,b",
+    [
+        (lambda: gnp(1 << 12, 64 / (1 << 12), seed=0, method="fast"), None),
+        (lambda: gnp(1 << 12, 64 / (1 << 12), seed=0, method="fast"), 2),
+        (lambda: build_family_graph("tree", 500, seed=1, ids="permuted"), 2),
+    ],
+    ids=["gnp4096", "gnp4096-b2", "tree500-permuted-b2"],
+)
+def test_theorem9_active_rounds_match_a_global_recount(graph, b, monkeypatch):
+    """Theorem 9 counts its rooting cast and its virtual windows apart;
+    listing every node's absolute awake rounds and deduplicating them
+    once gives the same count, on clusterings with several depths."""
+    from repro.core import theorem1_vectorized as t1v
+    from repro.core.cast import bfs_cast_duration
+    from repro.core.clustering_vectorized import _member_offsets
+    from repro.core.mapping import ColorScheduleMapping
+    from repro.graphs.arrays import sorted_unique
+
+    g = graph()
+    calls = []
+    closed_form = t1v._theorem9_closed_form
+
+    def spy(ga, colors, dist, palette, t0, n):
+        accounting = closed_form(ga, colors, dist, palette, t0, n)
+        calls.append((colors, dist, palette, t0, n, accounting))
+        return accounting
+
+    monkeypatch.setattr(t1v, "_theorem9_closed_form", spy)
+    t1v.solve_vectorized(g, PROBLEMS.get("mis"), b=b)
+    ((colors, dist, palette, t0, n, accounting),) = calls
+    assert sorted_unique(dist).size > 2
+
+    # Every node: t9meta at t0, the rooting cast's receive (non-root)
+    # and send rounds, then its member offsets in the virtual window of
+    # every round in {setup = 0} ∪ r(γ).
+    table = ColorScheduleMapping.for_palette(palette).rounds(colors)
+    virtual = np.concatenate((np.zeros((n, 1), dtype=np.int64), table), axis=1)
+    vt0, window = t0 + 1 + bfs_cast_duration(n), 2 * n + 3
+    rounds = [[t0], t0 + dist[dist > 0], t0 + 1 + dist]
+    for d in set(dist.tolist()):
+        offs = _member_offsets(n, d)
+        rounds.append(
+            (vt0 + virtual[dist == d, :, None] * window + offs).ravel()
+        )
+    assert accounting.active_rounds == sorted_unique(np.concatenate(rounds)).size
+
+
 # -- scale (marked slow) -----------------------------------------------------
 
 
