@@ -85,11 +85,6 @@ def schedule_solve(
 # ---------------------------------------------------------------------------
 
 
-def solve_given_coloring_duration(palette: int) -> int:
-    """Window length of :func:`solve_given_coloring` (= the calendar's)."""
-    return schedule_solve_duration(palette)
-
-
 def solve_given_coloring(
     me: NodeId,
     peers: Iterable[NodeId],

@@ -87,9 +87,7 @@ def solve_with_baseline_vectorized(
     colors = ga.ids - 1  # IDs are a proper coloring with palette id_space
     with span("bm21.linial", n=ga.n, steps=steps):
         for d, q in schedule:
-            colors = _linial_step_pairs(
-                colors, ga.ids, [(ga.offsets, ga.flat)], d, q
-            )
+            colors = _linial_step_pairs(colors, [ga], d, q)
     colors = colors + 1  # the Lemma 11 calendar is 1-based
 
     # Sequential greedy in color order, as Kahn waves over color rank:

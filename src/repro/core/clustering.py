@@ -79,9 +79,6 @@ class UniquelyLabeledBFSClustering:
     def cluster_count(self) -> int:
         return len(set(self.label.values()))
 
-    def members_of(self, key: ClusterLabel) -> frozenset[NodeId]:
-        return frozenset(v for v, l in self.label.items() if l == key)
-
     # -- Definition 3: the virtual graph ------------------------------------
 
     def virtual_graph(self, graph: StaticGraph) -> StaticGraph:

@@ -9,16 +9,18 @@ c2, the BFS depths δ and δ', and the deterministic Linial/cast
 durations).  This module replays the whole pipeline as numpy kernels
 over the :class:`~repro.graphs.arrays.GraphArrays` CSR mirror:
 
-- **the virtual graph H** of each phase is a cluster-level CSR. Phase 1
-  starts from singleton clusters labelled by ID, and slot order is ID
-  order, so its H is G's own CSR; each Lemma 14 merge that leaves a
-  residual builds the next phase's H from the deduplicated
-  inter-cluster edge keys (:func:`_virtual_graph`);
+- **the virtual graph H** of each phase is a cluster-level
+  :class:`~repro.graphs.arrays.GraphArrays`, as is X, G's inter-cluster
+  edges. Phase 1 starts from singleton clusters labelled by ID, and
+  slot order is ID order, so its H and X are G itself; each Lemma 14
+  merge that leaves a residual builds the next phase's H and X from
+  the deduplicated inter-cluster edge keys (:func:`_virtual_graph`);
 - **Linial reductions** (the distance-2 prologue, and the distance-1
-  coloring of G[U]) run whole-frontier over explicit conflict-pair
-  CSRs — the distance-2 conflicts are the direct edges plus the relayed
-  triples ``(v, mid, w)`` with ``w != v``, exactly the colors
-  :func:`repro.core.linial.linial_coloring` collects;
+  coloring of G[U]) run whole-frontier over explicit conflict lists,
+  each a ``GraphArrays`` — the distance-2 conflicts are the direct
+  edges plus the relayed triples ``(v, mid, w)`` with ``w != v``,
+  exactly the colors :func:`repro.core.linial.linial_coloring`
+  collects;
 - **the parent rule** reads every 2-hop color minimum from each H row's
   two smallest color ranks (:func:`_lemma15_parents`), with no triples;
 - **the F2 forest** (parents p2) roots via pointer doubling, and all
@@ -67,9 +69,11 @@ from repro.core.virtual import virtual_duration
 from repro.errors import ProtocolError, ReproError
 from repro.graphs.arrays import (
     ColumnMap,
+    GraphArrays,
     component_minima,
     ragged_gather,
     segment_any,
+    segment_min,
     segment_sum,
     sorted_unique,
 )
@@ -81,33 +85,8 @@ from repro.obs.spans import span
 _BIG = 1 << 62
 
 
-def _segment_min(values: Any, offsets: Any, fill: int) -> Any:
-    """Per-segment minima of ``values`` delimited by CSR ``offsets``.
-
-    Args:
-        values: int64 data, segment-contiguous in ``offsets`` order.
-        offsets: CSR row pointers (length ``num_segments + 1``).
-        fill: value returned for empty segments.
-
-    Returns:
-        int64 array of per-segment minima (``fill`` where empty).
-    """
-    num = len(offsets) - 1
-    out = np.full(num, fill, dtype=np.int64)
-    nonempty = offsets[:-1] < offsets[1:]
-    if values.size and nonempty.any():
-        # With empty segments dropped the next start equals this
-        # segment's end, so reduceat reduces exactly each segment.
-        out[nonempty] = np.minimum.reduceat(values, offsets[:-1][nonempty])
-    return out
-
-
 def _linial_step_pairs(
-    colors: Any,
-    labels: Any,
-    csrs: list[tuple[Any, Any]],
-    d: int,
-    q: int,
+    colors: Any, csrs: list[GraphArrays], d: int, q: int
 ) -> Any:
     """One Linial reduction step over explicit conflict-pair CSRs.
 
@@ -124,15 +103,16 @@ def _linial_step_pairs(
 
     Args:
         colors: current int64 colors, one per vertex.
-        labels: per-vertex IDs, for error messages only.
-        csrs: list of ``(offsets, dst)`` conflict CSRs; a vertex clashes
-            at x iff any listed conflict partner evaluates equal.
+        csrs: the conflict CSRs, one row per vertex; a vertex clashes
+            at x iff any listed conflict partner evaluates equal. The
+            first one's ``ids`` name the vertices in errors.
         d: the step's polynomial degree.
         q: the step's field size.
 
     Returns:
         The new int64 colors (``x·q + p(x)`` at the first safe x).
     """
+    labels = csrs[0].ids
     nv = colors.shape[0]
     width = d + 1
     digits = np.empty((nv, width), dtype=np.int64)
@@ -151,16 +131,17 @@ def _linial_step_pairs(
     # every vertex's value is needed.
     values = digits[:, 0].copy()
     conflicted = np.zeros(nv, dtype=bool)
-    for off, dst in csrs:
-        counts = np.diff(off)
-        clash = values[dst] == np.repeat(values, counts)
-        conflicted |= segment_any(clash, counts)
+    for csr in csrs:
+        clash = values[csr.flat] == np.repeat(values, csr.degrees)
+        conflicted |= segment_any(clash, csr.degrees)
     new_colors = values.copy()
     undecided = np.flatnonzero(conflicted)
     for x in range(1, q):
         if not undecided.size:
             return new_colors
-        gathered = [ragged_gather(off, dst, undecided) for off, dst in csrs]
+        gathered = [
+            ragged_gather(csr.offsets, csr.flat, undecided) for csr in csrs
+        ]
         needed = sorted_unique(
             np.concatenate([undecided] + [nbrs for nbrs, _ in gathered])
         )
@@ -185,7 +166,7 @@ def _linial_step_pairs(
 
 
 def _masked_bfs(
-    offsets: Any, flat: Any, sources: Any, group: Any, member: Any
+    csr: GraphArrays, sources: Any, group: Any, member: Any
 ) -> Any:
     """Multi-source BFS restricted to same-group member vertices.
 
@@ -194,8 +175,7 @@ def _masked_bfs(
     clusters flood concurrently without interfering.
 
     Args:
-        offsets: CSR row pointers.
-        flat: CSR neighbor slots.
+        csr: the graph to search.
         sources: int64 slots at distance 0.
         group: int64 per-slot partition keys.
         member: boolean per-slot eligibility mask.
@@ -209,7 +189,7 @@ def _masked_bfs(
     level = 0
     while frontier.size:
         level += 1
-        nbrs, counts = ragged_gather(offsets, flat, frontier)
+        nbrs, counts = ragged_gather(csr.offsets, csr.flat, frontier)
         if not nbrs.size:
             break
         srcs = np.repeat(frontier, counts)
@@ -278,9 +258,7 @@ def _per_slot(values: Any, hidx: Any) -> Any:
     return values if hidx is None else values[hidx]
 
 
-def _lemma15_parents(
-    hoff: Any, hflat: Any, hes: Any, c1: Any, labels: Any
-) -> tuple[Any, Any, Any, Any]:
+def _lemma15_parents(h: GraphArrays, c1: Any) -> tuple[Any, Any, Any, Any]:
     """The three-case parent rule of Lemma 15 (steps 3-4) on H's CSR.
 
     A vertex v with a smaller color on its 2-ball picks p1 = the
@@ -292,24 +270,22 @@ def _lemma15_parents(
     hears through a neighbor u is the smallest color on N(u) other than
     v's: u's row minimum, or its runner-up when that minimum is v
     itself. Each row's two smallest colors therefore give every 2-hop
-    minimum in O(n + m_H) segment-min passes, with no relayed (v, u, w)
+    minimum in O(n + m_H) row-minimum passes, with no relayed (v, u, w)
     triple built. What v hears may be a direct neighbor's color, which
     never wins case 3 (all direct colors exceed c1 there).
 
     The passes run over ranks, not colors: a stable argsort ranks c1
     once, so rank order is the rule's (c1, ID) order (slot order is ID
-    order) and one row minimum of ``rank[hflat]`` names both the
+    order) and one row minimum of ``rank[h.flat]`` names both the
     smallest color and its vertex. The common-neighbor pass reads the
     case-3 rows only.
 
     Args:
-        hoff: H's CSR row pointers.
-        hflat: H's CSR neighbor indices (sorted within each row, so the
-            smallest index is the smallest ID).
-        hes: the row of every ``hflat`` entry.
+        h: H's CSR, neighbors sorted within each row (so the smallest
+            index is the smallest ID); its ``ids`` name the vertices in
+            errors.
         c1: int64 per-vertex colors, a distance-2 coloring of H (equal
             colors only on vertices at least 3 apart).
-        labels: per-vertex IDs, for error messages only.
 
     Returns:
         ``(p1, p2, c2, root_h)`` — int64 parents (-1 at roots), the
@@ -324,15 +300,16 @@ def _lemma15_parents(
     order = np.argsort(c1, kind="stable")
     rank = np.empty(num_h, dtype=np.int64)
     rank[order] = np.arange(num_h, dtype=np.int64)
+    hflat, hes, hdeg = h.flat, h.edge_sources, h.degrees
     rn = rank[hflat]
-    r1 = _segment_min(rn, hoff, num_h)
-    r2 = _segment_min(np.where(rn == r1[hes], num_h, rn), hoff, num_h)
+    r1 = segment_min(rn, hdeg, num_h)
+    r2 = segment_min(np.where(rn == r1[hes], num_h, rn), hdeg, num_h)
     del rn
     # Per H edge (v, u): the rank of the vertex v hears through u.
     r1u = r1[hflat]
     heard = np.where(r1u == rank[hes], r2[hflat], r1u)
     del r1u
-    rmin = _segment_min(heard, hoff, num_h)
+    rmin = segment_min(heard, hdeg, num_h)
 
     root_h = (r1 > rank) & (rmin > rank)
     case2 = r1 < rank
@@ -344,17 +321,15 @@ def _lemma15_parents(
     if c3.size:
         # p2 = the smallest-ID neighbor through which v hears p1, read
         # over the case-3 rows only.
-        nbrs, counts = ragged_gather(hoff, hflat, c3)
-        said, _ = ragged_gather(hoff, heard, c3)
-        coff = np.zeros(c3.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=coff[1:])
-        common = _segment_min(
+        nbrs, counts = ragged_gather(h.offsets, hflat, c3)
+        said, _ = ragged_gather(h.offsets, heard, c3)
+        common = segment_min(
             np.where(said == np.repeat(rmin[c3], counts), nbrs, _BIG),
-            coff,
+            counts,
             _BIG,
         )
         if (common >= _BIG).any():
-            v = int(labels[c3[np.flatnonzero(common >= _BIG)[0]]])
+            v = int(h.ids[c3[np.flatnonzero(common >= _BIG)[0]]])
             raise ProtocolError(
                 f"node {v}: 2-hop parent shares no common neighbor"
             )
@@ -377,15 +352,13 @@ def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
         active: per-slot participation mask.
 
     Returns:
-        ``(hlabels, hidx, hoff, hflat, hdeg, hes, xoff, xdst, xsrc,
-        intra)`` — the cluster labels ascending (H vertex j is cluster
-        ``hlabels[j]``), every G slot's H vertex (0 where inactive), H's
-        CSR in the :class:`~repro.graphs.arrays.GraphArrays` layout (row
-        pointers, neighbors unique and ascending per row, degrees and
-        the row of every neighbor entry), the inter-cluster G edges
-        between active slots in the same layout (row pointers over G's
-        slots, neighbor and source slots), and every slot's number of
-        active same-cluster neighbors.
+        ``(h, hidx, x, intra)`` — H as a
+        :class:`~repro.graphs.arrays.GraphArrays` whose ``ids`` are the
+        cluster labels ascending (H vertex j is cluster ``h.ids[j]``)
+        and whose rows hold their neighbors once, ascending; every G
+        slot's H vertex (0 where inactive); X, the inter-cluster G edges
+        between active slots, as rows over G's slots; and every slot's
+        number of active same-cluster neighbors.
     """
     ga = graph.arrays
     esrc, edst = ga.edge_sources, ga.flat
@@ -394,18 +367,14 @@ def _virtual_graph(graph: StaticGraph, label: Any, active: Any) -> tuple:
     hidx = np.zeros(ga.n, dtype=np.int64)
     hidx[active] = np.searchsorted(hlabels, label[active])
     e_x = active[esrc] & active[edst]
-    intra = segment_sum(e_x, ga.offsets)
+    intra = segment_sum(e_x, ga.degrees)
     e_x &= label[esrc] != label[edst]
-    xoff = np.zeros(ga.n + 1, dtype=np.int64)
-    np.cumsum(segment_sum(e_x, ga.offsets), out=xoff[1:])
-    intra -= np.diff(xoff)
-    xsrc, xdst = esrc[e_x], edst[e_x]
-    ukey = sorted_unique(hidx[xsrc] * np.int64(num_h) + hidx[xdst])
+    x = GraphArrays.from_degrees(ga.ids, segment_sum(e_x, ga.degrees), edst[e_x])
+    intra -= x.degrees
+    ukey = sorted_unique(hidx[x.edge_sources] * np.int64(num_h) + hidx[x.flat])
     hdeg = np.bincount(ukey // num_h, minlength=num_h).astype(np.int64)
-    hoff = np.zeros(num_h + 1, dtype=np.int64)
-    np.cumsum(hdeg, out=hoff[1:])
-    hes = np.repeat(np.arange(num_h, dtype=np.int64), hdeg)
-    return hlabels, hidx, hoff, ukey % num_h, hdeg, hes, xoff, xdst, xsrc, intra
+    h = GraphArrays.from_degrees(hlabels, hdeg, ukey % num_h)
+    return h, hidx, x, intra
 
 
 def _require_int64_rounds(last_round: int) -> None:
@@ -463,19 +432,15 @@ def _clustering_kernel(
     # Phase 1 starts from singleton clusters labelled by ID, and slot
     # order is ID order: its virtual graph H is G itself (no slot-to-H
     # index), and every G edge is inter-cluster.
-    h = (
-        ga.ids, None, ga.offsets, ga.flat,
-        ga.degrees, ga.edge_sources, ga.offsets, ga.flat, ga.edge_sources,
-        np.zeros(ga.n, dtype=np.int64),
-    )
+    virtual = (ga, None, ga, np.zeros(ga.n, dtype=np.int64))
     clock = 1
     for i in range(1, phases + 1):
         ls = phase_label_space(id_space, b, i)
         window15 = virtual_duration(n, lemma15_duration(n, ls, b))
         if active.any():
             clock_14 = clock + window15
-            label, delta, active, h = _run_phase(
-                graph, b, i, ls, clock, clock_14, h,
+            label, delta, active, virtual = _run_phase(
+                graph, b, i, ls, clock, clock_14, virtual,
                 label, delta, active,
                 awake, msgs, termination,
                 out_phase, out_gamma, out_dist, window_rounds,
@@ -502,7 +467,7 @@ def _run_phase(
     ls: int,
     clock: int,
     clock_14: int,
-    h: tuple,
+    virtual: tuple,
     label: Any,
     delta: Any,
     active: Any,
@@ -517,7 +482,7 @@ def _run_phase(
     """One Theorem 13 phase: Lemma 15 on H, then the Lemma 14 merge.
 
     Mutates the accounting accumulators in place and returns the next
-    phase's ``(label, delta, active)`` G-state and its virtual graph H
+    phase's ``(label, delta, active)`` G-state and its virtual graph
     (``None`` when no cluster is left).
 
     Every F2 tree must be connected in H. Only the merge reads the
@@ -537,9 +502,10 @@ def _run_phase(
         ls: the phase's cluster-label space.
         clock: first round of the phase's Lemma 15 window.
         clock_14: first round of the phase's Lemma 14 window.
-        h: the virtual graph H of ``label`` on the ``active`` slots,
-            as :func:`_virtual_graph` returns it; in phase 1 G's own
-            CSR, with ``hidx`` None (slot v is H vertex v).
+        virtual: ``(h, hidx, x, intra)``, the virtual graph H of
+            ``label`` on the ``active`` slots as :func:`_virtual_graph`
+            returns it; in phase 1 G's own CSR as both H and X, with
+            ``hidx`` None (slot v is H vertex v).
         label: per-slot cluster labels ℓ entering the phase.
         delta: per-slot BFS depths δ entering the phase.
         active: per-slot participation mask.
@@ -553,14 +519,15 @@ def _run_phase(
             (appended to: the Lemma 15 window, then the Lemma 14 one).
 
     Returns:
-        ``(label, delta, active, h)`` for the next phase.
+        ``(label, delta, active, virtual)`` for the next phase.
     """
     ga = graph.arrays
     n = graph.n
     ab2 = singleton_palette(b)
     window = 2 * n + 3
-    hlabels, hidx, hoff, hflat, hdeg, hes, xoff, xdst, xsrc, intra = h
-    num_h = hlabels.size
+    h, hidx, x, intra = virtual
+    hlabels, hflat, hdeg, hes = h.ids, h.flat, h.degrees, h.edge_sources
+    num_h = h.n
 
     # ---- Lemma 15, steps 1-4: colors c1/c2 and parents p1/p2 -------------
     k = distance2_palette(n, ls)
@@ -577,21 +544,18 @@ def _run_phase(
             # The distance-2 prologue also conflicts with the relayed
             # triples (src, mid, w), w != src, that its rounds deliver:
             # Σ deg_H² rows, built only for label spaces beyond about n⁴.
-            w2, _ = ragged_gather(hoff, hflat, hflat)
+            w2, _ = ragged_gather(h.offsets, hflat, hflat)
             src2 = np.repeat(hes, hdeg[hflat])
             relay = w2 != src2
-            rw = w2[relay]
-            rcnt = np.bincount(src2[relay], minlength=num_h)
+            relayed = GraphArrays.from_degrees(
+                hlabels, np.bincount(src2[relay], minlength=num_h), w2[relay]
+            )
             del w2, src2, relay
-            roff = np.zeros(num_h + 1, dtype=np.int64)
-            np.cumsum(rcnt, out=roff[1:])
             for d, q in sched2:
-                c0 = _linial_step_pairs(
-                    c0, hlabels, [(hoff, hflat), (roff, rw)], d, q
-                )
-            del rw, roff
+                c0 = _linial_step_pairs(c0, [h, relayed], d, q)
+            del relayed
         c1 = np.where(hdeg <= b, c0 + 1 + k, c0 + 1)
-        _, p2, c2, root_h = _lemma15_parents(hoff, hflat, hes, c1, hlabels)
+        _, p2, c2, root_h = _lemma15_parents(h, c1)
         if int(c2.max(initial=0)) > big_b:
             v = int(hlabels[int(np.argmax(c2))])
             raise ProtocolError(
@@ -621,9 +585,7 @@ def _run_phase(
         # Connected in H: a BFS over the residual trees, whose δ' the
         # merge reads, and p2[v] ∈ N_H(v) for the low-degree-rooted ones.
         res_h = ~singleton_h
-        d_h = _masked_bfs(
-            hoff, hflat, np.flatnonzero(res_h & (p2 < 0)), rootidx, res_h
-        )
+        d_h = _masked_bfs(h, np.flatnonzero(res_h & (p2 < 0)), rootidx, res_h)
         p2_adjacent = segment_any(hflat == p2[hes], hdeg)
         cut = np.where(singleton_h, (p2 >= 0) & ~p2_adjacent, d_h < 0)
         if cut.any():
@@ -639,18 +601,19 @@ def _run_phase(
         # and G[U]'s CSR.
         if uid.size == num_h:
             # Every tree is low-degree-rooted: G[U] is H itself.
-            udeg, ucsr = hdeg, (hoff, hflat)
+            udeg, g_u = hdeg, h
         elif uid.size:
             in_u = singleton_h[hflat]
-            udeg = segment_sum(in_u, hoff)
+            udeg = segment_sum(in_u, hdeg)
             upair = singleton_h[hes] & in_u
             del in_u
             uofv = np.zeros(num_h, dtype=np.int64)
             uofv[uid] = np.arange(uid.size, dtype=np.int64)
-            ucnt = np.bincount(uofv[hes[upair]], minlength=uid.size)
-            uoff = np.zeros(uid.size + 1, dtype=np.int64)
-            np.cumsum(ucnt, out=uoff[1:])
-            ucsr = (uoff, uofv[hflat[upair]])
+            g_u = GraphArrays.from_degrees(
+                hlabels[uid],
+                np.bincount(uofv[hes[upair]], minlength=uid.size),
+                uofv[hflat[upair]],
+            )
         else:
             udeg = np.zeros(num_h, dtype=np.int64)
         if uid.size:
@@ -662,7 +625,7 @@ def _run_phase(
                 )
             ucol = hlabels[uid] - 1
             for d, q in sched_u:
-                ucol = _linial_step_pairs(ucol, hlabels[uid], [ucsr], d, q)
+                ucol = _linial_step_pairs(ucol, [g_u], d, q)
             gamma_u = ucol + 1
             if (gamma_u > ab2).any() or (gamma_u < 1).any():
                 v = uid[np.flatnonzero((gamma_u > ab2) | (gamma_u < 1))[0]]
@@ -673,7 +636,7 @@ def _run_phase(
 
     # ---- Lemma 15 accounting over the G-members --------------------------
     with span("theorem13.accounting", phase=i):
-        foreign = np.diff(xoff)
+        foreign = x.degrees
         nev_a = (
             2 * steps2 + 2
             + np.where(root_h, 8, 12)
@@ -688,8 +651,10 @@ def _run_phase(
             parent_deg = p2_adjacent.astype(np.int64)
             deg_u = udeg
         else:
-            parent_deg = segment_sum(hidx[xdst] == p2[hidx][xsrc], xoff)
-            deg_u = segment_sum(singleton_h[hidx][xdst], xoff)
+            parent_deg = segment_sum(
+                hidx[x.flat] == p2[hidx][x.edge_sources], foreign
+            )
+            deg_u = segment_sum(singleton_h[hidx][x.flat], foreign)
 
         in_u_s = _per_slot(singleton_h, hidx)
         nonroot_s = ~_per_slot(root_h, hidx)
@@ -753,9 +718,9 @@ def _run_phase(
     with span("theorem13.merge", phase=i):
         hres_e = res_h[hes] & res_h[hflat]
         same_super = hres_e & (rootidx[hes] == rootidx[hflat])
-        parent2_h = _segment_min(
+        parent2_h = segment_min(
             np.where(same_super & (d_h[hflat] == d_h[hes] - 1), hflat, _BIG),
-            hoff,
+            hdeg,
             _BIG,
         )
         bad = res_h & (d_h > 0) & (parent2_h >= _BIG)
@@ -775,12 +740,14 @@ def _run_phase(
             # H is G: parent2_h is a neighbor or none, and a residual
             # row's same-super-cluster neighbors are its same_super edges.
             parent2_deg = (parent2_h < _BIG).astype(np.int64)
-            samesuper_deg = segment_sum(same_super, hoff)
+            samesuper_deg = segment_sum(same_super, hdeg)
         else:
             parent2_deg = segment_sum(
-                hidx[xdst] == parent2_h[hidx][xsrc], xoff
+                hidx[x.flat] == parent2_h[hidx][x.edge_sources], foreign
             )
-            samesuper_deg = segment_sum(rt_s[xdst] == rt_s[xsrc], xoff)
+            samesuper_deg = segment_sum(
+                rt_s[x.flat] == rt_s[x.edge_sources], foreign
+            )
         d2_s = _per_slot(d_h, hidx)
         nev_b_s = _per_slot(nev_b, hidx)
         w14_awake = (1 + nev_b_s) * np.where(delta == 0, 3, 5)
@@ -817,19 +784,17 @@ def _run_phase(
         root_counts = np.bincount(rt_s[is_root], minlength=num_h)
         merged = sorted_unique(rt_s[residual])
         if (root_counts[merged] != 1).any():
-            h = merged[np.flatnonzero(root_counts[merged] != 1)[0]]
+            c = merged[np.flatnonzero(root_counts[merged] != 1)[0]]
             raise ProtocolError(
-                f"merged cluster {int(hlabels[h]) + ab2} has "
-                f"{int(root_counts[h])} roots"
+                f"merged cluster {int(hlabels[c]) + ab2} has "
+                f"{int(root_counts[c])} roots"
             )
         if hidx is None:
             # H is G: the forest's BFS already ran from these roots over
             # these groups and members.
             dist_new = d_h
         else:
-            dist_new = _masked_bfs(
-                ga.offsets, ga.flat, np.flatnonzero(is_root), rt_s, residual
-            )
+            dist_new = _masked_bfs(ga, np.flatnonzero(is_root), rt_s, residual)
             if (dist_new[residual] < 0).any():
                 v = np.flatnonzero(residual & (dist_new < 0))[0]
                 raise ProtocolError(
@@ -1037,8 +1002,7 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     # and seeds nothing.
     seeded = roots & (np.bincount(msrc, minlength=n) > 0)
     depth = _masked_bfs(
-        ga.offsets, ga.flat, np.flatnonzero(seeded), comp,
-        np.ones(n, dtype=bool),
+        ga, np.flatnonzero(seeded), comp, np.ones(n, dtype=bool)
     )
     depth[roots] = 0
     mismatch = np.flatnonzero(depth != dist)

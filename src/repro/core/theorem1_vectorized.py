@@ -94,7 +94,7 @@ def _theorem9_closed_form(
     # Same-color neighbors are same-cluster neighbors (Definition 4:
     # same-color clusters are never adjacent).
     same = colors[ga.flat] == colors[ga.edge_sources]
-    deg_intra = segment_sum(same, ga.offsets)
+    deg_intra = segment_sum(same, ga.degrees)
     deg_foreign = ga.degrees - deg_intra
     nonroot = (dist > 0).astype(np.int64)
 

@@ -25,10 +25,6 @@ class ProtocolError(ReproError):
     inconsistent data (e.g. a time-window overrun)."""
 
 
-class ScheduleOverrunError(ProtocolError):
-    """A protocol tried to be awake after the end of its reserved time window."""
-
-
 class ClusteringError(ReproError):
     """A (claimed) BFS-clustering violates Definition 2 or Definition 4."""
 

@@ -17,6 +17,13 @@ Slot order is ID order: ``_GraphIndex.nodes`` is sorted ascending, so
 ``slot_u < slot_v  ⇔  id_u < id_v`` and the kernels compare slots where
 the sequential code compares IDs.
 
+:class:`GraphArrays` is the array engine's one CSR type: the Theorem 13
+kernel's virtual graphs, inter-cluster edge lists and Linial conflict
+lists are built as ones too, by :meth:`GraphArrays.from_degrees`. Their
+per-row counts, ORs and minima are :func:`segment_sum`,
+:func:`segment_any` and :func:`segment_min`, over row lengths, all three
+one ``reduceat`` that skips empty rows.
+
 Results leave the kernels the same way: :class:`ColumnMap` is the
 read-only ``{ID: value}`` view over ``ids`` plus slot-ordered columns
 that the vectorized engine returns wherever a per-node dict used to be
@@ -52,6 +59,10 @@ class GraphArrays:
         flat: neighbor *slots*, concatenated in per-node sorted order
             (shape ``(2E,)``).
         degrees: per-slot degree (shape ``(n,)``).
+
+    A row list that is not a whole graph (a subset of a graph's edges,
+    a conflict list) uses the same layout; :attr:`num_edges` then
+    counts half its entries.
     """
 
     ids: Any
@@ -123,7 +134,16 @@ class GraphArrays:
             raise GraphError(f"edge ({ids[u]}, {ids[v]}) is given twice")
         flat = np.remainder(keys, n, out=keys)
         degrees = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        return cls.from_degrees(ids, degrees, flat)
+
+    @classmethod
+    def from_degrees(cls, ids: Any, degrees: Any, flat: Any) -> "GraphArrays":
+        """The CSR whose row ``i`` is the next ``degrees[i]`` of ``flat``.
+
+        Trusted: the caller's rows are already laid out in ``flat``, and
+        only the row pointers are computed, by one cumsum.
+        """
+        offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
         return cls(ids=ids, offsets=offsets, flat=flat, degrees=degrees)
 
@@ -343,34 +363,40 @@ class NeighborMap(ColumnMap):
         return self._dict
 
 
-# -- segment helpers ---------------------------------------------------------
-#
-# Sums and ORs use the cumsum-difference trick rather than
-# ``np.ufunc.reduceat``: reduceat returns ``x[start]`` (not the identity)
-# for zero-length segments, which would silently corrupt isolated- or
-# zero-degree-node rows (minima, in ``core.clustering_vectorized``'s
-# ``_segment_min``, run reduceat over the nonempty segments only).
+# -- row reductions ----------------------------------------------------------
 
 
-def segment_sum(values: Any, offsets: Any) -> Any:
-    """Per-segment sums of ``values`` delimited by CSR ``offsets``."""
-    cum = np.empty(len(values) + 1, dtype=np.int64)
-    cum[0] = 0
-    np.cumsum(values, out=cum[1:])
-    return cum[offsets[1:]] - cum[offsets[:-1]]
+def _reduce_rows(
+    ufunc: Any, values: Any, counts: Any, fill: Any, dtype: Any
+) -> Any:
+    """``ufunc`` over each row of ``values``; an empty row reads ``fill``.
+
+    Rows are consecutive and ``counts[i]`` is row i's length. reduceat
+    returns ``values[start]`` for an empty row, so only the non-empty
+    rows are passed: with the empty ones dropped, the next start is this
+    row's end, and each is reduced exactly.
+    """
+    out = np.full(len(counts), fill, dtype=dtype)
+    if len(values):
+        nonempty = counts > 0
+        starts = np.cumsum(counts) - counts
+        out[nonempty] = ufunc.reduceat(values, starts[nonempty], dtype=dtype)
+    return out
+
+
+def segment_sum(values: Any, counts: Any) -> Any:
+    """Per-row int64 sums of ``values`` (bool or int), rows of ``counts``."""
+    return _reduce_rows(np.add, values, counts, 0, np.int64)
 
 
 def segment_any(flags: Any, counts: Any) -> Any:
-    """Per-segment OR of boolean ``flags`` grouped by ``counts``.
+    """Per-row OR of boolean ``flags`` (False for an empty row)."""
+    return _reduce_rows(np.logical_or, flags, counts, False, bool)
 
-    Segments are consecutive; ``counts[i]`` is segment i's length (zero
-    allowed, reducing to False).
-    """
-    cum = np.empty(len(flags) + 1, dtype=np.int64)
-    cum[0] = 0
-    np.cumsum(flags, out=cum[1:])
-    ends = np.cumsum(counts)
-    return (cum[ends] - cum[ends - counts]) > 0
+
+def segment_min(values: Any, counts: Any, fill: int) -> Any:
+    """Per-row int64 minima of ``values`` (``fill`` for an empty row)."""
+    return _reduce_rows(np.minimum, values, counts, fill, np.int64)
 
 
 def sorted_unique(values: Any) -> Any:

@@ -344,11 +344,6 @@ class StaticGraph:
                 components.append(frozenset(nodes[t] for t in comp))
         return components
 
-    def _component(self, start: NodeId) -> set[NodeId]:
-        index = self._index
-        comp = self._component_slots(index, index.slot_of[start])
-        return {index.nodes[t] for t in comp}
-
     @staticmethod
     def _component_slots(index: _GraphIndex, start: int) -> list[int]:
         offsets, flat = index.offsets, index.flat_slots

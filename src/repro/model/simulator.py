@@ -59,13 +59,16 @@ from repro.model.metrics import SimulationMetrics, payload_weight
 from repro.obs import counters as obs_counters
 from repro.obs.spans import enabled as obs_enabled
 from repro.obs.spans import event as obs_event
-from repro.obs.spans import sample_stride as obs_sample_stride
 from repro.obs.spans import span as obs_span
 from repro.types import NodeId, Payload
 
 #: A node program: takes the node's static info, yields AwakeAt actions,
 #: receives inboxes (dict sender -> payload), returns the node's output.
 NodeProgram = Callable[[NodeInfo], Generator[AwakeAt, dict[NodeId, Payload], Any]]
+
+#: With tracing armed, one sampled ``simulator.round`` event per this
+#: many active rounds.
+TRACE_STRIDE = 256
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class SleepingSimulator:
     def run(self) -> SimulationResult:
         """Drive every node to termination; one span per simulation and
         (with tracing armed) one sampled ``simulator.round`` event per
-        :func:`~repro.obs.spans.sample_stride` active rounds. The
-        disabled path costs one bool check per round."""
+        :data:`TRACE_STRIDE` active rounds. The disabled path costs one
+        bool check per round."""
         with obs_span(
             "simulator.run", n=self._graph.n, edges=self._graph.num_edges
         ):
@@ -171,7 +174,7 @@ class SleepingSimulator:
         carry: list[tuple[NodeId, AwakeAt]] | None = None
         #: 0 when tracing is off: the sampling branch below reduces to
         #: one falsy check per round (the zero-overhead contract).
-        trace_stride = obs_sample_stride() if obs_enabled() else 0
+        trace_stride = TRACE_STRIDE if obs_enabled() else 0
 
         while rounds_heap or carry is not None:
             if carry is not None:

@@ -302,7 +302,7 @@ def decide_by_priority(
     # random-access gather.
     rank = rank.astype(np.int32 if ga.n < 2**31 else np.int64)
     remaining = segment_sum(
-        rank[ga.flat] < np.repeat(rank, ga.degrees), ga.offsets
+        rank[ga.flat] < np.repeat(rank, ga.degrees), ga.degrees
     )
     ready = np.flatnonzero(remaining == 0)
     number = 0

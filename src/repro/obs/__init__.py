@@ -29,7 +29,6 @@ from repro.obs.spans import (
     disable,
     enabled,
     event,
-    sample_stride,
     span,
     trace_path,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "enabled",
     "event",
     "peak_rss_kib",
-    "sample_stride",
     "span",
     "trace_path",
 ]

@@ -18,10 +18,6 @@ from pathlib import Path
 from typing import Any
 
 
-class TraceError(ValueError):
-    """A trace file failed a structural invariant (``--check``)."""
-
-
 def load_trace(path: str | Path) -> tuple[list[dict[str, Any]], int]:
     """Parse a trace stream; returns ``(records, bad_line_count)``.
 

@@ -40,19 +40,11 @@ from typing import Any
 #: :func:`configure` so worker processes (fork or spawn) join the stream.
 TRACE_ENV = "REPRO_TRACE"
 
-#: Environment variable overriding the per-round sampling stride.
-STRIDE_ENV = "REPRO_TRACE_STRIDE"
-
-#: Default sampling stride for per-round counters (simulator loop):
-#: one ``event`` record every N active rounds.
-DEFAULT_STRIDE = 256
-
 _current: ContextVar[str | None] = ContextVar("repro_obs_span", default=None)
 _ids = itertools.count(1)
 
 _enabled: bool = False
 _emitter: "JsonlEmitter | None" = None
-_stride: int = DEFAULT_STRIDE
 
 
 class JsonlEmitter:
@@ -107,11 +99,6 @@ def enabled() -> bool:
     return _enabled
 
 
-def sample_stride() -> int:
-    """Per-round sampling stride for loop instrumentation (>= 1)."""
-    return _stride
-
-
 def trace_path() -> str | None:
     """The active trace file path, or ``None`` when disabled."""
     return _emitter.path if _enabled and _emitter is not None else None
@@ -120,7 +107,6 @@ def trace_path() -> str | None:
 def configure(
     path: str | os.PathLike[str],
     *,
-    stride: int | None = None,
     truncate: bool = True,
     export_env: bool = True,
 ) -> str:
@@ -131,7 +117,7 @@ def configure(
     start method — join the same stream. ``truncate`` starts the file
     fresh (a new run's trace should not append to last week's).
     """
-    global _enabled, _emitter, _stride
+    global _enabled, _emitter
     disable()
     path = os.fspath(path)
     if truncate:
@@ -140,30 +126,20 @@ def configure(
                 pass
         except OSError:
             pass
-    if stride is not None:
-        _stride = max(1, int(stride))
-    elif STRIDE_ENV in os.environ:
-        try:
-            _stride = max(1, int(os.environ[STRIDE_ENV]))
-        except ValueError:
-            _stride = DEFAULT_STRIDE
     _emitter = JsonlEmitter(path)
     _enabled = True
     if export_env:
         os.environ[TRACE_ENV] = path
-        if stride is not None:
-            os.environ[STRIDE_ENV] = str(_stride)
     return path
 
 
 def disable() -> None:
     """Stop tracing and clear the environment activation."""
-    global _enabled, _emitter, _stride
+    global _enabled, _emitter
     _enabled = False
     if _emitter is not None:
         _emitter.close()
         _emitter = None
-    _stride = DEFAULT_STRIDE
     os.environ.pop(TRACE_ENV, None)
 
 

@@ -77,6 +77,35 @@ def test_cli_is_a_leaf_layer():
     assert not offenders, f"modules importing repro.cli: {offenders}"
 
 
+def test_graph_layer_imports_nothing_above_it():
+    """The graph layer sits under the engines: no ``repro/graphs`` module
+    imports the model, the problems, the algorithms or anything built
+    on them, lazily or under ``TYPE_CHECKING`` either."""
+    import ast
+    import pathlib
+
+    above = ("model", "olocal", "core", "api", "runner", "serve", "analysis")
+    graphs_root = pathlib.Path(repro.__file__).resolve().parent / "graphs"
+    offenders = []
+    for source in sorted(graphs_root.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # ``from ..core import x`` here is ``repro.core``.
+                base = ["repro", "graphs"][: 3 - node.level] if node.level else []
+                names = [".".join(base + [node.module or ""])]
+            else:
+                continue
+            offenders.extend(
+                f"{source.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[:2] in [["repro", layer] for layer in above]
+            )
+    assert not offenders, f"graph modules importing upper layers: {offenders}"
+
+
 def test_no_module_imports_pickle_or_base64():
     """Persisted results are read as JSON, never unpickled: no module in
     the package imports ``pickle`` (or ``base64``, which only ever

@@ -39,7 +39,7 @@ from repro.core.linial import _reduce_one, step_parameters
 from repro.core.theorem13 import default_b
 from repro.errors import ProtocolError, ReproError
 from repro.graphs import gnp, random_tree
-from repro.graphs.arrays import sorted_unique
+from repro.graphs.arrays import GraphArrays, sorted_unique
 from repro.graphs.families import build_family_graph
 
 
@@ -110,13 +110,22 @@ def _distance2_coloring(rng, adj, palette):
     return color
 
 
-def _csr(adj):
-    """``(offsets, flat, edge_sources)`` of adjacency sets over 0..n-1."""
-    n = len(adj)
+def _rows_csr(rows, ids=None):
+    """The :class:`GraphArrays` of per-vertex rows over 0..n-1, in row
+    order; ``ids`` default to 1..n."""
+    n = len(rows)
     off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(adj[v]) for v in range(n)], out=off[1:])
-    flat = np.array([u for v in range(n) for u in sorted(adj[v])], dtype=np.int64)
-    return off, flat, np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+    np.cumsum([len(rows[v]) for v in range(n)], out=off[1:])
+    flat = np.array([w for v in range(n) for w in rows[v]], dtype=np.int64)
+    if ids is None:
+        ids = np.arange(1, n + 1, dtype=np.int64)
+    return GraphArrays(ids=np.asarray(ids, dtype=np.int64), offsets=off,
+                       flat=flat, degrees=np.diff(off))
+
+
+def _csr(adj, ids=None):
+    """The :class:`GraphArrays` of adjacency sets over 0..n-1."""
+    return _rows_csr({v: sorted(nbrs) for v, nbrs in adj.items()}, ids)
 
 
 @pytest.mark.parametrize("kind", ["permutation", "empty_rows", "repeated"])
@@ -142,16 +151,15 @@ def test_lemma15_parents_match_brute_force(kind):
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             c1 = np.array(perm, dtype=np.int64)
-        hoff, hflat, hes = _csr(adj)
-        labels = np.arange(1, n + 1, dtype=np.int64)
+        h = _csr(adj)
 
-        p1, p2, c2, root_h = _lemma15_parents(hoff, hflat, hes, c1, labels)
+        p1, p2, c2, root_h = _lemma15_parents(h, c1)
         want_p1, want_p2, want_c2 = _brute_force_parents(adj, c1)
         assert p1.tolist() == [want_p1[v] for v in range(n)]
         assert p2.tolist() == [want_p2[v] for v in range(n)]
         assert c2.tolist() == [want_c2[v] for v in range(n)]
         assert root_h.tolist() == [want_p1[v] < 0 for v in range(n)]
-        empty_rows += int((np.diff(hoff) == 0).sum())
+        empty_rows += int((np.diff(h.offsets) == 0).sum())
         repeats += int(np.unique(c1).size < n)
         for v in range(n):
             if want_p1[v] < 0:
@@ -181,11 +189,10 @@ def test_case3_parent_without_common_neighbor_is_rejected(monkeypatch):
         return values + 1, counts
 
     monkeypatch.setattr(cv, "ragged_gather", lossy)
-    hoff, hflat, hes = _csr({0: {1}, 1: {0, 2}, 2: {1}})
+    h = _csr({0: {1}, 1: {0, 2}, 2: {1}}, ids=[10, 11, 12])
     c1 = np.array([2, 3, 1], dtype=np.int64)
-    labels = np.array([10, 11, 12], dtype=np.int64)
     with pytest.raises(ProtocolError, match="node 10: 2-hop parent shares"):
-        cv._lemma15_parents(hoff, hflat, hes, c1, labels)
+        cv._lemma15_parents(h, c1)
 
 
 # -- the batched Linial step against the scalar rule -------------------------
@@ -196,15 +203,6 @@ def _relayed(adj):
     with repeats, as the distance-2 prologue builds them."""
     return {v: [w for u in sorted(adj[v]) for w in sorted(adj[u]) if w != v]
             for v in adj}
-
-
-def _rows_csr(rows):
-    """``(offsets, dst)`` of per-vertex conflict lists over 0..n-1."""
-    n = len(rows)
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(rows[v]) for v in range(n)], out=off[1:])
-    dst = np.array([w for v in range(n) for w in rows[v]], dtype=np.int64)
-    return off, dst
 
 
 def _linial_cases(distance):
@@ -242,8 +240,7 @@ def _linial_cases(distance):
 def test_linial_step_pairs_matches_the_scalar_rule(distance):
     seen = 0
     for colors, csrs, d, q, conflicts in _linial_cases(distance):
-        labels = np.arange(1, len(colors) + 1, dtype=np.int64)
-        got = _linial_step_pairs(colors, labels, csrs, d, q)
+        got = _linial_step_pairs(colors, csrs, d, q)
         want = [
             _reduce_one(v, int(colors[v]),
                         {int(colors[u]) for u in conflicts[v]}, d, q)
@@ -264,8 +261,7 @@ def test_linial_first_point_gathers_nothing(distance, monkeypatch):
     for colors, csrs, d, q, _ in _linial_cases(distance):
         gathers.clear()
         uniques.clear()
-        labels = np.arange(1, len(colors) + 1, dtype=np.int64)
-        got = _linial_step_pairs(colors, labels, csrs, d, q)
+        got = _linial_step_pairs(colors, csrs, d, q)
         points = int((got // q).max()) + 1
         assert len(gathers) == (points - 1) * len(csrs)
         assert len(uniques) == points - 1
@@ -276,11 +272,10 @@ def test_linial_first_point_gathers_nothing(distance, monkeypatch):
 
 def test_linial_improper_coloring_is_rejected():
     """Two neighbors with one color share every evaluation point."""
-    off, dst = _rows_csr({0: [1], 1: [0, 2], 2: [1]})
+    csr = _rows_csr({0: [1], 1: [0, 2], 2: [1]}, ids=[10, 11, 12])
     colors = np.array([5, 5, 7], dtype=np.int64)
-    labels = np.array([10, 11, 12], dtype=np.int64)
     with pytest.raises(ProtocolError, match="node 10: no safe evaluation"):
-        _linial_step_pairs(colors, labels, [(off, dst)], 1, 5)
+        _linial_step_pairs(colors, [csr], 1, 5)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -296,9 +291,13 @@ def test_virtual_graph_matches_per_node_brute_force(graph, seed):
     rng = np.random.default_rng(seed)
     label = rng.integers(1, 9, ga.n)
     active = rng.random(ga.n) < 0.75
-    hlabels, hidx, hoff, hflat, hdeg, hes, xoff, xdst, xsrc, intra = (
-        _virtual_graph(g, label, active)
+    h, hidx, x, intra = _virtual_graph(g, label, active)
+    hlabels, hoff, hflat, hdeg, hes = (
+        h.ids, h.offsets, h.flat, h.degrees, h.edge_sources
     )
+    xoff, xdst, xsrc = x.offsets, x.flat, x.edge_sources
+    assert x.ids is ga.ids
+    assert (x.degrees == np.diff(xoff)).all()
     assert hlabels.tolist() == sorted(set(label[active].tolist()))
     h_adj = {c: set() for c in hlabels.tolist()}
     for v in range(ga.n):
@@ -369,8 +368,8 @@ def test_all_singleton_phase_builds_no_h_and_seeds_no_bfs(monkeypatch):
     assert int(phase.max()) == 1
     assert builds == []
     assert len(searches) == 1
-    offsets, flat, sources, _, _ = searches[0]
-    assert offsets is g.arrays.offsets and flat is g.arrays.flat
+    csr, sources, _, _ = searches[0]
+    assert csr is g.arrays
     assert sources.size == 0
 
 
@@ -393,7 +392,7 @@ def test_one_h_build_per_phase_after_a_residual(graph, b, monkeypatch):
     assert len(builds) == last - 1
     # Over G's CSR: phase 1's forest BFS, which its merge reuses, and
     # the merge BFS of each phase from 2 to last - 1.
-    on_g = [c for c in searches if c[0] is g.arrays.offsets]
+    on_g = [c for c in searches if c[0] is g.arrays]
     assert len(on_g) == last - 1
 
 
@@ -457,15 +456,15 @@ def test_singleton_tree_parent_off_h_is_rejected(monkeypatch):
     real = cv._lemma15_parents
     moved = []
 
-    def mutated(hoff, hflat, hes, c1, labels):
-        p1, p2, c2, root_h = real(hoff, hflat, hes, c1, labels)
+    def mutated(h, c1):
+        p1, p2, c2, root_h = real(h, c1)
         p2 = p2.copy()
         for v in range(len(p2)):
             u = int(p2[v])
             if u < 0 or p2[u] < 0 or p2[p2[u]] >= 0:
                 continue
             root = int(p2[u])
-            if root not in hflat[hoff[v]:hoff[v + 1]]:
+            if root not in h.flat[h.offsets[v]:h.offsets[v + 1]]:
                 p2[v] = root
                 moved.append(v)
                 break

@@ -213,9 +213,9 @@ class TestArrayPathDetails:
         sources = []
         real = cv._masked_bfs
 
-        def spy(offsets, flat, seeds, group, member):
+        def spy(csr, seeds, group, member):
             sources.append(seeds.size)
-            return real(offsets, flat, seeds, group, member)
+            return real(csr, seeds, group, member)
 
         monkeypatch.setattr(cv, "_masked_bfs", spy)
         validate_clustering_arrays(graph, color, dist)
