@@ -1,8 +1,8 @@
-"""Experiment definitions E1–E10 (see DESIGN.md §4).
+"""Experiment definitions E1–E12.
 
 Each experiment returns an :class:`ExperimentResult` — a titled table plus
-key/value findings — consumed by the benchmark harness (printed rows) and
-by :mod:`repro.analysis.report` (EXPERIMENTS.md). The paper has no
+key/value findings — consumed by :mod:`repro.analysis.report`
+(EXPERIMENTS.md) and by the tests that assert its claims. The paper has no
 empirical tables, so "reproduction" means regenerating its four figures and
 empirically validating every stated bound.
 

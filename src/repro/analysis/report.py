@@ -10,11 +10,7 @@ markdown is byte-identical for any worker count. Results are served
 from the content-addressed trial cache when one is enabled (the
 default; see :mod:`repro.runner.cache` and ``--no-cache``), so
 regenerating the report skips every heavy trial already computed by a
-previous report or sweep. The benchmark suite (``pytest
-benchmarks/bench_*.py``; the files are not named ``test_*``, so they
-must be listed) runs the same plans through
-:func:`~repro.analysis.experiments.run_experiment`; this module is the
-one-shot reporting path.
+previous report or sweep.
 """
 
 from __future__ import annotations

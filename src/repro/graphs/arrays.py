@@ -372,15 +372,17 @@ def _reduce_rows(
     """``ufunc`` over each row of ``values``; an empty row reads ``fill``.
 
     Rows are consecutive and ``counts[i]`` is row i's length. reduceat
-    returns ``values[start]`` for an empty row, so only the non-empty
-    rows are passed: with the empty ones dropped, the next start is this
-    row's end, and each is reduced exactly.
+    reduces each row up to the next start, so a row followed by empty
+    ones is still reduced exactly; an empty row reads ``values[start]``
+    and is overwritten with ``fill``. Rows after the last non-empty one
+    start at ``len(values)``, out of reduceat's range, so only the rows
+    before them are passed.
     """
-    out = np.full(len(counts), fill, dtype=dtype)
-    if len(values):
-        nonempty = counts > 0
-        starts = np.cumsum(counts) - counts
-        out[nonempty] = ufunc.reduceat(values, starts[nonempty], dtype=dtype)
+    starts = np.cumsum(counts) - counts
+    end = int(np.searchsorted(starts, len(values)))
+    out = np.empty(len(counts), dtype=dtype)
+    out[:end] = ufunc.reduceat(values, starts[:end], dtype=dtype)
+    out[counts == 0] = fill
     return out
 
 

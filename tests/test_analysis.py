@@ -67,7 +67,8 @@ class TestExperiments:
     def test_e1_paper_values(self):
         result = run_experiment("E1", max_log_q=4)
         assert all(row[-1] == "ok" for row in result.rows)
-        assert "[2, 3, 4, 8]" in result.findings["phi(2), r(2) at q=8 (paper)"]
+        assert "3, [2, 3, 4, 8]" in result.findings["phi(2), r(2) at q=8 (paper)"]
+        assert "7, [4, 6, 7, 8]" in result.findings["phi(4), r(4) at q=8 (paper)"]
 
     def test_e2_table_covers_all_nodes(self):
         result = run_experiment("E2")
@@ -82,9 +83,40 @@ class TestExperiments:
         result = run_experiment("E5")
         assert all(row[-1] == "ok" for row in result.rows)
 
+    def test_e7_awake_grows_logarithmically_in_c(self):
+        result = run_experiment("E7")
+        assert all(row[-1] == "ok" for row in result.rows)
+        # doubling c adds a bounded number of awake rounds (~7 per doubling)
+        cs = [row[0] for row in result.rows]
+        awake = [row[1] for row in result.rows]
+        for (c1, a1), (c2, a2) in zip(zip(cs, awake), zip(cs[1:], awake[1:])):
+            doublings = max(1, (c2 // max(c1, 1)).bit_length())
+            assert a2 - a1 <= 8 * doublings
+
+    def test_e8b_awake_within_bound(self):
+        result = run_experiment("E8b")
+        assert all(row[-1] == "ok" for row in result.rows)
+
+    def test_e8c_rounds_grow_with_id_space_awake_does_not(self):
+        result = run_experiment("E8c")
+        awake = [row[2] for row in result.rows]
+        rounds = [row[3] for row in result.rows]
+        assert rounds[0] < rounds[1] < rounds[2]
+        assert max(awake) <= 3 * min(awake)
+
     def test_e10_all_defeated(self):
-        result = run_experiment("E10", num_rules=4)
-        assert len(result.rows) == 4
+        assert len(run_experiment("E10", num_rules=4).rows) == 4
+        result = run_experiment("E10")
+        assert len(result.rows) >= 8
+        assert all("sinks" in row[2] for row in result.rows)
+
+    def test_e11_average_awake_tracks_max(self):
+        result = run_experiment("E11")
+        for _, max_awake, avg_awake, *_ in result.rows:
+            assert avg_awake <= max_awake
+            # data-independent calendars: the average is a large fraction
+            # of the max (Open Question 3, adaptive schedules, stays open)
+            assert avg_awake >= 0.3 * max_awake
 
     def test_single_trial_plan_takes_overrides(self):
         result = run_experiment("E3", n=32, seed=1)

@@ -106,6 +106,28 @@ def test_graph_layer_imports_nothing_above_it():
     assert not offenders, f"graph modules importing upper layers: {offenders}"
 
 
+def test_every_test_function_is_collected():
+    """Test functions live under ``tests/``. One in the repo's source
+    trees sits in a module pytest does not collect, or that no tier-1
+    run names, so nothing runs it: the pytest-benchmark suite that once
+    lived in ``benchmarks/`` asserted claims that no run checked."""
+    import ast
+    import pathlib
+
+    repo_root = pathlib.Path(__file__).resolve().parent.parent
+    offenders = []
+    for tree_name in ("src", "benchmarks", "perfbench", "examples"):
+        for source in sorted((repo_root / tree_name).rglob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            offenders.extend(
+                f"{source.relative_to(repo_root)}:{node.lineno} {node.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("test_")
+            )
+    assert not offenders, f"test functions outside tests/: {offenders}"
+
+
 def test_no_module_imports_pickle_or_base64():
     """Persisted results are read as JSON, never unpickled: no module in
     the package imports ``pickle`` (or ``base64``, which only ever

@@ -174,6 +174,11 @@ class TestDistance2NotOLocal:
         p1, p2 = pair
         assert p2 - p1 == 2  # distance exactly 2 on the path
 
+    def test_every_linear_rule_is_defeated(self):
+        for seed in range(100):
+            f = lambda i, s=seed: 1 + (i * (s + 3)) % 5
+            assert defeating_id_assignment(f, 6) is not None
+
     def test_collision_breaks_distance2_coloring(self):
         g = distance2_counterexample_path(6)
         f = lambda node_id: 1 + (node_id % 5)

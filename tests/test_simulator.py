@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.graphs import complete_graph, cycle, path, star
+from repro.graphs import complete_graph, cycle, gnp, path, star
 from repro.model import AwakeAt, Broadcast, SleepingSimulator
 
 
@@ -76,6 +76,23 @@ class TestSleepingSemantics:
         res = SleepingSimulator(path(2), program).run()
         assert res.round_complexity == 10**9
         assert res.metrics.active_rounds == 1
+
+    def test_time_skipping_many_sleepers(self):
+        """256 nodes, each awake three times at interleaved rounds across
+        a 10^9-round horizon: the run ends at the latest wakeup and every
+        node is awake exactly three times."""
+        graph = gnp(256, 0.05, seed=22)
+
+        def program(info):
+            yield AwakeAt(info.id * 1000)
+            yield AwakeAt(10**6 + info.id)
+            yield AwakeAt(10**9 - info.id)
+            return None
+
+        res = SleepingSimulator(graph, program).run()
+        assert res.round_complexity == 10**9 - min(graph.nodes)
+        assert set(res.metrics.awake_rounds.values()) == {3}
+        assert res.metrics.active_rounds == 3 * graph.n
 
     def test_awake_accounting_per_node(self):
         def program(info):
