@@ -84,6 +84,9 @@ from repro.obs.spans import span
 #: Sentinel larger than any color, label or slot index that can occur.
 _BIG = 1 << 62
 
+#: Edge slots compared per block in :func:`_monochromatic_slots`.
+_SLOT_BLOCK = 1 << 16
+
 
 def _linial_step_pairs(
     colors: Any, csrs: list[GraphArrays], d: int, q: int
@@ -826,23 +829,27 @@ def compute_clustering_vectorized(
         clustering, the per-node assignments and the simulated metrics.
     """
     chosen_b = b if b is not None else default_b(graph.n)
-    result, _, _, accounting = _clustering_columns(graph, chosen_b, validate)
+    result, _, _, _, accounting = _clustering_columns(
+        graph, chosen_b, validate
+    )
     accounting.charge()
     return result
 
 
 def _clustering_columns(
     graph: StaticGraph, b: int, validate: bool
-) -> tuple[ClusteringResult, Any, Any, Accounting]:
+) -> tuple[ClusteringResult, Any, Any, Any, Accounting]:
     """Run the kernel, check and package its columns.
 
     Definition 4 and the Theorem 13 color bound are checked on the
-    kernel's own columns (:func:`validate_clustering_arrays`, ~BFS cost)
-    rather than by the per-node validator's Python walk — same
-    acceptance, same error taxonomy, differentially tested in
-    ``tests/test_clustering_validation.py``. Charges no counters: the
-    caller decides whether this run stands alone or is one stage of
-    Theorem 1.
+    kernel's own columns (:func:`validate_clustering_arrays`: a local
+    certificate over the monochromatic slots, a few passes over them
+    and pointer doubling) rather than by the per-node validator's
+    Python walk — same acceptance, same error taxonomy, differentially
+    tested in ``tests/test_clustering_validation.py``. The check's
+    same-color degrees are returned for Theorem 9, so a Theorem 1 run
+    compares G's colors once. Charges no counters: the caller decides
+    whether this run stands alone or is one stage of Theorem 1.
 
     Args:
         graph: the network.
@@ -850,11 +857,11 @@ def _clustering_columns(
         validate: check the clustering before packaging it.
 
     Returns:
-        ``(result, color, dist, accounting)`` — the packaged
+        ``(result, color, dist, same, accounting)`` — the packaged
         :class:`ClusteringResult`, the per-slot canonical colors
-        ``(i - 1)·a·b² + γ'`` and depths δ as int64 columns, and the
-        kernel's :class:`Accounting`. The result's per-node maps
-        (assignments, γ, δ, metrics) are
+        ``(i - 1)·a·b² + γ'``, depths δ and same-color degrees as int64
+        columns, and the kernel's :class:`Accounting`. The result's
+        per-node maps (assignments, γ, δ, metrics) are
         :class:`~repro.graphs.arrays.ColumnMap` views over the columns.
     """
     _require_int64_rounds(theorem13_duration(graph.n, graph.id_space, b))
@@ -866,12 +873,14 @@ def _clustering_columns(
         bound = color_palette_bound(graph.n, b)
         if validate:
             with span("theorem13.validate", n=graph.n):
-                validate_clustering_arrays(graph, color, dist)
+                same = validate_clustering_arrays(graph, color, dist)
                 max_color = int(color.max(initial=0))
                 if max_color > bound:
                     raise ProtocolError(
                         f"used color {max_color} exceeds the bound {bound}"
                     )
+        else:
+            same = _monochromatic_slots(graph.arrays, color)[2]
         ids = graph.arrays.ids
         assignments = ColumnMap(
             ids, (phase, gamma, dist), row=Theorem13Assignment
@@ -885,7 +894,7 @@ def _clustering_columns(
             b=b,
             palette_bound=bound,
         )
-    return result, color, dist, accounting
+    return result, color, dist, same, accounting
 
 
 def clustering_columns(
@@ -938,7 +947,75 @@ def canonical_columns(
     return clustering_columns(graph, clustering.canonical())
 
 
-def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> None:
+def _monochromatic_slots(ga: GraphArrays, color: Any) -> tuple[Any, Any, Any]:
+    """G's monochromatic slots, and each slot's number of them.
+
+    Args:
+        ga: the graph's arrays.
+        color: int64 per-slot colors, in :attr:`GraphArrays.ids` order.
+
+    Returns:
+        ``(ms, md, same)`` — the source and target slots of every
+        monochromatic directed edge, in CSR order (so ``ms`` ascends),
+        and the int64 per-slot same-color degree ``bincount(ms)``: the
+        row lengths of the compressed slots, and by Definition 4 the
+        intra-cluster degree Theorem 9 reads.
+    """
+    esrc, flat = ga.edge_sources, ga.flat
+    # Compared in cache-sized blocks: two whole 2m-length color gathers
+    # cost more time and leave a larger heap behind. A gather by index
+    # list is then several times faster than a boolean mask index into
+    # the int64 columns.
+    mono = np.concatenate([
+        lo + np.flatnonzero(
+            color[esrc[lo:lo + _SLOT_BLOCK]] == color[flat[lo:lo + _SLOT_BLOCK]]
+        )
+        for lo in range(0, len(flat), _SLOT_BLOCK)
+    ] or [np.empty(0, dtype=np.int64)])
+    ms = esrc[mono]
+    md = flat[mono]
+    return ms, md, np.bincount(ms, minlength=len(color))
+
+
+def _certified(dist: Any, ms: Any, md: Any, same: Any) -> bool:
+    """Whether δ passes Definition 4's local certificate.
+
+    Over the monochromatic edges ``(ms, md)``, whose rows ``same``
+    counts: (a) every δ ≥ 0; (b) δ changes by at most 1 across each
+    edge; (c) every non-root (δ > 0) slot has a neighbour at δ − 1,
+    and its parent is the smallest such slot; (d) after pointer
+    doubling, both ends of each edge reach the same root. Parents step
+    δ down by one, so (c) leads every slot in δ steps to a δ = 0 slot
+    of its component, and δ is at least the induced distance to that
+    root; by (b) it is at most the distance to any δ = 0 slot. (d)
+    leaves one root per component, so δ is the induced BFS distance
+    from it: Definition 4. Conversely, a Definition 4 clustering meets
+    all four.
+    """
+    if int(dist.min()) < 0:
+        return False
+    step = dist[md]
+    step -= dist[ms]
+    # Each edge is in both directions, so a drop below -1 is a rise
+    # above 1 too.
+    if int(step.max(initial=0)) > 1:
+        return False
+    below = np.where(step == -1, md, _BIG)
+    del step
+    parent = segment_min(below, same, _BIG)
+    del below
+    roots = np.flatnonzero(dist == 0)
+    parent[roots] = roots
+    if int(parent.max()) == _BIG:
+        return False
+    # Each parent is one level closer to its root, so bit_length(max δ)
+    # doublings reach it.
+    for _ in range(int(dist.max()).bit_length()):
+        parent = parent[parent]
+    return bool(np.array_equal(parent[ms], parent[md]))
+
+
+def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Any:
     """Check Definition 4 with whole-graph array kernels.
 
     The drop-in twin of
@@ -949,17 +1026,22 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
     are legal (each connected component is its own cluster), exactly as
     in the per-node validator.
 
-    Components are labelled by
-    :func:`~repro.graphs.arrays.component_minima`, the min-label hooking
-    the gnp sampler also uses, over each monochromatic edge once; depths
-    by one multi-source masked BFS — versus the per-node validator's
-    Python walk, which costs about twice the clustering kernel itself at
-    n = 2¹⁷.
+    A clustering is accepted by a local certificate over the
+    monochromatic slots only (:func:`_certified`): a few gathers, one
+    row minimum and pointer doubling, with no component labelling and
+    no BFS. Only a clustering the certificate rejects is labelled by
+    :func:`~repro.graphs.arrays.component_minima` and searched by one
+    multi-source masked BFS (:func:`_definition4_violation`), which
+    names the first violation in the per-node validator's vocabulary.
 
     Args:
         graph: the network the clustering lives on.
         color: int64 per-slot colors, in :attr:`GraphArrays.ids` order.
         dist: int64 per-slot root distances (δ), same order.
+
+    Returns:
+        The int64 per-slot same-color degrees (:func:`_monochromatic_slots`),
+        which the Theorem 9 kernel reads as intra-cluster degrees.
 
     Raises:
         ClusteringError: on any Definition 4 violation, with the same
@@ -971,16 +1053,31 @@ def validate_clustering_arrays(graph: StaticGraph, color: Any, dist: Any) -> Non
         raise ClusteringError("coloring does not cover exactly the node set")
     if len(dist) != n:
         raise ClusteringError("dist does not cover exactly the node set")
-    if n == 0:
-        return
     color = np.asarray(color, dtype=np.int64)
     dist = np.asarray(dist, dtype=np.int64)
+    ms, md, same = _monochromatic_slots(ga, color)
+    if n == 0 or _certified(dist, ms, md, same):
+        return same
+    _definition4_violation(ga, color, dist, ms, md)
+    raise ReproError(
+        "Definition 4: the local certificate rejected a clustering that "
+        "component labelling accepts"
+    )
 
+
+def _definition4_violation(
+    ga: GraphArrays, color: Any, dist: Any, msrc: Any, mdst: Any
+) -> None:
+    """Raise the first Definition 4 violation, as the per-node walk names it.
+
+    Components of each color class are labelled by
+    :func:`~repro.graphs.arrays.component_minima` over each
+    monochromatic edge ``(msrc, mdst)`` once; depths by one multi-source
+    masked BFS. Returns only if the clustering is valid.
+    """
+    n = len(ga.ids)
     # Connected components of each color class: every slot is labelled
     # with the smallest slot index of its component.
-    mono = color[ga.edge_sources] == color[ga.flat]
-    msrc = ga.edge_sources[mono]
-    mdst = ga.flat[mono]
     once = msrc < mdst
     comp = component_minima(n, msrc[once], mdst[once])
 

@@ -42,6 +42,7 @@ from repro.core.clustering import ColoredBFSClustering
 from repro.core.clustering_vectorized import (
     _clustering_columns,
     _member_offsets,
+    _monochromatic_slots,
     _window_rounds,
     canonical_columns,
     _require_int64_rounds,
@@ -60,7 +61,7 @@ from repro.core.theorem13 import (
     theorem13_duration,
 )
 from repro.errors import ProtocolError
-from repro.graphs.arrays import ColumnMap, segment_sum, sorted_unique
+from repro.graphs.arrays import ColumnMap, sorted_unique
 from repro.graphs.graph import StaticGraph
 from repro.model.vectorized import Accounting, decide_by_priority
 from repro.obs.spans import span
@@ -69,7 +70,13 @@ from repro.types import NodeId
 
 
 def _theorem9_closed_form(
-    ga: Any, colors: Any, dist: Any, palette: int, t0: int, n: int
+    ga: Any,
+    colors: Any,
+    dist: Any,
+    deg_intra: Any,
+    palette: int,
+    t0: int,
+    n: int,
 ) -> Accounting:
     """Exact per-node Theorem 9 accounting, without running any rounds.
 
@@ -77,6 +84,9 @@ def _theorem9_closed_form(
         ga: the graph's :class:`~repro.graphs.arrays.GraphArrays`.
         colors: int64 per-slot cluster colors γ in ``[1, palette]``.
         dist: int64 per-slot BFS depths δ.
+        deg_intra: int64 per-slot same-color degrees; by Definition 4
+            (same-color clusters are never adjacent) these are the
+            same-cluster neighbours.
         palette: the common-knowledge palette size c.
         t0: first round of the Theorem 9 window.
         n: the graph size (the protocol's common-knowledge n).
@@ -91,10 +101,6 @@ def _theorem9_closed_form(
     vt0 = t0 + 1 + bfs_cast_duration(n)  # first virtual-window round
     sched_len = mapping.schedule_length  # |r(c)|, the same for every c
 
-    # Same-color neighbors are same-cluster neighbors (Definition 4:
-    # same-color clusters are never adjacent).
-    same = colors[ga.flat] == colors[ga.edge_sources]
-    deg_intra = segment_sum(same, ga.degrees)
     deg_foreign = ga.degrees - deg_intra
     nonroot = (dist > 0).astype(np.int64)
 
@@ -159,6 +165,7 @@ def _run_theorem9_kernel(
     inputs: Mapping[NodeId, Any] | None,
     color: Any,
     dist: Any,
+    deg_intra: Any,
     palette: int,
     t0: int,
 ) -> tuple[ColumnMap, Accounting, Mapping[NodeId, Any] | None]:
@@ -171,6 +178,8 @@ def _run_theorem9_kernel(
             own.
         color: int64 per-slot cluster colors γ, in ``[1, palette]``.
         dist: int64 per-slot BFS depths δ.
+        deg_intra: int64 per-slot same-color degrees
+            (:func:`~repro.core.clustering_vectorized._monochromatic_slots`).
         palette: the common-knowledge palette size c.
         t0: first round of the Theorem 9 window.
 
@@ -205,7 +214,7 @@ def _run_theorem9_kernel(
 
     with span("theorem9.accounting", n=ga.n, palette=palette):
         accounting = _theorem9_closed_form(
-            ga, color, dist, palette, t0, graph.n
+            ga, color, dist, deg_intra, palette, t0, graph.n
         )
     return decider.outputs(), accounting, decider.inputs
 
@@ -255,8 +264,9 @@ def solve_with_clustering_vectorized(
             cast_rounds=(1, cast_end),
             calendar_rounds=(cast_end + 1, theorem9_duration(graph.n, c)),
         )
+        deg_intra = _monochromatic_slots(graph.arrays, color)[2]
         outputs, accounting, inputs = _run_theorem9_kernel(
-            graph, problem, inputs, color, dist, c, t0=1
+            graph, problem, inputs, color, dist, deg_intra, c, t0=1
         )
         accounting.charge()
         result = accounting.result(graph, outputs)
@@ -305,14 +315,15 @@ def solve_vectorized(
     chosen_b = b if b is not None else default_b(graph.n)
     _require_int64_rounds(theorem1_duration(graph.n, graph.id_space, chosen_b))
     with span("theorem1.vectorized", n=graph.n, b=chosen_b):
-        clustered, color, dist, stage13 = _clustering_columns(
+        clustered, color, dist, deg_intra, stage13 = _clustering_columns(
             graph, chosen_b, validate
         )
         t9_start = 1 + theorem13_duration(graph.n, graph.id_space, chosen_b)
         outputs, stage9, inputs = _run_theorem9_kernel(
-            graph, problem, inputs, color, dist,
+            graph, problem, inputs, color, dist, deg_intra,
             clustered.palette_bound, t0=t9_start,
         )
+        del deg_intra  # read by the closed form only
         composed = Accounting(
             awake=stage13.awake + stage9.awake,
             termination=stage9.termination,

@@ -8,10 +8,15 @@ rejects — same Definition 4, same error vocabulary — while running as
 whole-graph kernels instead of a per-node Python walk.
 """
 
+import tracemalloc
+
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from hypothesis import given, settings, strategies as st
+
+from repro.core import clustering_vectorized as cv
 from repro.core.clustering import ClusteringError, ColoredBFSClustering
 from repro.core.clustering_vectorized import (
     clustering_columns,
@@ -19,6 +24,8 @@ from repro.core.clustering_vectorized import (
     validate_clustering_arrays,
 )
 from repro.core.theorem13 import compute_clustering
+from repro.graphs import gnp
+from repro.graphs.arrays import component_minima, segment_sum, sorted_unique
 from repro.graphs.families import build_family_graph
 
 FAMILIES = [
@@ -199,27 +206,39 @@ class TestArrayPathDetails:
             validate_clustering_arrays(graph, color, dist + 1)
 
     def test_all_singleton_clustering_seeds_no_bfs(self, monkeypatch):
-        """Δ < b: every cluster is a singleton, so no edge is
-        monochromatic, every root is its whole component at depth 0,
-        and the depth BFS gets no source."""
-        from repro.core import clustering_vectorized as cv
-        from repro.graphs import gnp
-
+        """An accepted clustering is certified locally: neither the
+        all-singleton one (Δ < b, no monochromatic edge) nor a kernel
+        clustering with monochromatic edges runs component labelling or
+        the depth BFS. A rejected one runs both to name its violation."""
         n = 1 << 12
         graph = gnp(n, 8 / n, seed=0, method="fast")
-        result = compute_clustering_vectorized(graph, b=32, validate=False)
-        color, dist = clustering_columns(graph, result.clustering)
+        singleton = compute_clustering_vectorized(graph, b=32, validate=False)
+        clustered = compute_clustering_vectorized(graph, validate=False)
+        calls = []
+        for name in ("_masked_bfs", "component_minima"):
+            real = getattr(cv, name)
+
+            def spy(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cv, name, spy)
+
+        color, dist = clustering_columns(graph, singleton.clustering)
         assert (dist == 0).all()
-        sources = []
-        real = cv._masked_bfs
-
-        def spy(csr, seeds, group, member):
-            sources.append(seeds.size)
-            return real(csr, seeds, group, member)
-
-        monkeypatch.setattr(cv, "_masked_bfs", spy)
         validate_clustering_arrays(graph, color, dist)
-        assert sources == [0]
+        color, dist = clustering_columns(graph, clustered.clustering)
+        ga = graph.arrays
+        assert (color[ga.flat] == color[ga.edge_sources]).any()
+        assert dist.max() > 1
+        validate_clustering_arrays(graph, color, dist)
+        assert calls == []
+
+        deep = int(np.argmax(dist))
+        dist[deep] += 5
+        with pytest.raises(ClusteringError, match="induced BFS distance"):
+            validate_clustering_arrays(graph, color, dist)
+        assert calls == ["component_minima", "_masked_bfs"]
 
     def test_wrong_length_rejected(self):
         graph = build_family_graph("path", 5, seed=0)
@@ -336,3 +355,213 @@ class TestPipelineIntegration:
             ref = solve(graph, PROBLEMS.get(name), b=b)
             vec = solve_vectorized(graph, PROBLEMS.get(name), b=b)
             assert vec.awake_complexity == ref.awake_complexity
+
+
+# -- the local certificate ---------------------------------------------------
+
+
+def _component_check(graph, color, dist):
+    """The array check as it stood before the local certificate: label
+    each color class's components, count roots, run one depth BFS.
+    Kept as the oracle for the messages the certificate's fallback
+    must still give."""
+    ga = graph.arrays
+    n = len(ga.ids)
+    mono = color[ga.edge_sources] == color[ga.flat]
+    msrc = ga.edge_sources[mono]
+    mdst = ga.flat[mono]
+    once = msrc < mdst
+    comp = component_minima(n, msrc[once], mdst[once])
+    roots = dist == 0
+    root_count = np.bincount(comp[roots], minlength=n)
+    labels = sorted_unique(comp)
+    bad = labels[root_count[labels] != 1]
+    if bad.size:
+        slot = int(bad[0])
+        raise ClusteringError(
+            f"color {int(color[slot])!r} component has "
+            f"{int(root_count[slot])} roots (δ=0 nodes); expected exactly 1"
+        )
+    seeded = roots & (np.bincount(msrc, minlength=n) > 0)
+    depth = cv._masked_bfs(
+        ga, np.flatnonzero(seeded), comp, np.ones(n, dtype=bool)
+    )
+    depth[roots] = 0
+    mismatch = np.flatnonzero(depth != dist)
+    if mismatch.size:
+        slot = int(mismatch[0])
+        root_slot = int(np.flatnonzero(roots & (comp == comp[slot]))[0])
+        raise ClusteringError(
+            f"color {int(color[slot])!r} component: δ({int(ga.ids[slot])}) "
+            f"= {int(dist[slot])} but induced BFS distance from root "
+            f"{int(ga.ids[root_slot])} is {int(depth[slot])}"
+        )
+
+
+def _error(check, *args):
+    try:
+        check(*args)
+    except ClusteringError as exc:
+        return str(exc)
+    return None
+
+
+def _clusters(graph, color, dist):
+    """Each cluster's slots, by the per-node validator's components."""
+    ids = graph.arrays.ids.tolist()
+    slot = {v: i for i, v in enumerate(ids)}
+    clustering = ColoredBFSClustering(
+        color=dict(zip(ids, color.tolist())), dist=dict(zip(ids, dist.tolist()))
+    )
+    return [
+        sorted(slot[v] for v in c.members) for c in clustering.clusters(graph)
+    ]
+
+
+def _corrupt(graph, color, dist, kind, pick):
+    """``(color, dist)`` with one corruption; ``legal`` corruptions keep
+    Definition 4."""
+    ga = graph.arrays
+    color, dist = color.copy(), dist.copy()
+    v = pick % len(color)
+    if kind == "shifted":
+        dist[v] += 1 if pick % 3 else -1
+    elif kind == "lifted":
+        # One above its deepest same-color neighbour: it keeps a
+        # neighbour at δ − 1, but sits two or more above its parent.
+        nbrs = ga.flat[ga.offsets[v]:ga.offsets[v + 1]]
+        nbrs = nbrs[color[nbrs] == color[v]]
+        if nbrs.size:
+            dist[v] = dist[nbrs].max() + 1
+    elif kind == "two roots":
+        deep = np.flatnonzero(dist > 0)
+        if deep.size:
+            dist[deep[pick % deep.size]] = 0
+    elif kind == "zero roots":
+        cluster = next(c for c in _clusters(graph, color, dist) if v in c)
+        dist[cluster] += 1
+    elif kind == "negative":
+        dist[v] = -1 - pick % 2
+    elif kind == "recoloured":
+        palette = sorted_unique(color)
+        color[v] = np.append(palette, palette[-1] + 1)[pick % (palette.size + 1)]
+    elif kind == "disconnected class":
+        # Give a cluster the color of a class none of its members touch.
+        moves = []
+        for members in _clusters(graph, color, dist):
+            nbrs = np.concatenate(
+                [ga.flat[ga.offsets[u]:ga.offsets[u + 1]] for u in members]
+            )
+            moves.extend(
+                (members, c)
+                for c in sorted_unique(color).tolist()
+                if c != color[members[0]] and not (color[nbrs] == c).any()
+            )
+        if moves:
+            members, c = moves[pick % len(moves)]
+            color[members] = c
+    return color, dist
+
+
+KINDS = [
+    "none", "shifted", "lifted", "two roots", "zero roots", "negative",
+    "recoloured", "disconnected class",
+]
+
+
+class TestLocalCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["gnp", "tree", "grid", "path", "cycle", "star"]),
+        n=st.integers(4, 40),
+        seed=st.integers(0, 10**4),
+        ids=st.sampled_from(["identity", "permuted"]),
+        b=st.sampled_from([1, 2, 3, 4]),
+        kind=st.sampled_from(KINDS),
+        pick=st.integers(0, 10**6),
+    )
+    def test_certificate_agrees_with_the_per_node_validator(
+        self, family, n, seed, ids, b, kind, pick
+    ):
+        """On kernel clusterings of small random graphs, clean or
+        corrupted, the certificate accepts exactly what
+        ``ColoredBFSClustering.validate`` accepts, and every rejection
+        reads as the component check words it."""
+        graph = build_family_graph(family, n, seed=seed, ids=ids)
+        result = compute_clustering_vectorized(graph, b=b, validate=False)
+        color, dist = clustering_columns(graph, result.clustering)
+        color, dist = _corrupt(graph, color, dist, kind, pick)
+        ids_ = graph.arrays.ids.tolist()
+        per_node = _error(
+            ColoredBFSClustering(
+                color=dict(zip(ids_, color.tolist())),
+                dist=dict(zip(ids_, dist.tolist())),
+            ).validate,
+            graph,
+        )
+        certified = cv._certified(
+            dist, *cv._monochromatic_slots(graph.arrays, color)
+        )
+        assert certified == (per_node is None)
+        if kind in ("none", "disconnected class"):
+            assert certified
+        array = _error(validate_clustering_arrays, graph, color, dist)
+        assert array == _error(_component_check, graph, color, dist)
+
+    def test_a_shortcut_to_the_root_is_rejected(self):
+        """A triangle r, a, b with δ = 0, 1, 2: b keeps a parent at
+        δ − 1 and every slot reaches r, but the edge b–r spans two
+        levels, so b's induced distance is 1."""
+        graph = build_family_graph("complete", 3, seed=0)
+        color = np.ones(3, dtype=np.int64)
+        dist = np.arange(3, dtype=np.int64)
+        assert not cv._certified(
+            dist, *cv._monochromatic_slots(graph.arrays, color)
+        )
+        assert _error(validate_clustering_arrays, graph, color, dist) == (
+            "color 1 component: δ(3) = 2 but induced BFS distance from "
+            "root 1 is 1"
+        )
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_accepting_returns_the_same_color_degrees(self, block, monkeypatch):
+        """The monochromatic slots come out in CSR order however the
+        slots are split into comparison blocks (7 leaves a ragged last
+        block), and their row lengths are the same-color degrees."""
+        if block is not None:
+            monkeypatch.setattr(cv, "_SLOT_BLOCK", block)
+        graph = build_family_graph("gnp", 60, seed=4)
+        result = compute_clustering_vectorized(graph, b=2, validate=False)
+        color, dist = clustering_columns(graph, result.clustering)
+        ga = graph.arrays
+        mono = color[ga.flat] == color[ga.edge_sources]
+        ms, md, _ = cv._monochromatic_slots(ga, color)
+        assert ms.tolist() == ga.edge_sources[mono].tolist()
+        assert md.tolist() == ga.flat[mono].tolist()
+        same = validate_clustering_arrays(graph, color, dist)
+        recount = segment_sum(mono, ga.degrees)
+        assert same.tolist() == recount.tolist()
+        assert recount.any()
+
+    def test_working_set_per_slot(self):
+        """gnp(2¹², 64/n)'s kernel clustering makes every slot
+        monochromatic, so the check holds its widest temporaries:
+        32.8 B per (n + 2m) unit measured (41.6 B when component
+        labelling and the depth BFS accepted it)."""
+        n = 1 << 12
+        graph = gnp(n, 64 / n, seed=0, method="fast")
+        result = compute_clustering_vectorized(graph, validate=False)
+        color, dist = clustering_columns(graph, result.clustering)
+        ga = graph.arrays
+        assert (color[ga.flat] == color[ga.edge_sources]).all()
+        units = graph.n + len(ga.flat)
+        tracemalloc.start()
+        try:
+            validate_clustering_arrays(graph, color, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 37 * units, (
+            f"check peak {peak / 1e6:.1f} MB = {peak / units:.1f} B per "
+            f"(n + 2m) unit > 37 B"
+        )

@@ -503,8 +503,8 @@ def test_theorem9_active_rounds_match_a_global_recount(graph, b, monkeypatch):
     calls = []
     closed_form = t1v._theorem9_closed_form
 
-    def spy(ga, colors, dist, palette, t0, n):
-        accounting = closed_form(ga, colors, dist, palette, t0, n)
+    def spy(ga, colors, dist, deg_intra, palette, t0, n):
+        accounting = closed_form(ga, colors, dist, deg_intra, palette, t0, n)
         calls.append((colors, dist, palette, t0, n, accounting))
         return accounting
 
@@ -526,6 +526,44 @@ def test_theorem9_active_rounds_match_a_global_recount(graph, b, monkeypatch):
             (vt0 + virtual[dist == d, :, None] * window + offs).ravel()
         )
     assert accounting.active_rounds == sorted_unique(np.concatenate(rounds)).size
+
+
+@pytest.mark.parametrize(
+    "family,n", [("gnp", 300), ("tree", 300), ("grid", 324)]
+)
+def test_theorem9_reads_the_same_color_degrees_of_a_recount(
+    family, n, monkeypatch
+):
+    """The same-color degrees Theorem 9 is handed — by the Definition 4
+    check in Theorem 1, by the helper without it or in Theorem 9 alone —
+    equal a fresh count, and skipping the checks changes no outcome."""
+    import functools
+
+    from repro.core import theorem1_vectorized as t1v
+    from repro.graphs.arrays import segment_sum
+
+    g = build_family_graph(family, n, seed=5)
+    seen = []
+    closed_form = t1v._theorem9_closed_form
+
+    def spy(ga, colors, dist, deg_intra, palette, t0, n):
+        same = colors[ga.flat] == colors[ga.edge_sources]
+        recount = segment_sum(same, ga.degrees)
+        seen.append(deg_intra.tolist() == recount.tolist() and recount.any())
+        return closed_form(ga, colors, dist, deg_intra, palette, t0, n)
+
+    monkeypatch.setattr(t1v, "_theorem9_closed_form", spy)
+    mis = PROBLEMS.get("mis")
+    theorem1 = ALGORITHMS.get("theorem1")
+    checked = theorem1.solve(g, mis, engine=ENGINE_VECTORIZED, b=2)
+    monkeypatch.setattr(
+        t1v, "solve_vectorized",
+        functools.partial(t1v.solve_vectorized, validate=False),
+    )
+    unchecked = theorem1.solve(g, mis, engine=ENGINE_VECTORIZED, b=2)
+    ALGORITHMS.get("theorem9").solve(g, mis, engine=ENGINE_VECTORIZED, b=2)
+    assert seen == [True, True, True]
+    assert unchecked == checked
 
 
 # -- scale (marked slow) -----------------------------------------------------
